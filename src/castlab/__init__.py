@@ -5,9 +5,7 @@ injection and filtering, and two cost-accounted evaluation protocols.
 """
 
 from .data_io import (
-    DatasetCollection,
     FunctionSpec,
-    generate_function_dataset,
     generate_function_series,
     load_csv,
     write_csv,
@@ -84,9 +82,7 @@ __all__ = [
     "standardize",
     "destandardize",
     "FunctionSpec",
-    "DatasetCollection",
     "generate_function_series",
-    "generate_function_dataset",
     "load_csv",
     "write_csv",
     "WindowPlan",

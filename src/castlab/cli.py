@@ -49,8 +49,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "protocol": args.protocol,
         "metric_space": args.metric_space,
         "output_dir": args.output_dir,
-        "seed": args.seed,
-        "workers": args.workers,
     }
     config = load_config(args.config, overrides)
     if args.dry_run:
@@ -176,8 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--protocol", choices=("last_sample", "sliding"))
     p_run.add_argument("--metric-space", dest="metric_space", choices=("standardized", "raw"))
     p_run.add_argument("--output-dir", dest="output_dir")
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--workers", type=int)
     p_run.set_defaults(func=_cmd_run)
 
     p_gen = sub.add_parser("generate-functions", help="write synthetic function CSVs")

@@ -2,11 +2,9 @@
 
 Schema (see README for a complete annotated example)::
 
-    seed: 0
     output_dir: results
     protocol: last_sample            # or: sliding
     metric_space: standardized       # or: raw
-    workers: 1
     task: {input_length: 160, output_length: 40}
     split: {test_fraction: 0.2, val_fraction: 0.0}
     datasets:
@@ -33,7 +31,9 @@ Schema (see README for a complete annotated example)::
         baseline: {type: last_value}
 
 API keys are never read from the config file; HTTP adapters name an
-environment variable (``api_key_env``) instead.
+environment variable (``api_key_env``) instead. Grid cells run one after
+another, in dataset x forecaster x sweep value x replicate order. Keys the
+schema does not name are ignored.
 """
 
 from __future__ import annotations
@@ -110,6 +110,13 @@ class ForecasterConfig:
     llm: LlmForecasterConfig | None = None
     baseline: BaselineConfig | None = None
 
+    @property
+    def family(self) -> str:
+        """Cost family of the forecaster this entry builds."""
+        if self.linear is not None:
+            return "linear"
+        return "llm" if self.llm is not None else "domain"
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -127,8 +134,6 @@ class ExperimentConfig:
     protocol: str = "last_sample"
     metric_space: str = "standardized"
     output_dir: Path = Path("results")
-    seed: int = 0
-    workers: int = 1
     noise: NoiseSpec | None = None
     noise_filter: FilterSpec | None = None
     sweep: SweepConfig | None = None
@@ -309,8 +314,6 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> ExperimentConfig:
         protocol=protocol,
         metric_space=metric_space,
         output_dir=output_dir,
-        seed=int(raw.get("seed", 0)),
-        workers=int(raw.get("workers", 1)),
         noise=noise,
         noise_filter=noise_filter,
         sweep=sweep,
@@ -320,8 +323,8 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> ExperimentConfig:
 def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentConfig:
     """Load and validate a YAML experiment config.
 
-    ``overrides`` (flat keys: protocol, metric_space, output_dir, seed,
-    workers) replace top-level fields before validation; used by CLI flags.
+    ``overrides`` (flat keys: protocol, metric_space, output_dir) replace
+    top-level fields before validation; used by CLI flags.
     """
     p = Path(path)
     if not p.exists():

@@ -54,31 +54,6 @@ class FunctionSpec:
             raise ValueError("noise_std must be >= 0")
 
 
-@dataclass(frozen=True)
-class DatasetCollection:
-    """Named series forming one benchmark suite."""
-
-    entries: tuple[tuple[str, TimeSeries], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple((str(n), s) for n, s in self.entries))
-        names = [n for n, _ in self.entries]
-        if not names:
-            raise EmptyInputError("a dataset collection needs at least one entry")
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate dataset names in {names}")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.entries)
-
-    def get(self, name: str) -> TimeSeries:
-        for n, s in self.entries:
-            if n == name:
-                return s
-        raise KeyError(name)
-
-
 def _base_function(kind: str, t: np.ndarray) -> np.ndarray:
     if kind == "sine":
         return np.sin(2.0 * np.pi * 4.0 * t)
@@ -109,19 +84,6 @@ def generate_function_series(spec: FunctionSpec) -> TimeSeries:
         rng = np.random.default_rng(spec.seed)
         scaled = scaled + rng.normal(0.0, spec.noise_std, size=spec.length)
     return validate_series(scaled.reshape(-1, 1), names=(spec.kind,))
-
-
-def generate_function_dataset(specs: Sequence[FunctionSpec]) -> DatasetCollection:
-    """Generate one named series per spec; duplicate kinds get a numeric suffix."""
-    if not specs:
-        raise EmptyInputError("specs must be non-empty")
-    seen: dict[str, int] = {}
-    entries = []
-    for spec in specs:
-        seen[spec.kind] = seen.get(spec.kind, 0) + 1
-        name = spec.kind if seen[spec.kind] == 1 else f"{spec.kind}-{seen[spec.kind]}"
-        entries.append((name, generate_function_series(spec)))
-    return DatasetCollection(tuple(entries))
 
 
 def _looks_numeric(token: str) -> bool:

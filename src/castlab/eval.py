@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -97,25 +97,7 @@ class EvalReport:
     output_length: int
 
     def to_dict(self) -> dict:
-        return {
-            "dataset_name": self.dataset_name,
-            "forecaster_name": self.forecaster_name,
-            "protocol": self.protocol,
-            "metric_space": self.metric_space,
-            "mae": self.mae,
-            "mse": self.mse,
-            "per_channel_mae": list(self.per_channel_mae),
-            "per_channel_mse": list(self.per_channel_mse),
-            "cost": {
-                "train_seconds": self.cost.train_seconds,
-                "infer_seconds": self.cost.infer_seconds,
-                "dataset_name": self.cost.dataset_name,
-                "forecaster_name": self.cost.forecaster_name,
-            },
-            "window_count": self.window_count,
-            "input_length": self.input_length,
-            "output_length": self.output_length,
-        }
+        return asdict(self)
 
 
 def compute_metrics(pred: np.ndarray, truth: np.ndarray) -> Metrics:
@@ -141,20 +123,6 @@ def compute_metrics(pred: np.ndarray, truth: np.ndarray) -> Metrics:
     )
 
 
-def _prepare_test_values(
-    dataset: TimeSeries,
-    split: SplitSpec,
-    metric_space: str,
-) -> np.ndarray:
-    if metric_space not in METRIC_SPACES:
-        raise ValueError(f"metric_space must be one of {METRIC_SPACES}")
-    train, _, test = chronological_split(dataset, split)
-    if metric_space == "standardized":
-        stats = ChannelStats.from_series(train)
-        test = standardize(test, stats)
-    return test.values
-
-
 def _corrupt_input(
     window: np.ndarray,
     noise: NoiseSpec | None,
@@ -172,26 +140,38 @@ def _corrupt_input(
     return series.values
 
 
-def _evaluate_windows(
-    test_values: np.ndarray,
-    starts: Sequence[int],
+def _run_protocol(
+    protocol: str,
+    starts_for: Callable[[int, int], Sequence[int]],
+    dataset: TimeSeries,
     task: ForecastTask,
     forecaster: Forecaster,
-    dataset_name: str,
-    protocol: str,
+    split: SplitSpec | None,
     metric_space: str,
+    dataset_name: str,
     noise: NoiseSpec | None,
     noise_filter: FilterSpec | None,
 ) -> EvalReport:
+    """Score ``forecaster`` on the test-slice windows at ``starts_for(rows, span)``."""
+    if metric_space not in METRIC_SPACES:
+        raise ValueError(f"metric_space must be one of {METRIC_SPACES}")
+    train, _, test = chronological_split(dataset, split or SplitSpec())
+    if metric_space == "standardized":
+        test = standardize(test, ChannelStats.from_series(train))
+    test_values = test.values
+    span = task.input_length + task.output_length
+    if test_values.shape[0] < span:
+        raise SeriesTooShortError(
+            f"test slice has {test_values.shape[0]} rows, needs {span}"
+        )
+    starts = starts_for(test_values.shape[0], span)
     maes, mses = [], []
     per_mae, per_mse = [], []
     train_seconds = 0.0
     infer_seconds = 0.0
     for idx, start in enumerate(starts):
         window = test_values[start : start + task.input_length]
-        truth = test_values[
-            start + task.input_length : start + task.input_length + task.output_length
-        ]
+        truth = test_values[start + task.input_length : start + span]
         window = _corrupt_input(window, noise, noise_filter, idx)
         t0 = time.perf_counter()
         forecaster.fit(window, task.output_length)
@@ -250,24 +230,9 @@ def run_last_sample(
     prediction time, covering all channels of the dataset, in
     ``infer_seconds``.
     """
-    split = split or SplitSpec()
-    test_values = _prepare_test_values(dataset, split, metric_space)
-    span = task.input_length + task.output_length
-    if test_values.shape[0] < span:
-        raise SeriesTooShortError(
-            f"test slice has {test_values.shape[0]} rows, needs {span}"
-        )
-    start = test_values.shape[0] - span
-    return _evaluate_windows(
-        test_values,
-        [start],
-        task,
-        forecaster,
-        dataset_name,
-        "last_sample",
-        metric_space,
-        noise,
-        noise_filter,
+    return _run_protocol(
+        "last_sample", lambda rows, span: [rows - span], dataset, task, forecaster,
+        split, metric_space, dataset_name, noise, noise_filter,
     )
 
 
@@ -286,25 +251,9 @@ def run_sliding(
     Window count is ``floor((len_test - I - O) / O) + 1``; metrics are
     averaged over windows and costs accumulate across them.
     """
-    split = split or SplitSpec()
-    test_values = _prepare_test_values(dataset, split, metric_space)
-    span = task.input_length + task.output_length
-    if test_values.shape[0] < span:
-        raise SeriesTooShortError(
-            f"test slice has {test_values.shape[0]} rows, needs {span}"
-        )
-    count = (test_values.shape[0] - span) // task.output_length + 1
-    starts = [i * task.output_length for i in range(count)]
-    return _evaluate_windows(
-        test_values,
-        starts,
-        task,
-        forecaster,
-        dataset_name,
-        "sliding",
-        metric_space,
-        noise,
-        noise_filter,
+    return _run_protocol(
+        "sliding", lambda rows, span: range(0, rows - span + 1, task.output_length), dataset,
+        task, forecaster, split, metric_space, dataset_name, noise, noise_filter,
     )
 
 

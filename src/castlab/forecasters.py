@@ -110,26 +110,32 @@ class PolynomialExtrapolator(Forecaster):
 
 
 class LinearSingleShotForecaster(Forecaster):
-    """Single-shot linear model refit on each input window it predicts from."""
+    """Single-shot linear model refit on each input window it predicts from.
+
+    ``predict`` reuses the model of the last ``fit`` only when it was fitted
+    on the same window and horizon; otherwise it fits first.
+    """
 
     family = "linear"
 
-    def __init__(self, config: LinearModelConfig, val_fraction: float = 0.2, name: str | None = None):
+    def __init__(self, config: LinearModelConfig, name: str | None = None):
         self.config = config
-        self.val_fraction = val_fraction
         self.name = name or f"{config.variant}-s"
         self.model: FittedLinearModel | None = None
+        self._fitted_on: tuple[np.ndarray, int] | None = None
 
     def fit(self, window: np.ndarray, horizon: int) -> None:
         arr = _as_window(window)
         series = validate_series(arr)
         task = ForecastTask(input_length=arr.shape[0], output_length=horizon)
-        self.model = fit_single_shot(series, task, self.config, self.val_fraction)
+        self.model = fit_single_shot(series, task, self.config)
+        self._fitted_on = (series.values, horizon)
 
     def predict(self, window: np.ndarray, horizon: int) -> np.ndarray:
-        if self.model is None:
-            self.fit(window, horizon)
         arr = _as_window(window)
+        fitted = self._fitted_on
+        if fitted is None or fitted[1] != horizon or not np.array_equal(fitted[0], arr):
+            self.fit(arr, horizon)
         assert self.model is not None
         return linear_predict(self.model, arr[-self.model.inner_input :], horizon)
 

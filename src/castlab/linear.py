@@ -19,7 +19,7 @@ block back as context.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -336,21 +336,8 @@ def save_model(model: FittedLinearModel, path: str | Path) -> Path:
             for name, w in model.weights.items()
         },
         "bias": model.bias.tolist(),
-        "config": {
-            "variant": model.config.variant,
-            "loss": model.config.loss,
-            "learning_rate": model.config.learning_rate,
-            "max_epochs": model.config.max_epochs,
-            "patience": model.config.patience,
-            "decomposition_kernel": model.config.decomposition_kernel,
-            "seed": model.config.seed,
-        },
-        "training_stats": {
-            "train_loss": model.training_stats.train_loss,
-            "val_loss": model.training_stats.val_loss,
-            "epochs_run": model.training_stats.epochs_run,
-            "best_epoch": model.training_stats.best_epoch,
-        },
+        "config": asdict(model.config),
+        "training_stats": asdict(model.training_stats),
     }
     p = Path(path)
     p.write_text(json.dumps(doc, indent=2), encoding="utf-8")
@@ -366,7 +353,6 @@ def load_model(path: str | Path) -> FittedLinearModel:
         name: np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
         for name, spec in doc["weights"].items()
     }
-    stats = doc["training_stats"]
     return FittedLinearModel(
         variant=doc["variant"],
         inner_input=doc["inner_input"],
@@ -375,10 +361,5 @@ def load_model(path: str | Path) -> FittedLinearModel:
         bias=np.asarray(doc["bias"], dtype=np.float64),
         decomposition_kernel=doc["decomposition_kernel"],
         config=LinearModelConfig(**doc["config"]),
-        training_stats=TrainingStats(
-            train_loss=stats["train_loss"],
-            val_loss=stats["val_loss"],
-            epochs_run=stats["epochs_run"],
-            best_epoch=stats["best_epoch"],
-        ),
+        training_stats=TrainingStats(**doc["training_stats"]),
     )

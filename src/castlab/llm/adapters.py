@@ -13,7 +13,6 @@ import os
 import threading
 import time
 from abc import ABC, abstractmethod
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -82,7 +81,12 @@ class MockAdapter(LlmAdapter):
 
 
 class HttpChatAdapter(LlmAdapter):
-    """Chat-completion client with timeout and exponential transport backoff."""
+    """Chat-completion client with timeout and exponential backoff.
+
+    Transport errors, throttling (429) and server errors (5xx) are retried
+    up to ``TRANSPORT_RETRIES`` times, waiting 1 s, 2 s, ... between tries;
+    any other non-200 status raises at once.
+    """
 
     def __init__(
         self,
@@ -90,14 +94,12 @@ class HttpChatAdapter(LlmAdapter):
         model: str,
         api_key_env: str = "OPENAI_API_KEY",
         timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS,
-        transport_retries: int = TRANSPORT_RETRIES,
         session: requests.Session | None = None,
     ):
         self.endpoint = endpoint
         self.model = model
         self.api_key_env = api_key_env
         self.timeout_seconds = timeout_seconds
-        self.transport_retries = transport_retries
         self._session = session or requests.Session()
 
     def _headers(self) -> dict[str, str]:
@@ -119,7 +121,7 @@ class HttpChatAdapter(LlmAdapter):
             "top_p": config.top_p,
         }
         last_error: Exception | None = None
-        for attempt in range(self.transport_retries + 1):
+        for attempt in range(TRANSPORT_RETRIES + 1):
             if attempt:
                 time.sleep(2.0 ** (attempt - 1))
             try:
@@ -132,6 +134,9 @@ class HttpChatAdapter(LlmAdapter):
             except requests.RequestException as exc:
                 last_error = exc
                 continue
+            if response.status_code == 429 or response.status_code >= 500:
+                last_error = AdapterError(response.status_code, response.text[:500])
+                continue
             if response.status_code != 200:
                 raise AdapterError(response.status_code, response.text[:500])
             try:
@@ -139,29 +144,27 @@ class HttpChatAdapter(LlmAdapter):
                 return body["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise AdapterError(response.status_code, f"malformed response body: {exc}") from exc
+        if isinstance(last_error, AdapterError):
+            raise last_error
         raise AdapterError(None, f"transport failed after retries: {last_error}")
 
 
-@dataclass
-class TranscriptEntry:
-    """One logged completion exchange."""
-
-    timestamp: float
-    kind: str
-    payload: dict[str, Any]
-
-
 class TranscriptWriter:
-    """Append-only JSON-lines log of raw requests and responses, for replay."""
+    """JSON-lines log of raw requests and responses, for replay.
+
+    The file is emptied when the writer is created, so it holds the records
+    of this writer only; each record is appended as one line.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.path.write_text("", encoding="utf-8")
         self._lock = threading.Lock()
 
     def record(self, kind: str, payload: dict[str, Any]) -> None:
-        entry = TranscriptEntry(timestamp=time.time(), kind=kind, payload=payload)
-        line = json.dumps(asdict(entry), ensure_ascii=False)
+        entry = {"timestamp": time.time(), "kind": kind, "payload": payload}
+        line = json.dumps(entry, ensure_ascii=False)
         with self._lock:
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(line + "\n")

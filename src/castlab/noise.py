@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidSpecError
-from .series import TimeSeries
+from .series import TimeSeries, _round_fraction
 
 NOISE_KINDS = ("gaussian", "constant", "missing", "freq_add", "freq_replace")
 FILTER_KINDS = ("gaussian_kernel", "ema")
@@ -67,15 +67,6 @@ class FilterSpec:
             raise InvalidSpecError("alpha must lie in (0, 1]")
 
 
-def _floor_fraction(n: int, fraction: float) -> int:
-    """floor(n * fraction) robust to binary-float fuzz (0.29*100 -> 29)."""
-    x = n * fraction
-    nearest = round(x)
-    if abs(x - nearest) < 1e-9:
-        return int(nearest)
-    return int(math.floor(x))
-
-
 def _contamination_positions(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     """Seeded uniform draw of ``count`` distinct positions out of ``n``."""
     return rng.choice(n, size=count, replace=False)
@@ -100,7 +91,7 @@ def inject_noise(series: TimeSeries, spec: NoiseSpec) -> TimeSeries:
 
     if spec.kind in ("constant", "missing"):
         rng = np.random.default_rng(spec.seed)
-        count = _floor_fraction(n, spec.contamination)
+        count = _round_fraction(n, spec.contamination, math.floor)
         channel_std = series.values.std(axis=0)
         for c in range(d):
             positions = _contamination_positions(rng, n, count)

@@ -6,20 +6,24 @@ Outputs under ``output_dir``:
   metric and timing columns. Timing columns are inherently nondeterministic
   and are excluded from golden-file comparisons.
 * ``reports/<...>.json``: full EvalReport per successful cell.
-* ``manifest.json``: run status plus every error, once, with identifiers.
+* ``manifest.json``: run status plus every error, once, with identifiers
+  and the traceback.
 * ``plots/time_vs_mae.csv``: scatter data of compute cost against MAE.
 * ``plots/noise_sweep.csv`` (sweeps only): per-cell rows, and
   ``plots/noise_sweep_mean.csv`` with replicate/dataset-averaged curves.
 * ``cost_comparison.txt`` (LLM runs only): the two cost-efficiency
   inequalities with explicit pass/fail verdicts.
 * ``transcripts.jsonl``: raw LLM traffic when any LLM forecaster runs.
+
+Every run removes these files as left by an earlier run into the same
+directory before writing its own, so the directory holds one run's outputs.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -32,7 +36,6 @@ from .config import (
     ForecasterConfig,
 )
 from .data_io import generate_function_series, load_csv
-from .errors import CastlabError
 from .eval import (
     EvalReport,
     Forecaster,
@@ -84,6 +87,7 @@ class CellResult:
     report: EvalReport | None = None
     family: str = "domain"
     error: str | None = None
+    traceback: str | None = None
 
 
 @dataclass
@@ -156,9 +160,9 @@ def _cell_noise(config: ExperimentConfig, cell: Cell) -> NoiseSpec | None:
 
 
 def _run_cell(config: ExperimentConfig, cell: Cell, transcript: TranscriptWriter | None) -> CellResult:
-    forecaster = build_forecaster(cell.forecaster, transcript)
-    result = CellResult(cell=cell, family=forecaster.family)
+    result = CellResult(cell=cell, family=cell.forecaster.family)
     try:
+        forecaster = build_forecaster(cell.forecaster, transcript)
         series = _load_dataset(cell.dataset)
         runner = run_last_sample if config.protocol == "last_sample" else run_sliding
         result.report = runner(
@@ -171,8 +175,9 @@ def _run_cell(config: ExperimentConfig, cell: Cell, transcript: TranscriptWriter
             noise=_cell_noise(config, cell),
             noise_filter=config.noise_filter,
         )
-    except (CastlabError, FileNotFoundError, ValueError) as exc:
+    except Exception as exc:  # one cell's failure is itemized, never fatal to the batch
         result.error = f"{type(exc).__name__}: {exc}"
+        result.traceback = traceback.format_exc()
     return result
 
 
@@ -298,6 +303,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     (out / "reports").mkdir(exist_ok=True)
+    stale = [out / "transcripts.jsonl", out / "cost_comparison.txt",
+             out / "plots" / "noise_sweep.csv", out / "plots" / "noise_sweep_mean.csv"]
+    for path in [*stale, *(out / "reports").glob("*.json")]:
+        path.unlink(missing_ok=True)
 
     uses_llm = any(f.llm is not None for f in config.forecasters)
     transcript = TranscriptWriter(out / "transcripts.jsonl") if uses_llm else None
@@ -314,13 +323,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 for rep in range(replicates if value is not None else 1):
                     cells.append(Cell(dataset=ds, forecaster=fc, sweep_value=value, replicate=rep))
 
-    # ThreadPoolExecutor.map preserves input order, so summary rows come out
-    # in the same deterministic cell order either way.
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(lambda c: _run_cell(config, c, transcript), cells))
-    else:
-        results = [_run_cell(config, c, transcript) for c in cells]
+    results = [_run_cell(config, c, transcript) for c in cells]
 
     rows = [_summary_row(config, r) for r in results]
     summary_path = out / "summary.csv"
@@ -345,6 +348,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "sweep_value": r.cell.sweep_value,
             "replicate": r.cell.replicate,
             "error": r.error,
+            "traceback": r.traceback,
         }
         for r in results
         if r.error is not None
@@ -356,7 +360,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "failed": len(errors),
         "protocol": config.protocol,
         "metric_space": config.metric_space,
-        "seed": config.seed,
         "errors": errors,
     }
     manifest_path = out / "manifest.json"

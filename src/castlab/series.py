@@ -25,13 +25,17 @@ from .errors import (
 _FRACTION_TOL = 1e-9
 
 
-def _ceil_fraction(n: int, fraction: float) -> int:
-    """Ceiling of ``n * fraction`` robust to binary-float fuzz (35*0.2 -> 7)."""
+def _round_fraction(n: int, fraction: float, rounding) -> int:
+    """``rounding(n * fraction)`` robust to binary-float fuzz.
+
+    ``rounding`` is ``math.ceil`` or ``math.floor``; a product within 1e-9 of
+    an integer is that integer (``35 * 0.2 -> 7``, ``100 * 0.29 -> 29``).
+    """
     x = n * fraction
     nearest = round(x)
     if abs(x - nearest) < _FRACTION_TOL:
         return int(nearest)
-    return int(math.ceil(x))
+    return int(rounding(x))
 
 
 @dataclass(frozen=True)
@@ -41,12 +45,10 @@ class TimeSeries:
     Attributes:
         values: float64 array of shape (length, channels); read-only.
         channel_names: optional tuple with one label per channel.
-        frequency_label: optional sampling-frequency text (e.g. "15 minutes").
     """
 
     values: np.ndarray
     channel_names: tuple[str, ...] | None = None
-    frequency_label: str | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
@@ -68,15 +70,11 @@ class TimeSeries:
 
     def segment(self, start: int, stop: int) -> "TimeSeries":
         """Contiguous sub-series over rows [start, stop)."""
-        return TimeSeries(self.values[start:stop], self.channel_names, self.frequency_label)
+        return TimeSeries(self.values[start:stop], self.channel_names)
 
     def with_values(self, values: np.ndarray) -> "TimeSeries":
-        """Same labels and frequency, new value array."""
-        return TimeSeries(values, self.channel_names, self.frequency_label)
-
-    def channel(self, index: int) -> np.ndarray:
-        """One channel as a 1-D array."""
-        return self.values[:, index]
+        """Same labels, new value array."""
+        return TimeSeries(values, self.channel_names)
 
 
 @dataclass(frozen=True)
@@ -131,7 +129,6 @@ class ChannelStats:
 def validate_series(
     raw: Sequence | np.ndarray,
     names: Sequence[str] | None = None,
-    frequency_label: str | None = None,
 ) -> TimeSeries:
     """Validate a raw array into a TimeSeries.
 
@@ -152,7 +149,7 @@ def validate_series(
         raise LabelCountMismatchError(
             f"{len(names)} labels for {arr.shape[1]} channels"
         )
-    return TimeSeries(arr, tuple(names) if names is not None else None, frequency_label)
+    return TimeSeries(arr, tuple(names) if names is not None else None)
 
 
 def chronological_split(
@@ -165,8 +162,8 @@ def chronological_split(
     to the original series exactly.
     """
     n = series.length
-    n_test = _ceil_fraction(n, spec.test_fraction)
-    n_val = _ceil_fraction(n, spec.val_fraction) if spec.val_fraction > 0.0 else 0
+    n_test = _round_fraction(n, spec.test_fraction, math.ceil)
+    n_val = _round_fraction(n, spec.val_fraction, math.ceil) if spec.val_fraction > 0.0 else 0
     n_train = n - n_val - n_test
     if n_train < 1 or n_test < 1 or (spec.val_fraction > 0.0 and n_val < 1):
         raise SegmentTooShortError(

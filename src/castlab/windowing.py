@@ -8,13 +8,14 @@ multivariate sequence contributes d blocks of identical offsets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeMismatchError, TooFewWindowsError
-from .series import ForecastTask, TimeSeries, _ceil_fraction
+from .series import ForecastTask, TimeSeries, _round_fraction
 
 
 def window_count(channels: int, outer_input: int, inner_input: int, inner_output: int) -> int:
@@ -51,11 +52,6 @@ class WindowPlan:
     @property
     def offsets_per_channel(self) -> int:
         return self.outer_input - (self.inner_input + self.inner_output) + 1
-
-    @property
-    def autoregressive_steps(self) -> int:
-        """Blocks of inner_output needed to cover outer_output (last one truncated)."""
-        return -(-self.outer_output // self.inner_output)
 
 
 @dataclass(frozen=True)
@@ -159,7 +155,7 @@ def train_val_partition(ws: WindowSet, val_fraction: float) -> tuple[WindowSet, 
     if not 0.0 < val_fraction < 1.0:
         raise ValueError("val_fraction must lie in (0, 1)")
     offsets = int(ws.start_offset.max()) + 1 if ws.size else 0
-    val_count = _ceil_fraction(offsets, val_fraction)
+    val_count = _round_fraction(offsets, val_fraction, math.ceil)
     train_count = offsets - val_count
     if train_count < 1 or val_count < 1:
         raise TooFewWindowsError(

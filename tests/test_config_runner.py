@@ -31,7 +31,6 @@ def test_config_parses_and_defaults(tmp_path):
     cfg = config_from_dict(_base_config(tmp_path), base_dir=tmp_path)
     assert cfg.protocol == "last_sample"
     assert cfg.task.input_length == 40
-    assert cfg.workers == 1
     assert cfg.noise is None
 
 
@@ -65,9 +64,9 @@ def test_load_config_yaml_and_overrides(tmp_path):
     raw = _base_config(tmp_path)
     p = tmp_path / "exp.yaml"
     p.write_text(yaml.safe_dump(raw))
-    cfg = load_config(p, overrides={"protocol": "sliding", "seed": 7})
+    cfg = load_config(p, overrides={"protocol": "sliding", "output_dir": str(tmp_path / "o2")})
     assert cfg.protocol == "sliding"
-    assert cfg.seed == 7
+    assert cfg.output_dir == tmp_path / "o2"
 
 
 def test_run_experiment_writes_outputs(tmp_path):
@@ -104,6 +103,54 @@ def test_run_experiment_collects_errors(tmp_path):
     rows = list(csv.DictReader(open(result.summary_path)))
     ok_rows = [r for r in rows if r["mae"]]
     assert len(ok_rows) == 1
+
+
+def test_bad_llm_fixture_fails_its_cell_only(tmp_path):
+    fixture = tmp_path / "responses.json"
+    fixture.write_text('{"not": "a list"}')
+    raw = _base_config(tmp_path)
+    raw["forecasters"].append({
+        "name": "llm-mock",
+        "llm": {"style": "llmtime_chat", "adapter": {"type": "mock", "fixture": "responses.json"}},
+    })
+    result = run_experiment(config_from_dict(raw, base_dir=tmp_path))
+    assert result.status == 1
+    manifest = json.loads(result.manifest_path.read_text())
+    assert manifest["failed"] == 1
+    (error,) = manifest["errors"]
+    assert error["forecaster"] == "llm-mock"
+    assert error["error"].startswith("ValueError: ")
+    assert "Traceback" in error["traceback"]
+    rows = {r["forecaster"]: r for r in csv.DictReader(open(result.summary_path))}
+    assert rows["llm-mock"]["family"] == "llm" and rows["llm-mock"]["mae"] == ""
+    assert float(rows["naive"]["mae"]) >= 0.0
+
+
+def test_rerun_into_same_dir_keeps_only_its_own_artifacts(tmp_path):
+    raw = _base_config(tmp_path)
+    raw["forecasters"].append({
+        "name": "llm-mock",
+        "llm": {
+            "style": "llmtime_chat",
+            "decimals": 2,
+            "decoding": {"num_samples": 2, "max_attempts_per_sample": 1},
+            "adapter": {"type": "mock", "responses": ["0.5, " * 9 + "0.5"]},
+        },
+    })
+    out = tmp_path / "out"
+
+    def artifacts():
+        lines = (out / "transcripts.jsonl").read_text().splitlines() if (out / "transcripts.jsonl").exists() else []
+        return len(lines), sorted(p.name for p in (out / "reports").glob("*.json"))
+
+    run_experiment(config_from_dict(raw, base_dir=tmp_path))
+    first = artifacts()
+    run_experiment(config_from_dict(raw, base_dir=tmp_path))
+    assert artifacts() == first == (2, ["sine_llm-mock.json", "sine_naive.json"])
+    raw["forecasters"] = [{"name": "other", "baseline": {"type": "last_value"}}]
+    run_experiment(config_from_dict(raw, base_dir=tmp_path))
+    assert artifacts() == (0, ["sine_other.json"])
+    assert not (out / "cost_comparison.txt").exists()
 
 
 def test_run_experiment_with_mock_llm_and_transcript(tmp_path):

@@ -3,7 +3,6 @@ import pytest
 
 from castlab import (
     FunctionSpec,
-    generate_function_dataset,
     generate_function_series,
     load_csv,
     validate_series,
@@ -11,7 +10,6 @@ from castlab import (
 )
 from castlab.data_io import FUNCTION_KINDS
 from castlab.errors import (
-    EmptyInputError,
     NonFiniteValueError,
     ParseError,
     RaggedRowsError,
@@ -105,15 +103,6 @@ def test_function_determinism():
 def test_function_unknown_kind():
     with pytest.raises(UnknownKindError):
         FunctionSpec(kind="chirp")
-
-
-def test_dataset_collection_names():
-    specs = [FunctionSpec(kind="sine"), FunctionSpec(kind="sine", seed=1), FunctionSpec(kind="linear")]
-    coll = generate_function_dataset(specs)
-    assert coll.names == ("sine", "sine-2", "linear")
-    assert coll.get("linear").length == 200
-    with pytest.raises(EmptyInputError):
-        generate_function_dataset([])
 
 
 def test_write_csv_missing_dir_raises(tmp_path):

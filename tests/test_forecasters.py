@@ -74,6 +74,17 @@ def test_linear_single_shot_fit_and_predict():
     assert np.array_equal(out, out2)
 
 
+def test_linear_single_shot_predict_refits_on_a_new_window():
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(48, 2)), rng.normal(size=(48, 2))
+    cfg = LinearModelConfig(variant="dlinear", max_epochs=30, decomposition_kernel=5, seed=0)
+    f = LinearSingleShotForecaster(cfg)
+    f.fit(a, 16)
+    fresh = LinearSingleShotForecaster(cfg).predict(b, 16)
+    assert np.array_equal(f.predict(b, 16), fresh)
+    assert np.array_equal(f.predict(b, 8), LinearSingleShotForecaster(cfg).predict(b, 8))
+
+
 def test_llm_forecaster_channel_independent():
     # constant scripted response; two channels -> both columns decoded
     adapter = MockAdapter(["7, 8, 9"])

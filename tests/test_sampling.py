@@ -12,6 +12,7 @@ from castlab import (
     sample_forecasts,
 )
 from castlab.errors import AdapterError, AllSamplesFailedError
+from castlab.llm import adapters
 from castlab.llm.adapters import HttpChatAdapter
 
 IDENTITY = ScalingConfig(decimals=0)
@@ -65,6 +66,7 @@ def test_partial_failures_keep_successes():
 
 def test_transcript_records_exchanges(tmp_path):
     path = tmp_path / "transcript.jsonl"
+    path.write_text('{"left": "by an earlier run"}\n')
     transcript = TranscriptWriter(path)
     adapter = MockAdapter(["oops", "1, 2, 3"], cycle=False)
     cfg = DecodingConfig(num_samples=1, max_attempts_per_sample=2)
@@ -130,7 +132,9 @@ def test_http_adapter_wire_format():
     assert captured["timeout"] == 120.0
 
 
-def test_http_adapter_omits_empty_system_and_raises_on_status():
+def test_http_adapter_omits_empty_system_and_raises_on_status(monkeypatch):
+    monkeypatch.setattr(adapters.time, "sleep", lambda seconds: None)
+
     class FakeResponse:
         status_code = 500
         text = "server exploded"
@@ -149,3 +153,47 @@ def test_http_adapter_omits_empty_system_and_raises_on_status():
         adapter.complete("", "just numbers", DecodingConfig())
     assert err.value.status == 500
     assert session.last["messages"] == [{"role": "user", "content": "just numbers"}]
+
+
+class _ScriptedSession:
+    """Fake ``requests.Session`` answering posts from a list of status codes."""
+
+    def __init__(self, statuses):
+        self.statuses = list(statuses)
+        self.posts = 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.posts += 1
+        status = self.statuses.pop(0)
+        body = {"choices": [{"message": {"content": "4, 5"}}]}
+        return type("Response", (), {"status_code": status, "text": f"status {status}",
+                                     "json": lambda self: body})()
+
+
+@pytest.mark.parametrize("status", [429, 500, 503])
+def test_http_adapter_backs_off_on_throttling_and_server_errors(monkeypatch, status):
+    sleeps = []
+    monkeypatch.setattr(adapters.time, "sleep", sleeps.append)
+    session = _ScriptedSession([status, status, 200])
+    adapter = HttpChatAdapter(endpoint="http://x.invalid", model="m", session=session)
+    assert adapter.complete("", "u", DecodingConfig()) == "4, 5"
+    assert session.posts == 3 and sleeps == [1.0, 2.0]
+
+    sleeps.clear()
+    session = _ScriptedSession([status] * (adapters.TRANSPORT_RETRIES + 1))
+    adapter = HttpChatAdapter(endpoint="http://x.invalid", model="m", session=session)
+    with pytest.raises(AdapterError) as err:
+        adapter.complete("", "u", DecodingConfig())
+    assert err.value.status == status
+    assert session.posts == adapters.TRANSPORT_RETRIES + 1 and sleeps == [1.0, 2.0]
+
+
+def test_http_adapter_raises_other_client_errors_at_once(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(adapters.time, "sleep", sleeps.append)
+    session = _ScriptedSession([404, 200])
+    adapter = HttpChatAdapter(endpoint="http://x.invalid", model="m", session=session)
+    with pytest.raises(AdapterError) as err:
+        adapter.complete("", "u", DecodingConfig())
+    assert err.value.status == 404
+    assert session.posts == 1 and sleeps == []
