@@ -48,6 +48,7 @@ from .data_io import CSV_LAYOUTS, FunctionSpec
 from .errors import ConfigError
 from .eval import METRIC_SPACES, PROTOCOLS
 from .linear import LinearModelConfig
+from .llm.adapters import _check_responses, read_responses
 from .llm.decode import DecodingConfig
 from .llm.prompts import PROMPT_STYLES
 from .noise import FilterSpec, NoiseSpec
@@ -76,8 +77,7 @@ class DatasetConfig:
 @dataclass(frozen=True)
 class AdapterConfig:
     type: str
-    fixture: Path | None = None
-    responses: tuple[str, ...] | None = None
+    responses: tuple[str, ...] | None = None  # mock script, read from the fixture at load time
     endpoint: str = ""
     model: str = ""
     api_key_env: str = "OPENAI_API_KEY"
@@ -182,18 +182,20 @@ def _adapter_from_dict(d: dict, base_dir: Path) -> AdapterConfig:
         responses = d.get("responses")
         if fixture is None and responses is None:
             raise ConfigError("mock adapter needs 'fixture' or inline 'responses'")
-        path = None
-        if fixture is not None:
-            path = Path(fixture)
-            if not path.is_absolute():
-                path = base_dir / path
-            if not path.exists():
-                raise ConfigError(f"mock fixture not found: {path}")
-        return AdapterConfig(
-            type="mock",
-            fixture=path,
-            responses=tuple(responses) if responses else None,
-        )
+        # the script is parsed here, once, so a bad fixture fails the config, not a cell
+        try:
+            if fixture is None:
+                responses = _check_responses(responses, "inline mock 'responses'")
+            else:
+                path = Path(fixture)
+                if not path.is_absolute():
+                    path = base_dir / path
+                if not path.exists():
+                    raise ConfigError(f"mock fixture not found: {path}")
+                responses = read_responses(path)
+        except ValueError as exc:
+            raise ConfigError(f"bad mock script: {exc}") from None
+        return AdapterConfig(type="mock", responses=tuple(responses))
     if "api_key" in d:
         raise ConfigError("API keys belong in the environment, not in config files; use api_key_env")
     endpoint = _require(d, "endpoint", "http adapter")

@@ -9,9 +9,16 @@ Two variants share the training loop:
   mean, divide by window std, epsilon-guarded), mapped through a single
   I' x O' matrix plus bias, and denormalized with the same statistics.
 
-Training is deterministic full-batch gradient descent with a fixed learning
-rate and early stopping on validation loss; channels of a multivariate
-input are pooled into the window batch and share one set of parameters.
+Both are affine maps on features that do not change during training, so each
+fit computes them once, for the train and the validation windows. Training
+is deterministic full-batch gradient descent with a fixed learning rate and
+early stopping on validation loss; channels of a multivariate input are
+pooled into the window batch and share one set of parameters. l2 fits step
+on the sufficient statistics ``G = 2/n Fᵀ diag(s²) F`` and
+``C = 2/n Fᵀ diag(s) (Y - shift)``, so an epoch costs the same whatever the
+window count; their iterates equal those of the direct per-window gradient up
+to rounding. l1 fits use the direct gradient on the same features.
+Validation loss is always computed directly from the predictions.
 Horizons longer than O' are reached autoregressively, feeding each predicted
 block back as context.
 """
@@ -157,20 +164,113 @@ def _init_params(variant: str, inner_input: int, inner_output: int, seed: int) -
     return params
 
 
-def _forward(
-    params: dict[str, np.ndarray], windows: np.ndarray, variant: str, kernel: int
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Predictions for a batch of input windows (rows), with gradient cache."""
+def _weight_names(variant: str) -> tuple[str, ...]:
+    return ("trend", "seasonal") if variant == "dlinear" else ("weight",)
+
+
+def _pack(params: dict[str, np.ndarray], variant: str) -> np.ndarray:
+    """Stack the weight matrices and the bias row into one (p+1, O') array."""
+    return np.vstack([*(params[name] for name in _weight_names(variant)), params["bias"]])
+
+
+def _unpack(theta: np.ndarray, variant: str) -> dict[str, np.ndarray]:
+    """Inverse of ``_pack``: views of ``theta`` keyed by parameter name."""
+    names = _weight_names(variant)
+    rows = (theta.shape[0] - 1) // len(names)
+    params = {name: theta[i * rows : (i + 1) * rows] for i, name in enumerate(names)}
+    params["bias"] = theta[-1]
+    return params
+
+
+Features = tuple[np.ndarray, np.ndarray | None, np.ndarray | None]
+
+
+def _features(windows: np.ndarray, variant: str, kernel: int) -> Features:
+    """Fixed per-window features ``(F, scale, shift)`` of a batch of input windows.
+
+    ``F`` carries a trailing column of ones for the bias, so predictions are
+    ``(F @ theta) * scale + shift`` with ``theta = [weights; bias]``. dlinear's
+    ``F`` is ``[trend, seasonal, 1]`` with no scale or shift; rlinear's is the
+    instance-normed window, scaled back by the clamped std and shifted by the
+    mean.
+    """
+    rows, width = windows.shape
     if variant == "dlinear":
         trend, seasonal = decompose_moving_average(windows, kernel)
-        pred = trend @ params["trend"] + seasonal @ params["seasonal"] + params["bias"]
-        return pred, {"trend": trend, "seasonal": seasonal}
+        feats = np.empty((rows, 2 * width + 1))
+        feats[:, :width] = trend
+        feats[:, width:-1] = seasonal
+        feats[:, -1] = 1.0
+        return feats, None, None
     mean = windows.mean(axis=1, keepdims=True)
-    std = windows.std(axis=1, keepdims=True)
-    denom = np.maximum(std, INSTANCE_NORM_EPS)
-    normed = (windows - mean) / denom
-    pred = (normed @ params["weight"] + params["bias"]) * denom + mean
-    return pred, {"normed": normed, "denom": denom}
+    scale = np.maximum(windows.std(axis=1, keepdims=True), INSTANCE_NORM_EPS)
+    feats = np.empty((rows, width + 1))
+    np.subtract(windows, mean, out=feats[:, :-1])
+    feats[:, :-1] /= scale
+    feats[:, -1] = 1.0
+    return feats, scale, mean
+
+
+def _predict(feats: Features, theta: np.ndarray) -> np.ndarray:
+    matrix, scale, shift = feats
+    pred = matrix @ theta
+    if scale is not None:
+        pred *= scale
+    if shift is not None:
+        pred += shift
+    return pred
+
+
+def _loss(feats: Features, theta: np.ndarray, targets: np.ndarray, loss: str) -> float:
+    residual = _predict(feats, theta) - targets
+    return float(np.mean(residual**2 if loss == "l2" else np.abs(residual)))
+
+
+def _loss_and_gradient(
+    feats: Features, theta: np.ndarray, targets: np.ndarray, loss: str
+) -> tuple[float, np.ndarray]:
+    """Mean l1/l2 loss and its gradient with respect to the augmented ``theta``."""
+    matrix, scale, _ = feats
+    residual = _predict(feats, theta) - targets
+    size = residual.size
+    if loss == "l2":
+        value = float(np.mean(residual**2))
+        dpred = 2.0 * residual / size
+    else:
+        value = float(np.mean(np.abs(residual)))
+        dpred = np.sign(residual) / size
+    if scale is not None:
+        dpred *= scale
+    return value, matrix.T @ dpred
+
+
+def _fold_scale(feats: Features) -> Features:
+    """Scale the rows of ``F`` by the per-row scale, in place, leaving predictions unchanged."""
+    matrix, scale, shift = feats
+    if scale is not None:
+        matrix *= scale
+    return matrix, None, shift
+
+
+def _normal_equations(feats: Features, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sufficient statistics ``(G, C)`` of the l2 loss on scale-free features.
+
+    The l2 gradient at ``theta`` is ``G @ theta - C``, with ``G = 2/n FᵀF``
+    and ``C = 2/n Fᵀ(Y - shift)``; after ``_fold_scale`` these are
+    ``2/n Fᵀ diag(s²) F`` and ``2/n Fᵀ diag(s) (Y - shift)`` of the unscaled ``F``.
+    """
+    matrix, _, shift = feats
+    factor = 2.0 / targets.size
+    centered = targets if shift is None else targets - shift
+    return (matrix.T @ matrix) * factor, (matrix.T @ centered) * factor
+
+
+def _forward(
+    params: dict[str, np.ndarray], windows: np.ndarray, variant: str, kernel: int
+) -> tuple[np.ndarray, Features]:
+    """Predictions for a batch of input windows (rows), with their features."""
+    feats = _features(windows, variant, kernel)
+    return _predict(feats, _pack(params, variant)), feats
 
 
 def loss_and_gradients(
@@ -184,41 +284,10 @@ def loss_and_gradients(
     """Mean l1/l2 loss over all entries and its analytic parameter gradients."""
     # overflow here means divergence, reported as DivergedLossError by callers
     with np.errstate(over="ignore", invalid="ignore"):
-        pred, cache = _forward(params, windows, variant, kernel)
-        residual = pred - targets
-        size = residual.size
-        if loss == "l2":
-            value = float(np.mean(residual**2))
-            dpred = 2.0 * residual / size
-        else:
-            value = float(np.mean(np.abs(residual)))
-            dpred = np.sign(residual) / size
-        grads: dict[str, np.ndarray] = {}
-        if variant == "dlinear":
-            grads["trend"] = cache["trend"].T @ dpred
-            grads["seasonal"] = cache["seasonal"].T @ dpred
-            grads["bias"] = dpred.sum(axis=0)
-        else:
-            dlinear_out = dpred * cache["denom"]
-            grads["weight"] = cache["normed"].T @ dlinear_out
-            grads["bias"] = dlinear_out.sum(axis=0)
-    return value, grads
-
-
-def _loss_only(
-    params: dict[str, np.ndarray],
-    windows: np.ndarray,
-    targets: np.ndarray,
-    variant: str,
-    loss: str,
-    kernel: int,
-) -> float:
-    with np.errstate(over="ignore", invalid="ignore"):
-        pred, _ = _forward(params, windows, variant, kernel)
-        residual = pred - targets
-        if loss == "l2":
-            return float(np.mean(residual**2))
-        return float(np.mean(np.abs(residual)))
+        value, grad = _loss_and_gradient(
+            _features(windows, variant, kernel), _pack(params, variant), targets, loss
+        )
+    return value, _unpack(grad, variant)
 
 
 def fit_single_shot(
@@ -233,7 +302,12 @@ def fit_single_shot(
     latest fraction of offsets per channel validates. Training stops after
     ``max_epochs`` or once validation loss has failed to improve for more
     than ``patience`` consecutive epochs; the best-validation parameters are
-    returned.
+    returned, with the train and validation losses measured at them.
+
+    Features are computed once per fit. An l2 step is ``theta -= lr * (G @
+    theta - C)`` on the sufficient statistics of ``_normal_equations``, so
+    its cost does not grow with the window count; an l1 step uses the direct
+    gradient.
     """
     plan = plan_windows(task, input_sequence.channels)
     if config.variant == "dlinear" and config.decomposition_kernel > 2 * plan.inner_input - 1:
@@ -242,50 +316,62 @@ def fit_single_shot(
         )
     windows = make_windows(input_sequence, plan)
     train, val = train_val_partition(windows, val_fraction)
-
-    params = _init_params(config.variant, plan.inner_input, plan.inner_output, config.seed)
     kernel = config.decomposition_kernel
-    best = {k: v.copy() for k, v in params.items()}
+    val_feats = _features(val.inputs, config.variant, kernel)
+    train_feats = _fold_scale(_features(train.inputs, config.variant, kernel))
+    if config.loss == "l2":
+        gram, moment = _normal_equations(train_feats, train.targets)
+
+        def gradient(theta: np.ndarray) -> np.ndarray:
+            return gram @ theta - moment
+    else:
+
+        def gradient(theta: np.ndarray) -> np.ndarray:
+            return _loss_and_gradient(train_feats, theta, train.targets, config.loss)[1]
+
+    init = _init_params(config.variant, plan.inner_input, plan.inner_output, config.seed)
+    theta = _pack(init, config.variant)
+    best = theta.copy()
     best_val = np.inf
     best_epoch = 0
-    best_train = np.inf
     bad_epochs = 0
     epochs_run = 0
 
-    for epoch in range(1, config.max_epochs + 1):
-        epochs_run = epoch
-        train_loss, grads = loss_and_gradients(
-            params, train.inputs, train.targets, config.variant, config.loss, kernel
-        )
-        if not np.isfinite(train_loss):
-            raise DivergedLossError(f"training loss became non-finite at epoch {epoch}")
-        for name in params:
-            params[name] = params[name] - config.learning_rate * grads[name]
-        val_loss = _loss_only(params, val.inputs, val.targets, config.variant, config.loss, kernel)
-        if not np.isfinite(val_loss):
-            raise DivergedLossError(f"validation loss became non-finite at epoch {epoch}")
-        if val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch
-            best = {k: v.copy() for k, v in params.items()}
-            best_train = train_loss
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs > config.patience:
-                break
+    # overflow here means divergence, raised below as DivergedLossError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.max_epochs + 1):
+            epochs_run = epoch
+            theta -= config.learning_rate * gradient(theta)
+            val_loss = _loss(val_feats, theta, val.targets, config.loss)
+            if not (np.isfinite(val_loss) and np.isfinite(theta).all()):
+                raise DivergedLossError(
+                    f"parameters or validation loss became non-finite at epoch {epoch}"
+                )
+            if val_loss < best_val:
+                best_val = val_loss
+                best_epoch = epoch
+                best = theta.copy()
+                bad_epochs = 0
+            else:
+                bad_epochs += 1
+                if bad_epochs > config.patience:
+                    break
+        train_loss = _loss(train_feats, best, train.targets, config.loss)
+    if not np.isfinite(train_loss):
+        raise DivergedLossError("training loss is non-finite at the best-validation parameters")
 
-    weights = {k: v for k, v in best.items() if k != "bias"}
+    params = _unpack(best, config.variant)
+    bias = params.pop("bias")
     return FittedLinearModel(
         variant=config.variant,
         inner_input=plan.inner_input,
         inner_output=plan.inner_output,
-        weights=weights,
-        bias=best["bias"],
+        weights=params,
+        bias=bias,
         decomposition_kernel=kernel,
         config=config,
         training_stats=TrainingStats(
-            train_loss=float(best_train),
+            train_loss=train_loss,
             val_loss=float(best_val),
             epochs_run=epochs_run,
             best_epoch=best_epoch,
@@ -309,13 +395,12 @@ def predict(model: FittedLinearModel, recent: np.ndarray | TimeSeries, horizon: 
         )
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    params = dict(model.weights)
-    params["bias"] = model.bias
+    theta = _pack(dict(model.weights, bias=model.bias), model.variant)
     context = values.T.copy()  # (channels, inner_input)
     blocks = []
     produced = 0
     while produced < horizon:
-        block, _ = _forward(params, context, model.variant, model.decomposition_kernel)
+        block = _predict(_features(context, model.variant, model.decomposition_kernel), theta)
         blocks.append(block)
         produced += block.shape[1]
         context = np.concatenate([context, block], axis=1)[:, -model.inner_input :]

@@ -37,6 +37,29 @@ class LlmAdapter(ABC):
         raise NotImplementedError
 
 
+def read_responses(path: str | Path) -> list[str]:
+    """Scripted responses from a JSON array (.json) or JSON-lines file.
+
+    Raises ValueError unless the file parses to a non-empty list of strings.
+    """
+    p = Path(path)
+    text = p.read_text(encoding="utf-8")
+    try:
+        if p.suffix == ".jsonl":
+            responses = [json.loads(line) for line in text.splitlines() if line.strip()]
+        else:
+            responses = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{p} is not valid JSON: {exc}") from None
+    return _check_responses(responses, str(p))
+
+
+def _check_responses(responses: Any, source: str) -> list[str]:
+    if not (isinstance(responses, list) and responses and all(isinstance(r, str) for r in responses)):
+        raise ValueError(f"{source} must contain a non-empty list of response strings")
+    return responses
+
+
 class MockAdapter(LlmAdapter):
     """Deterministic scripted adapter for offline runs.
 
@@ -58,15 +81,7 @@ class MockAdapter(LlmAdapter):
     @classmethod
     def from_file(cls, path: str | Path, cycle: bool = True) -> "MockAdapter":
         """Load scripted responses from a JSON array (.json) or JSON-lines file."""
-        p = Path(path)
-        text = p.read_text(encoding="utf-8")
-        if p.suffix == ".jsonl":
-            responses = [json.loads(line) for line in text.splitlines() if line.strip()]
-        else:
-            responses = json.loads(text)
-        if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
-            raise ValueError(f"{p} must contain a list of response strings")
-        return cls(responses, cycle=cycle)
+        return cls(read_responses(path), cycle=cycle)
 
     def complete(self, system_text: str, user_text: str, config: DecodingConfig) -> str:
         with self._lock:

@@ -102,9 +102,7 @@ class ExperimentResult:
 
 def _build_adapter(cfg: AdapterConfig) -> LlmAdapter:
     if cfg.type == "mock":
-        if cfg.responses is not None:
-            return MockAdapter(list(cfg.responses))
-        return MockAdapter.from_file(cfg.fixture)
+        return MockAdapter(cfg.responses)
     return HttpChatAdapter(
         endpoint=cfg.endpoint,
         model=cfg.model,

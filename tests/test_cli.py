@@ -93,6 +93,23 @@ def test_run_dry_run_and_errors(tmp_path, capsys):
     assert main(["run", str(missing)]) == 2
 
 
+def test_run_dry_run_rejects_bad_mock_fixture(tmp_path, capsys):
+    (tmp_path / "bad.json").write_text('{"not": "a list"}')
+    config = {
+        "output_dir": str(tmp_path / "out"),
+        "task": {"input_length": 20, "output_length": 5},
+        "datasets": [{"name": "sine", "function": {"kind": "sine", "length": 80}}],
+        "forecasters": [{"name": "llm", "llm": {"style": "llmtime_chat",
+                                                "adapter": {"type": "mock", "fixture": "bad.json"}}}],
+    }
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(yaml.safe_dump(config))
+    assert main(["run", str(cfg_path), "--dry-run"]) != 0
+    captured = capsys.readouterr()
+    assert "config OK" not in captured.out
+    assert "bad.json" in captured.err
+
+
 def test_run_full_cycle(tmp_path):
     config = {
         "output_dir": str(tmp_path / "out"),

@@ -105,13 +105,52 @@ def test_run_experiment_collects_errors(tmp_path):
     assert len(ok_rows) == 1
 
 
-def test_bad_llm_fixture_fails_its_cell_only(tmp_path):
-    fixture = tmp_path / "responses.json"
-    fixture.write_text('{"not": "a list"}')
+@pytest.mark.parametrize("content", ['{"not": "a list"}', "[]", '["0.5", 2]', "[0.5,"])
+def test_bad_llm_fixture_is_a_config_error(tmp_path, content):
+    (tmp_path / "responses.json").write_text(content)
     raw = _base_config(tmp_path)
     raw["forecasters"].append({
         "name": "llm-mock",
         "llm": {"style": "llmtime_chat", "adapter": {"type": "mock", "fixture": "responses.json"}},
+    })
+    with pytest.raises(ConfigError, match="responses.json"):
+        config_from_dict(raw, base_dir=tmp_path)
+
+
+def test_bad_inline_responses_are_a_config_error(tmp_path):
+    raw = _base_config(tmp_path)
+    raw["forecasters"].append({
+        "name": "llm-mock",
+        "llm": {"style": "llmtime_chat", "adapter": {"type": "mock", "responses": []}},
+    })
+    with pytest.raises(ConfigError, match="inline mock 'responses'"):
+        config_from_dict(raw, base_dir=tmp_path)
+
+
+def test_mock_fixture_is_read_once_at_config_time(tmp_path):
+    fixture = tmp_path / "responses.json"
+    fixture.write_text(json.dumps([", ".join(["0.5"] * 10)]))
+    raw = _base_config(tmp_path)
+    raw["forecasters"].append({
+        "name": "llm-mock",
+        "llm": {"style": "llmtime_chat", "decimals": 2,
+                "adapter": {"type": "mock", "fixture": "responses.json"}},
+    })
+    cfg = config_from_dict(raw, base_dir=tmp_path)
+    fixture.unlink()  # the run uses the parsed script, not the file
+    result = run_experiment(cfg)
+    assert result.status == 0
+
+
+def test_failing_llm_cell_fails_only_itself(tmp_path):
+    raw = _base_config(tmp_path)
+    raw["forecasters"].append({
+        "name": "llm-mock",
+        "llm": {
+            "style": "llmtime_chat",
+            "decoding": {"num_samples": 1, "max_attempts_per_sample": 1},
+            "adapter": {"type": "mock", "responses": ["no numbers here"]},
+        },
     })
     result = run_experiment(config_from_dict(raw, base_dir=tmp_path))
     assert result.status == 1
@@ -119,7 +158,7 @@ def test_bad_llm_fixture_fails_its_cell_only(tmp_path):
     assert manifest["failed"] == 1
     (error,) = manifest["errors"]
     assert error["forecaster"] == "llm-mock"
-    assert error["error"].startswith("ValueError: ")
+    assert error["error"].startswith("AllSamplesFailedError: ")
     assert "Traceback" in error["traceback"]
     rows = {r["forecaster"]: r for r in csv.DictReader(open(result.summary_path))}
     assert rows["llm-mock"]["family"] == "llm" and rows["llm-mock"]["mae"] == ""

@@ -13,10 +13,16 @@ from castlab import (
 )
 from castlab.errors import DivergedLossError, KernelTooLargeError, ShapeMismatchError
 from castlab.linear import (
+    INSTANCE_NORM_EPS,
     FittedLinearModel,
     TrainingStats,
+    _features,
+    _fold_scale,
     _forward,
     _init_params,
+    _normal_equations,
+    _pack,
+    _unpack,
     loss_and_gradients,
 )
 from castlab.windowing import make_windows, plan_windows, train_val_partition
@@ -121,6 +127,120 @@ def test_gradient_check(variant, loss):
 
 
 # -- fitting -------------------------------------------------------------
+
+
+def _reference_fit(series, task, cfg, val_fraction=0.2):
+    """The per-epoch direct-gradient loop that the sufficient-statistics fit replaced.
+
+    Every epoch recomputes the features and the full-batch gradient through
+    ``loss_and_gradients``, then the validation loss at the updated weights.
+    """
+    plan = plan_windows(task, series.channels)
+    train, val = train_val_partition(make_windows(series, plan), val_fraction)
+    params = _init_params(cfg.variant, plan.inner_input, plan.inner_output, cfg.seed)
+    kernel = cfg.decomposition_kernel
+    best, best_val, best_epoch, bad_epochs, epochs_run = params, np.inf, 0, 0, 0
+    for epoch in range(1, cfg.max_epochs + 1):
+        epochs_run = epoch
+        _, grads = loss_and_gradients(params, train.inputs, train.targets, cfg.variant, cfg.loss, kernel)
+        params = {name: params[name] - cfg.learning_rate * grads[name] for name in params}
+        val_loss, _ = loss_and_gradients(params, val.inputs, val.targets, cfg.variant, cfg.loss, kernel)
+        if val_loss < best_val:
+            best, best_val, best_epoch, bad_epochs = params, val_loss, epoch, 0
+        else:
+            bad_epochs += 1
+            if bad_epochs > cfg.patience:
+                break
+    return best, best_val, best_epoch, epochs_run
+
+
+def _noisy_sines(channels, noise, length=64):
+    t = np.arange(length, dtype=float)
+    return np.column_stack([
+        0.5 + 0.5 * np.sin(2 * np.pi * t / 16.0) + noise * np.random.default_rng(c).normal(size=length)
+        for c in range(channels)
+    ])
+
+
+_EQUIVALENCE_CASES = [
+    # full runs: every variant and loss, univariate and multivariate
+    *[(f"{v}-{l}-d{d}", _noisy_sines(d, 0.05), 64, 16,
+       dict(variant=v, loss=l, learning_rate=0.2, max_epochs=60, patience=20, decomposition_kernel=5, seed=1))
+      for v in ("dlinear", "rlinear") for l in ("l1", "l2") for d in (1, 3)],
+    # patience stops these well before max_epochs
+    *[(f"{v}-{l}-early-stop", _noisy_sines(3, 0.3), 64, 16,
+       dict(variant=v, loss=l, learning_rate=0.5, max_epochs=400, patience=5, decomposition_kernel=5, seed=1))
+      for v in ("dlinear", "rlinear") for l in ("l1", "l2")],
+    # the test_fit_constant_fixed_point settings
+    *[(f"{v}-constant-{c}", np.full((16, 1), c), 16, 8,
+       dict(variant=v, learning_rate=lr, decomposition_kernel=3, seed=0))
+      for v, c, lr in [("dlinear", 5.0, 1e-2), ("dlinear", 1.0, 5e-2),
+                       ("rlinear", 5.0, 1e-2), ("rlinear", -3.0, 1e-2)]],
+]
+
+
+@pytest.mark.parametrize("name,values,n_in,horizon,kwargs", _EQUIVALENCE_CASES,
+                         ids=[case[0] for case in _EQUIVALENCE_CASES])
+def test_fit_matches_reference_loop(name, values, n_in, horizon, kwargs):
+    series = validate_series(values)
+    task = ForecastTask(n_in, horizon)
+    cfg = LinearModelConfig(**kwargs)
+    model = fit_single_shot(series, task, cfg)
+    ref, ref_val, ref_best, ref_run = _reference_fit(series, task, cfg)
+    stats = model.training_stats
+    for key in model.weights:
+        np.testing.assert_allclose(model.weights[key], ref[key], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(model.bias, ref["bias"], rtol=0, atol=1e-12)
+    # residuals within a few ulps of the targets: which epoch scores lowest
+    # there is decided by the last bit, so only the fixed point is compared
+    floor = (4 * np.finfo(float).eps * np.abs(values).max()) ** 2
+    assert stats.val_loss == pytest.approx(ref_val, rel=1e-12, abs=floor)
+    if ref_val > floor:
+        assert (stats.best_epoch, stats.epochs_run) == (ref_best, ref_run)
+        if "early-stop" in name:
+            assert ref_run < cfg.max_epochs
+    else:
+        assert stats.val_loss <= floor
+        assert stats.epochs_run == stats.best_epoch + cfg.patience + 1
+        assert ref_run == ref_best + cfg.patience + 1
+
+
+@pytest.mark.parametrize("variant", ["dlinear", "rlinear"])
+def test_normal_equations_give_the_l2_gradient(variant):
+    rng = np.random.default_rng(11)
+    i_in, o_out = 6, 4
+    X = rng.normal(size=(9, i_in))
+    X[0] = 2.5  # zero std: the rlinear scale is clamped to INSTANCE_NORM_EPS
+    X[1] = -1.0 + 1e-10 * rng.normal(size=i_in)  # std below INSTANCE_NORM_EPS
+    X[2] *= 30.0  # a heavily weighted row
+    Y = rng.normal(size=(9, o_out))
+    params = _init_params(variant, i_in, o_out, seed=3)
+    params = {name: p + 0.3 * rng.normal(size=p.shape) for name, p in params.items()}
+    feats = _features(X, variant, 3)
+    if variant == "rlinear":
+        assert feats[1][0, 0] == feats[1][1, 0] == INSTANCE_NORM_EPS
+    gram, moment = _normal_equations(_fold_scale(feats), Y)
+    got = _unpack(gram @ _pack(params, variant) - moment, variant)
+    _, want = loss_and_gradients(params, X, Y, variant, "l2", 3)
+    assert got.keys() == want.keys()
+    for key in want:
+        np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("variant", ["dlinear", "rlinear"])
+@pytest.mark.parametrize("loss", ["l1", "l2"])
+def test_train_loss_is_measured_at_the_returned_weights(variant, loss):
+    series = validate_series(_noisy_sines(2, 0.1))
+    task = ForecastTask(64, 16)
+    cfg = LinearModelConfig(variant=variant, loss=loss, learning_rate=0.2, max_epochs=40,
+                            decomposition_kernel=5, seed=2)
+    model = fit_single_shot(series, task, cfg)
+    train, _ = train_val_partition(make_windows(series, plan_windows(task, 2)), 0.2)
+    params = dict(model.weights, bias=model.bias)
+    pred, _ = _forward(params, train.inputs, variant, cfg.decomposition_kernel)
+    residual = pred - train.targets
+    direct = np.mean(residual**2) if loss == "l2" else np.mean(np.abs(residual))
+    assert model.training_stats.train_loss == pytest.approx(direct, rel=1e-12, abs=0)
 
 
 def test_fit_ramp_matches_true_continuation():
