@@ -10,9 +10,11 @@ seeded Gaussian noise (PCG64 via ``numpy.random.default_rng``).
 from __future__ import annotations
 
 import csv
+import itertools
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -94,9 +96,7 @@ def _looks_numeric(token: str) -> bool:
         return False
 
 
-def _parse_rows(
-    rows: list[tuple[int, list[str]]], names: Sequence[str] | None
-) -> TimeSeries:
+def _parse_rows(rows: list[tuple[int, list[str]]]) -> np.ndarray:
     if not rows:
         raise EmptyInputError("no data rows")
     width = len(rows[0][1])
@@ -111,22 +111,11 @@ def _parse_rows(
                 data[i, j] = float(token)
             except ValueError:
                 raise ParseError(line_no, j + 1, token) from None
-    return validate_series(data, names=names)
+    return data
 
 
-def load_csv(path: str | Path, layout: str = "plain") -> TimeSeries:
-    """Load a CSV file into a TimeSeries, preserving row order.
-
-    ``informer``: first row is a header, first column a timestamp string that
-    is dropped; remaining columns become channels named by the header.
-    ``plain``: every column is numeric; a first row with any non-numeric
-    token is treated as a header of channel names.
-    """
-    if layout not in CSV_LAYOUTS:
-        raise ValueError(f"layout must be one of {CSV_LAYOUTS}")
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(str(p))
+def _read_rows(p: Path, layout: str) -> tuple[np.ndarray, list[str] | None]:
+    """Values and channel names, token by token; raises on the first bad row."""
     with open(p, newline="", encoding="utf-8") as fh:
         raw = [(i + 1, row) for i, row in enumerate(csv.reader(fh)) if row]
     if not raw:
@@ -137,14 +126,78 @@ def load_csv(path: str | Path, layout: str = "plain") -> TimeSeries:
         if len(header) < 2:
             raise RaggedRowsError("informer layout needs a timestamp column plus channels")
         names = [c.strip() for c in header[1:]]
-        rows = [(line_no, row[1:]) for line_no, row in raw[1:]]
-        return _parse_rows(rows, names)
+        return _parse_rows([(line_no, row[1:]) for line_no, row in raw[1:]]), names
 
     first = raw[0][1]
     if all(_looks_numeric(tok) for tok in first):
-        return _parse_rows(raw, None)
-    names = [c.strip() for c in first]
-    return _parse_rows(raw[1:], names)
+        return _parse_rows(raw), None
+    return _parse_rows(raw[1:]), [c.strip() for c in first]
+
+
+def _drop_timestamps(lines: Iterable[str]) -> Iterator[str]:
+    """Each line without its first field; quoted or channel-less lines are refused.
+
+    Without quote characters a line is one CSV row whose first comma ends
+    the timestamp (a quoted field may hold a comma or a line break). A row
+    with nothing after its timestamp must not reach ``np.loadtxt`` as a blank
+    line, which it would skip.
+    """
+    for line in lines:
+        rest = line.partition(",")[2]
+        if '"' in line or (line.rstrip("\r\n") and not rest.rstrip("\r\n")):
+            raise ValueError("line needs the csv module")
+        yield rest
+
+
+def _read_numeric(p: Path, layout: str) -> tuple[np.ndarray, list[str] | None] | None:
+    """Values and channel names by numpy's C reader, or None if it rejects the file.
+
+    The header row is read by ``csv`` as in :func:`_read_rows`; the data lines
+    go to ``np.loadtxt`` without being split in Python. Lines are split on
+    ``\\n``, ``\\r\\n`` and ``\\r`` only, like ``csv``.
+    """
+    with open(p, newline="", encoding="utf-8") as fh:
+        head: list[str] = []  # the lines csv reads up to the first row
+        reader = csv.reader(head.append(line) or line for line in fh)
+        try:
+            first = next((row for row in reader if row), None)
+            if first is None or (layout == "informer" and len(first) < 2):
+                return None
+            if layout == "informer":
+                lines, names = _drop_timestamps(fh), [c.strip() for c in first[1:]]
+            elif all(_looks_numeric(tok) for tok in first):
+                lines, names = itertools.chain(head, fh), None
+            else:
+                lines, names = fh, [c.strip() for c in first]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # such as "input contained no data"
+                values = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
+        except (ValueError, Warning, csv.Error):
+            return None
+    return values, names
+
+
+def load_csv(path: str | Path, layout: str = "plain") -> TimeSeries:
+    """Load a CSV file into a TimeSeries, preserving row order.
+
+    ``informer``: first row is a header, first column a timestamp string that
+    is dropped; remaining columns become channels named by the header.
+    ``plain``: every column is numeric; a first row with any non-numeric
+    token is treated as a header of channel names.
+
+    Data rows are parsed by ``np.loadtxt``. A file it rejects is read again
+    token by token with ``float``, which accepts a few more spellings (such
+    as ``1_0``) and raises ``RaggedRowsError`` or ``ParseError``; errors keep
+    the line (counted over the CSV rows, blank ones included) and the 1-based
+    column of the data cell, after the dropped timestamp.
+    """
+    if layout not in CSV_LAYOUTS:
+        raise ValueError(f"layout must be one of {CSV_LAYOUTS}")
+    p = Path(path)
+    if not p.exists():
+        raise FileNotFoundError(str(p))
+    values, names = _read_numeric(p, layout) or _read_rows(p, layout)
+    return validate_series(values, names=names)
 
 
 def write_csv(series: TimeSeries, path: str | Path) -> Path:

@@ -226,22 +226,18 @@ def _loss(feats: Features, theta: np.ndarray, targets: np.ndarray, loss: str) ->
     return float(np.mean(residual**2 if loss == "l2" else np.abs(residual)))
 
 
-def _loss_and_gradient(
-    feats: Features, theta: np.ndarray, targets: np.ndarray, loss: str
-) -> tuple[float, np.ndarray]:
-    """Mean l1/l2 loss and its gradient with respect to the augmented ``theta``."""
+def _gradient(feats: Features, theta: np.ndarray, targets: np.ndarray, loss: str) -> np.ndarray:
+    """Gradient of the mean l1/l2 loss with respect to the augmented ``theta``."""
     matrix, scale, _ = feats
     residual = _predict(feats, theta) - targets
     size = residual.size
     if loss == "l2":
-        value = float(np.mean(residual**2))
         dpred = 2.0 * residual / size
     else:
-        value = float(np.mean(np.abs(residual)))
         dpred = np.sign(residual) / size
     if scale is not None:
         dpred *= scale
-    return value, matrix.T @ dpred
+    return matrix.T @ dpred
 
 
 def _fold_scale(feats: Features) -> Features:
@@ -284,9 +280,10 @@ def loss_and_gradients(
     """Mean l1/l2 loss over all entries and its analytic parameter gradients."""
     # overflow here means divergence, reported as DivergedLossError by callers
     with np.errstate(over="ignore", invalid="ignore"):
-        value, grad = _loss_and_gradient(
-            _features(windows, variant, kernel), _pack(params, variant), targets, loss
-        )
+        feats = _features(windows, variant, kernel)
+        theta = _pack(params, variant)
+        value = _loss(feats, theta, targets, loss)
+        grad = _gradient(feats, theta, targets, loss)
     return value, _unpack(grad, variant)
 
 
@@ -327,7 +324,7 @@ def fit_single_shot(
     else:
 
         def gradient(theta: np.ndarray) -> np.ndarray:
-            return _loss_and_gradient(train_feats, theta, train.targets, config.loss)[1]
+            return _gradient(train_feats, theta, train.targets, config.loss)
 
     init = _init_params(config.variant, plan.inner_input, plan.inner_output, config.seed)
     theta = _pack(init, config.variant)

@@ -157,11 +157,25 @@ def _cell_noise(config: ExperimentConfig, cell: Cell) -> NoiseSpec | None:
     return noise
 
 
-def _run_cell(config: ExperimentConfig, cell: Cell, transcript: TranscriptWriter | None) -> CellResult:
+def _failure(exc: Exception) -> tuple[str, str]:
+    """The manifest's ``error`` and ``traceback`` of the exception being handled."""
+    return f"{type(exc).__name__}: {exc}", traceback.format_exc()
+
+
+def _run_cell(
+    config: ExperimentConfig,
+    cell: Cell,
+    series: TimeSeries | tuple[str, str],
+    transcript: TranscriptWriter | None,
+) -> CellResult:
+    """One cell on its dataset's shared series, or failed with the dataset's load failure."""
     result = CellResult(cell=cell, family=cell.forecaster.family)
     try:
+        # a forecaster that cannot be built is the cell's error, ahead of its dataset's
         forecaster = build_forecaster(cell.forecaster, transcript)
-        series = _load_dataset(cell.dataset)
+        if not isinstance(series, TimeSeries):
+            result.error, result.traceback = series
+            return result
         runner = run_last_sample if config.protocol == "last_sample" else run_sliding
         result.report = runner(
             series,
@@ -174,9 +188,25 @@ def _run_cell(config: ExperimentConfig, cell: Cell, transcript: TranscriptWriter
             noise_filter=config.noise_filter,
         )
     except Exception as exc:  # one cell's failure is itemized, never fatal to the batch
-        result.error = f"{type(exc).__name__}: {exc}"
-        result.traceback = traceback.format_exc()
+        result.error, result.traceback = _failure(exc)
     return result
+
+
+def _run_dataset(
+    config: ExperimentConfig,
+    dataset: DatasetConfig,
+    cells: list[Cell],
+    transcript: TranscriptWriter | None,
+) -> list[CellResult]:
+    """Load ``dataset`` once and run each of its ``cells`` on it.
+
+    The series is dropped on return, so a run holds one dataset at a time.
+    """
+    try:
+        series = _load_dataset(dataset)
+    except Exception as exc:  # each of the dataset's cells fails with it
+        series = _failure(exc)
+    return [_run_cell(config, c, series, transcript) for c in cells]
 
 
 def _summary_row(config: ExperimentConfig, res: CellResult) -> dict:
@@ -295,6 +325,8 @@ def _cost_comparison_lines(results: list[CellResult]) -> list[str]:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full grid; collect errors instead of failing mid-batch.
 
+    Cells run dataset by dataset; each dataset is loaded once and shared by
+    its cells, and a dataset that fails to load fails each of its cells.
     Returns status 0 when every cell succeeded, 1 otherwise; the manifest
     itemizes each failed cell exactly once.
     """
@@ -309,19 +341,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     uses_llm = any(f.llm is not None for f in config.forecasters)
     transcript = TranscriptWriter(out / "transcripts.jsonl") if uses_llm else None
 
-    cells: list[Cell] = []
     sweep_values: list[float | None] = [None]
     replicates = 1
     if config.sweep is not None:
         sweep_values = list(config.sweep.values)
         replicates = config.sweep.replicates
+    results: list[CellResult] = []
     for ds in config.datasets:
-        for fc in config.forecasters:
-            for value in sweep_values:
-                for rep in range(replicates if value is not None else 1):
-                    cells.append(Cell(dataset=ds, forecaster=fc, sweep_value=value, replicate=rep))
-
-    results = [_run_cell(config, c, transcript) for c in cells]
+        cells = [
+            Cell(dataset=ds, forecaster=fc, sweep_value=value, replicate=rep)
+            for fc in config.forecasters
+            for value in sweep_values
+            for rep in range(replicates if value is not None else 1)
+        ]
+        results += _run_dataset(config, ds, cells, transcript)
 
     rows = [_summary_row(config, r) for r in results]
     summary_path = out / "summary.csv"

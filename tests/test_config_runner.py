@@ -5,6 +5,7 @@ import yaml
 
 from castlab.config import config_from_dict, load_config
 from castlab.errors import ConfigError
+from castlab import runner
 from castlab.runner import TIMING_COLUMNS, run_experiment
 
 
@@ -163,6 +164,42 @@ def test_failing_llm_cell_fails_only_itself(tmp_path):
     rows = {r["forecaster"]: r for r in csv.DictReader(open(result.summary_path))}
     assert rows["llm-mock"]["family"] == "llm" and rows["llm-mock"]["mae"] == ""
     assert float(rows["naive"]["mae"]) >= 0.0
+
+
+def test_each_dataset_is_loaded_once_and_a_bad_one_fails_only_its_cells(tmp_path, monkeypatch):
+    rows = "".join(f"{i / 7:.6f},{(i % 9) / 3:.6f}\n" for i in range(100))
+    (tmp_path / "good.csv").write_text("a,b\n" + rows)
+    (tmp_path / "bad.csv").write_text("a,b\n" + rows.replace("0.428571,", "0.4x8571,", 1))
+    raw = _base_config(tmp_path, datasets=[
+        {"name": "bad", "csv": {"path": "bad.csv"}},
+        {"name": "good", "csv": {"path": "good.csv"}},
+    ])
+    raw["forecasters"].append({"name": "poly", "baseline": {"type": "polynomial", "degree": 1}})
+    cfg = config_from_dict(raw, base_dir=tmp_path)
+
+    loads = []
+    real_load_csv = runner.load_csv
+
+    def counting_load_csv(path, layout="plain"):
+        loads.append(path.name)
+        return real_load_csv(path, layout=layout)
+
+    monkeypatch.setattr(runner, "load_csv", counting_load_csv)
+    for _ in range(2):
+        loads.clear()
+        result = run_experiment(cfg)
+        assert sorted(loads) == ["bad.csv", "good.csv"]
+        assert result.status == 1
+        manifest = json.loads(result.manifest_path.read_text())
+        assert [(e["dataset"], e["forecaster"]) for e in manifest["errors"]] == [
+            ("bad", "naive"), ("bad", "poly")]
+        errors = {e["error"] for e in manifest["errors"]}
+        assert errors == {"ParseError: cannot parse '0.4x8571' at line 5, column 1"}
+        for error in manifest["errors"]:
+            assert "Traceback" in error["traceback"] and "ParseError" in error["traceback"]
+        good = [r for r in result.results if r.cell.dataset.name == "good"]
+        assert [r.cell.forecaster.name for r in good] == ["naive", "poly"]
+        assert all(r.report is not None and r.error is None for r in good)
 
 
 def test_rerun_into_same_dir_keeps_only_its_own_artifacts(tmp_path):
