@@ -1,26 +1,19 @@
 """Single-shot linear forecasters trained on windows carved from one sequence.
 
-Two variants share the training loop:
+Both variants are affine maps of the raw window X: predictions are
+``X̃ @ phi + shift`` with ``phi = M @ theta`` and ``theta = [weights; bias]``.
 
-* ``dlinear``: each input window is decomposed into a moving-average trend
-  and a seasonal remainder; each component gets its own I' x O' weight
-  matrix and the branch outputs are summed with a shared bias.
-* ``rlinear``: each input window is instance-normalized (subtract window
-  mean, divide by window std, epsilon-guarded), mapped through a single
-  I' x O' matrix plus bias, and denormalized with the same statistics.
+* ``dlinear`` maps a moving-average trend ``X A`` and the seasonal remainder
+  ``X (I - A)`` through one I' x O' matrix each, plus a shared bias:
+  ``X̃ = [X, 1]``, no shift, ``M = [[A, I - A, 0], [0, 0, 1]]``.
+* ``rlinear`` instance-normalizes each window (epsilon-guarded std), maps it
+  through one I' x O' matrix plus bias and denormalizes: ``X̃ = [X - mean,
+  std]``, the mean as shift, ``M`` the identity.
 
-Both are affine maps on features that do not change during training, so each
-fit computes them once, for the train and the validation windows. Training
-is deterministic full-batch gradient descent with a fixed learning rate and
-early stopping on validation loss; channels of a multivariate input are
-pooled into the window batch and share one set of parameters. l2 fits step
-on the sufficient statistics ``G = 2/n Fᵀ diag(s²) F`` and
-``C = 2/n Fᵀ diag(s) (Y - shift)``, so an epoch costs the same whatever the
-window count; their iterates equal those of the direct per-window gradient up
-to rounding. l1 fits use the direct gradient on the same features.
-Validation loss is always computed directly from the predictions.
-Horizons longer than O' are reached autoregressively, feeding each predicted
-block back as context.
+Training is full-batch gradient descent with early stopping; channels share
+one set of parameters. The equivalence tests hold the weights within 1e-12 of
+stepping ``theta`` on per-window trend/seasonal features. Horizons longer
+than O' are reached autoregressively, block by block.
 """
 
 from __future__ import annotations
@@ -30,7 +23,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DivergedLossError,
@@ -38,7 +30,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .series import ForecastTask, TimeSeries
-from .windowing import make_windows, plan_windows, train_val_partition
+from .windowing import _partition_blocks, make_windows, plan_windows
 
 VARIANTS = ("dlinear", "rlinear")
 LOSSES = ("l1", "l2")
@@ -124,28 +116,27 @@ class FittedLinearModel:
 
 
 def decompose_moving_average(x: np.ndarray, kernel: int) -> tuple[np.ndarray, np.ndarray]:
-    """Centered moving-average trend with replicate padding, plus remainder.
+    """Centered moving-average trend with replicate padding, plus the remainder ``x - trend``.
 
-    ``trend + seasonal == x`` holds exactly since the seasonal part is
-    defined as the subtraction. Accepts a 1-D sequence or a 2-D batch of row
-    sequences; requires ``kernel <= 2 * len - 1`` so padding stays meaningful.
+    Accepts a 1-D sequence or a 2-D batch of rows; needs ``kernel <= 2 * len - 1``.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    squeeze = arr.ndim == 1
-    rows = arr.reshape(1, -1) if squeeze else arr
     if kernel < 1 or kernel % 2 == 0:
         raise ValueError("kernel must be an odd positive integer")
-    if kernel > 2 * rows.shape[1] - 1:
-        raise KernelTooLargeError(
-            f"kernel {kernel} exceeds 2*{rows.shape[1]}-1 for sequences of length {rows.shape[1]}"
-        )
+    arr = np.asarray(x, dtype=np.float64)
+    trend = arr @ _moving_average_matrix(arr.shape[-1], kernel)
+    return trend, arr - trend
+
+
+def _moving_average_matrix(width: int, kernel: int) -> np.ndarray:
+    """``A`` with trend ``x @ A``: entry (i, j) counts output j's window positions padded to input i."""
+    if kernel > 2 * width - 1:
+        raise KernelTooLargeError(f"kernel {kernel} exceeds 2*{width}-1 for sequences of length {width}")
     radius = (kernel - 1) // 2
-    padded = np.pad(rows, ((0, 0), (radius, radius)), mode="edge")
-    trend = sliding_window_view(padded, kernel, axis=1).mean(axis=-1)
-    seasonal = rows - trend
-    if squeeze:
-        return trend[0], seasonal[0]
-    return trend, seasonal
+    index = np.arange(width)
+    counts = (np.abs(index[:, None] - index) <= radius).astype(np.float64)
+    counts[0] = np.maximum(radius + 1 - index, 0)
+    counts[-1] = np.maximum(index + radius + 2 - width, 0)
+    return counts / kernel
 
 
 def _init_params(variant: str, inner_input: int, inner_output: int, seed: int) -> dict[str, np.ndarray]:
@@ -182,91 +173,63 @@ def _unpack(theta: np.ndarray, variant: str) -> dict[str, np.ndarray]:
     return params
 
 
-Features = tuple[np.ndarray, np.ndarray | None, np.ndarray | None]
+Design = tuple[np.ndarray, np.ndarray | None]
 
 
-def _features(windows: np.ndarray, variant: str, kernel: int) -> Features:
-    """Fixed per-window features ``(F, scale, shift)`` of a batch of input windows.
+def _mixing(variant: str, width: int, kernel: int) -> np.ndarray | None:
+    """dlinear's ``M``; None stands for rlinear's identity."""
+    if variant != "dlinear":
+        return None
+    average = _moving_average_matrix(width, kernel)
+    return np.block([[average, np.eye(width) - average, np.zeros((width, 1))],
+                     [np.zeros((1, 2 * width)), np.ones((1, 1))]])
 
-    ``F`` carries a trailing column of ones for the bias, so predictions are
-    ``(F @ theta) * scale + shift`` with ``theta = [weights; bias]``. dlinear's
-    ``F`` is ``[trend, seasonal, 1]`` with no scale or shift; rlinear's is the
-    instance-normed window, scaled back by the clamped std and shifted by the
-    mean.
-    """
-    rows, width = windows.shape
+
+def _phi(theta: np.ndarray, mixing: np.ndarray | None) -> np.ndarray:
+    return theta if mixing is None else mixing @ theta
+
+
+def _design(windows: np.ndarray, variant: str) -> Design:
+    """``(X̃, shift)``, one row of ``X̃`` per window along the last axis of ``windows``."""
+    width = windows.shape[-1]
+    design = np.empty((*windows.shape[:-1], width + 1))
     if variant == "dlinear":
-        trend, seasonal = decompose_moving_average(windows, kernel)
-        feats = np.empty((rows, 2 * width + 1))
-        feats[:, :width] = trend
-        feats[:, width:-1] = seasonal
-        feats[:, -1] = 1.0
-        return feats, None, None
-    mean = windows.mean(axis=1, keepdims=True)
-    scale = np.maximum(windows.std(axis=1, keepdims=True), INSTANCE_NORM_EPS)
-    feats = np.empty((rows, width + 1))
-    np.subtract(windows, mean, out=feats[:, :-1])
-    feats[:, :-1] /= scale
-    feats[:, -1] = 1.0
-    return feats, scale, mean
+        design[..., :-1] = windows
+        design[..., -1] = 1.0
+        return design.reshape(-1, width + 1), None
+    mean = windows.mean(axis=-1, keepdims=True)
+    np.subtract(windows, mean, out=design[..., :-1])
+    np.maximum(windows.std(axis=-1, keepdims=True), INSTANCE_NORM_EPS, out=design[..., -1:])
+    return design.reshape(-1, width + 1), mean.reshape(-1, 1)
 
 
-def _predict(feats: Features, theta: np.ndarray) -> np.ndarray:
-    matrix, scale, shift = feats
-    pred = matrix @ theta
-    if scale is not None:
-        pred *= scale
+def _predict(design: Design, phi: np.ndarray) -> np.ndarray:
+    matrix, shift = design
+    pred = matrix @ phi
     if shift is not None:
         pred += shift
     return pred
 
 
-def _loss(feats: Features, theta: np.ndarray, targets: np.ndarray, loss: str) -> float:
-    residual = _predict(feats, theta) - targets
+def _loss(design: Design, phi: np.ndarray, targets: np.ndarray, loss: str) -> float:
+    residual = _predict(design, phi) - targets
     return float(np.mean(residual**2 if loss == "l2" else np.abs(residual)))
 
 
-def _gradient(feats: Features, theta: np.ndarray, targets: np.ndarray, loss: str) -> np.ndarray:
-    """Gradient of the mean l1/l2 loss with respect to the augmented ``theta``."""
-    matrix, scale, _ = feats
-    residual = _predict(feats, theta) - targets
-    size = residual.size
-    if loss == "l2":
-        dpred = 2.0 * residual / size
-    else:
-        dpred = np.sign(residual) / size
-    if scale is not None:
-        dpred *= scale
-    return matrix.T @ dpred
-
-
-def _fold_scale(feats: Features) -> Features:
-    """Scale the rows of ``F`` by the per-row scale, in place, leaving predictions unchanged."""
-    matrix, scale, shift = feats
-    if scale is not None:
-        matrix *= scale
-    return matrix, None, shift
-
-
-def _normal_equations(feats: Features, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sufficient statistics ``(G, C)`` of the l2 loss on scale-free features.
-
-    The l2 gradient at ``theta`` is ``G @ theta - C``, with ``G = 2/n FᵀF``
-    and ``C = 2/n Fᵀ(Y - shift)``; after ``_fold_scale`` these are
-    ``2/n Fᵀ diag(s²) F`` and ``2/n Fᵀ diag(s) (Y - shift)`` of the unscaled ``F``.
-    """
-    matrix, _, shift = feats
-    factor = 2.0 / targets.size
-    centered = targets if shift is None else targets - shift
-    return (matrix.T @ matrix) * factor, (matrix.T @ centered) * factor
+def _gradient(design: Design, phi: np.ndarray, targets: np.ndarray, loss: str) -> np.ndarray:
+    """Gradient of the mean l1/l2 loss with respect to ``phi``."""
+    residual = _predict(design, phi) - targets
+    dpred = (2.0 * residual if loss == "l2" else np.sign(residual)) / residual.size
+    return design[0].T @ dpred
 
 
 def _forward(
     params: dict[str, np.ndarray], windows: np.ndarray, variant: str, kernel: int
-) -> tuple[np.ndarray, Features]:
-    """Predictions for a batch of input windows (rows), with their features."""
-    feats = _features(windows, variant, kernel)
-    return _predict(feats, _pack(params, variant)), feats
+) -> tuple[np.ndarray, Design]:
+    """Predictions for a batch of input windows (rows), with their design."""
+    design = _design(windows, variant)
+    phi = _phi(_pack(params, variant), _mixing(variant, windows.shape[1], kernel))
+    return _predict(design, phi), design
 
 
 def loss_and_gradients(
@@ -280,10 +243,13 @@ def loss_and_gradients(
     """Mean l1/l2 loss over all entries and its analytic parameter gradients."""
     # overflow here means divergence, reported as DivergedLossError by callers
     with np.errstate(over="ignore", invalid="ignore"):
-        feats = _features(windows, variant, kernel)
-        theta = _pack(params, variant)
-        value = _loss(feats, theta, targets, loss)
-        grad = _gradient(feats, theta, targets, loss)
+        design = _design(windows, variant)
+        mixing = _mixing(variant, windows.shape[1], kernel)
+        phi = _phi(_pack(params, variant), mixing)
+        value = _loss(design, phi, targets, loss)
+        grad = _gradient(design, phi, targets, loss)
+        if mixing is not None:
+            grad = mixing.T @ grad
     return value, _unpack(grad, variant)
 
 
@@ -301,34 +267,43 @@ def fit_single_shot(
     than ``patience`` consecutive epochs; the best-validation parameters are
     returned, with the train and validation losses measured at them.
 
-    Features are computed once per fit. An l2 step is ``theta -= lr * (G @
-    theta - C)`` on the sufficient statistics of ``_normal_equations``, so
-    its cost does not grow with the window count; an l1 step uses the direct
-    gradient.
+    Descent on ``theta`` runs as descent on ``phi``: with ``g`` the gradient
+    in ``phi``, an epoch adds ``lr * g`` to a sum ``r`` and steps ``phi -= lr
+    * M Mᵀ g``, so its ``theta`` is ``theta0 - Mᵀ r``. An l2 ``g`` is ``H phi
+    - c`` (``H = 2/n X̃ᵀX̃``, ``c = 2/n X̃ᵀ(Y - shift)``), whose cost does not
+    grow with the window count; an l1 ``g`` is the direct gradient.
     """
     plan = plan_windows(task, input_sequence.channels)
-    if config.variant == "dlinear" and config.decomposition_kernel > 2 * plan.inner_input - 1:
-        raise KernelTooLargeError(
-            f"kernel {config.decomposition_kernel} too large for inner input {plan.inner_input}"
-        )
-    windows = make_windows(input_sequence, plan)
-    train, val = train_val_partition(windows, val_fraction)
     kernel = config.decomposition_kernel
-    val_feats = _features(val.inputs, config.variant, kernel)
-    train_feats = _fold_scale(_features(train.inputs, config.variant, kernel))
+    mixing = _mixing(config.variant, plan.inner_input, kernel)
+    windows = make_windows(input_sequence, plan)
+    # the inputs are copied once more, into X̃; the targets into one block each
+    train, val = _partition_blocks(windows, val_fraction)
+    train_design = _design(train["inputs"], config.variant)
+    val_design = _design(val["inputs"], config.variant)
+    train_targets = train["targets"].reshape(-1, plan.inner_output)
+    val_targets = val["targets"].reshape(-1, plan.inner_output)
     if config.loss == "l2":
-        gram, moment = _normal_equations(train_feats, train.targets)
+        matrix, shift = train_design
+        factor = 2.0 / train_targets.size
+        centered = train_targets if shift is None else train_targets - shift
+        hessian = (matrix.T @ matrix) * factor
+        moment = (matrix.T @ centered) * factor
 
-        def gradient(theta: np.ndarray) -> np.ndarray:
-            return gram @ theta - moment
+        def gradient(phi: np.ndarray) -> np.ndarray:
+            return hessian @ phi - moment
     else:
 
-        def gradient(theta: np.ndarray) -> np.ndarray:
-            return _gradient(train_feats, theta, train.targets, config.loss)
+        def gradient(phi: np.ndarray) -> np.ndarray:
+            return _gradient(train_design, phi, train_targets, config.loss)
 
     init = _init_params(config.variant, plan.inner_input, plan.inner_output, config.seed)
     theta = _pack(init, config.variant)
-    best = theta.copy()
+    phi = _phi(theta, mixing)
+    precondition = None if mixing is None else mixing @ mixing.T
+    step_sum = None if mixing is None else np.zeros_like(phi)
+    tracked = phi if step_sum is None else step_sum
+    best = tracked.copy()
     best_val = np.inf
     best_epoch = 0
     bad_epochs = 0
@@ -338,22 +313,29 @@ def fit_single_shot(
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.max_epochs + 1):
             epochs_run = epoch
-            theta -= config.learning_rate * gradient(theta)
-            val_loss = _loss(val_feats, theta, val.targets, config.loss)
-            if not (np.isfinite(val_loss) and np.isfinite(theta).all()):
+            step = config.learning_rate * gradient(phi)
+            if step_sum is None:
+                phi -= step
+            else:
+                step_sum += step
+                phi -= precondition @ step
+            val_loss = _loss(val_design, phi, val_targets, config.loss)
+            if not (np.isfinite(val_loss) and np.isfinite(phi).all()):
                 raise DivergedLossError(
                     f"parameters or validation loss became non-finite at epoch {epoch}"
                 )
             if val_loss < best_val:
                 best_val = val_loss
                 best_epoch = epoch
-                best = theta.copy()
+                best = tracked.copy()
                 bad_epochs = 0
             else:
                 bad_epochs += 1
                 if bad_epochs > config.patience:
                     break
-        train_loss = _loss(train_feats, best, train.targets, config.loss)
+        if mixing is not None:
+            best = theta - mixing.T @ best
+        train_loss = _loss(train_design, _phi(best, mixing), train_targets, config.loss)
     if not np.isfinite(train_loss):
         raise DivergedLossError("training loss is non-finite at the best-validation parameters")
 
@@ -379,9 +361,9 @@ def fit_single_shot(
 def predict(model: FittedLinearModel, recent: np.ndarray | TimeSeries, horizon: int) -> np.ndarray:
     """Forecast ``horizon`` steps from the last ``inner_input`` values per channel.
 
-    Applies the linear map autoregressively in blocks of ``inner_output``,
-    appending each block to the context; a final partial block is truncated.
-    Channels are predicted independently. Returns shape (horizon, channels).
+    Applies ``phi`` autoregressively in blocks of ``inner_output``, appending
+    each block to the context; a final partial block is truncated. Channels
+    are predicted independently. Returns shape (horizon, channels).
     """
     values = recent.values if isinstance(recent, TimeSeries) else np.asarray(recent, dtype=np.float64)
     if values.ndim == 1:
@@ -393,11 +375,12 @@ def predict(model: FittedLinearModel, recent: np.ndarray | TimeSeries, horizon: 
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     theta = _pack(dict(model.weights, bias=model.bias), model.variant)
+    phi = _phi(theta, _mixing(model.variant, model.inner_input, model.decomposition_kernel))
     context = values.T.copy()  # (channels, inner_input)
     blocks = []
     produced = 0
     while produced < horizon:
-        block = _predict(_features(context, model.variant, model.decomposition_kernel), theta)
+        block = _predict(_design(context, model.variant), phi)
         blocks.append(block)
         produced += block.shape[1]
         context = np.concatenate([context, block], axis=1)[:, -model.inner_input :]

@@ -168,18 +168,23 @@ class TranscriptWriter:
     """JSON-lines log of raw requests and responses, for replay.
 
     The file is emptied when the writer is created, so it holds the records
-    of this writer only; each record is appended as one line.
+    of this writer only. Each record is one line, written through one open
+    handle and flushed before ``record`` returns; ``close`` releases it.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text("", encoding="utf-8")
         self._lock = threading.Lock()
+        self._file = open(self.path, "w", encoding="utf-8")
 
     def record(self, kind: str, payload: dict[str, Any]) -> None:
         entry = {"timestamp": time.time(), "kind": kind, "payload": payload}
         line = json.dumps(entry, ensure_ascii=False)
         with self._lock:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+            self._file.write(line + "\n")
+            self._file.flush()
+
+    def close(self) -> None:
+        with self._lock:
+            self._file.close()

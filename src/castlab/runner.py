@@ -347,14 +347,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         sweep_values = list(config.sweep.values)
         replicates = config.sweep.replicates
     results: list[CellResult] = []
-    for ds in config.datasets:
-        cells = [
-            Cell(dataset=ds, forecaster=fc, sweep_value=value, replicate=rep)
-            for fc in config.forecasters
-            for value in sweep_values
-            for rep in range(replicates if value is not None else 1)
-        ]
-        results += _run_dataset(config, ds, cells, transcript)
+    try:
+        for ds in config.datasets:
+            cells = [
+                Cell(dataset=ds, forecaster=fc, sweep_value=value, replicate=rep)
+                for fc in config.forecasters
+                for value in sweep_values
+                for rep in range(replicates if value is not None else 1)
+            ]
+            results += _run_dataset(config, ds, cells, transcript)
+    finally:
+        if transcript is not None:
+            transcript.close()
 
     rows = [_summary_row(config, r) for r in results]
     summary_path = out / "summary.csv"

@@ -54,12 +54,16 @@ class WindowPlan:
         return self.outer_input - (self.inner_input + self.inner_output) + 1
 
 
+_FIELDS = ("inputs", "targets", "channel_index", "start_offset")
+
+
 @dataclass(frozen=True)
 class WindowSet:
     """Flattened channel-independent training samples.
 
     Row r holds the input slice, its immediately following target slice, and
-    the (channel, start offset) it came from in the source sequence.
+    the (channel, start offset) it came from in the source sequence. Arrays
+    handed in are copied unless they are read-only and own their data.
     """
 
     inputs: np.ndarray
@@ -68,10 +72,11 @@ class WindowSet:
     start_offset: np.ndarray
 
     def __post_init__(self):
-        for name in ("inputs", "targets", "channel_index", "start_offset"):
+        for name in _FIELDS:
             arr = np.asarray(getattr(self, name))
-            arr = np.array(arr, copy=True)
-            arr.setflags(write=False)
+            if arr.flags.writeable or arr.base is not None:
+                arr = arr.copy()
+                arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         k = self.inputs.shape[0]
         if not (self.targets.shape[0] == self.channel_index.shape[0] == self.start_offset.shape[0] == k):
@@ -128,29 +133,27 @@ def make_windows(input_sequence: TimeSeries, plan: WindowPlan) -> WindowSet:
         )
     span = plan.inner_input + plan.inner_output
     offsets = plan.offsets_per_channel
-    inputs = []
-    targets = []
-    for c in range(plan.channels):
-        blocks = sliding_window_view(input_sequence.values[:, c], span)
-        inputs.append(blocks[:, : plan.inner_input])
-        targets.append(blocks[:, plan.inner_input :])
-    channel_index = np.repeat(np.arange(plan.channels), offsets)
-    start_offset = np.tile(np.arange(offsets), plan.channels)
-    ws = WindowSet(
-        inputs=np.concatenate(inputs, axis=0),
-        targets=np.concatenate(targets, axis=0),
-        channel_index=channel_index,
-        start_offset=start_offset,
+    # (channels, offsets, span): every window of every channel, as a view
+    spans = sliding_window_view(input_sequence.values, span, axis=0).transpose(1, 0, 2)
+    inputs = np.empty((plan.window_count, plan.inner_input))
+    targets = np.empty((plan.window_count, plan.inner_output))
+    inputs.reshape(plan.channels, offsets, -1)[...] = spans[..., : plan.inner_input]
+    targets.reshape(plan.channels, offsets, -1)[...] = spans[..., plan.inner_input :]
+    inputs.setflags(write=False)
+    targets.setflags(write=False)
+    return WindowSet(
+        inputs=inputs,
+        targets=targets,
+        channel_index=np.repeat(np.arange(plan.channels), offsets),
+        start_offset=np.tile(np.arange(offsets), plan.channels),
     )
-    assert ws.size == plan.window_count
-    return ws
 
 
-def train_val_partition(ws: WindowSet, val_fraction: float) -> tuple[WindowSet, WindowSet]:
-    """Split windows so the chronologically latest offsets of each channel validate.
+def _partition_blocks(ws: WindowSet, val_fraction: float) -> tuple[dict, dict]:
+    """Train and validation views of ``ws``'s arrays, each shaped (channels, offsets, ...).
 
-    Keeping validation strictly later than training within every channel
-    prevents temporal leakage through overlapping windows.
+    The chronologically latest offsets of each channel validate, which keeps
+    overlapping windows from leaking across the split.
     """
     if not 0.0 < val_fraction < 1.0:
         raise ValueError("val_fraction must lie in (0, 1)")
@@ -161,12 +164,17 @@ def train_val_partition(ws: WindowSet, val_fraction: float) -> tuple[WindowSet, 
         raise TooFewWindowsError(
             f"{offsets} offsets cannot split into train={train_count}, val={val_count}"
         )
-    is_val = ws.start_offset >= train_count
-    def subset(mask: np.ndarray) -> WindowSet:
-        return WindowSet(
-            inputs=ws.inputs[mask],
-            targets=ws.targets[mask],
-            channel_index=ws.channel_index[mask],
-            start_offset=ws.start_offset[mask],
-        )
-    return subset(~is_val), subset(is_val)
+    channels = ws.size // offsets
+    if not np.array_equal(ws.start_offset, np.tile(np.arange(offsets), channels)):
+        raise ShapeMismatchError("windows are not in make_windows' channel-major layout")
+    arrays = {name: getattr(ws, name) for name in _FIELDS}
+    blocks = {name: a.reshape(channels, offsets, *a.shape[1:]) for name, a in arrays.items()}
+    return ({name: b[:, :train_count] for name, b in blocks.items()},
+            {name: b[:, train_count:] for name, b in blocks.items()})
+
+
+def train_val_partition(ws: WindowSet, val_fraction: float) -> tuple[WindowSet, WindowSet]:
+    """Split windows laid out by ``make_windows``: the latest offsets of each channel validate."""
+    train, val = (WindowSet(**{name: b.reshape(-1, *b.shape[2:]) for name, b in part.items()})
+                  for part in _partition_blocks(ws, val_fraction))
+    return train, val

@@ -54,7 +54,8 @@ def test_tracer_records_every_layer_on_a_sliding_csv_grid(tmp_path):
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert out["status"] == 0
-    for span in ("eval.protocol", "linear.fit", "runner.run_experiment"):
+    for span in ("eval.protocol", "linear.fit", "windowing.make_windows", "linear.predict",
+                 "runner.run_experiment"):
         assert out["calls"].get(span, 0) >= 1, (span, out["calls"])
     # two cells share one load, through the name the tracer patches
     assert out["calls"].get("data_io.load_csv") == 1, out["calls"]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from castlab import (
     ForecastTask,
@@ -16,11 +17,11 @@ from castlab.linear import (
     INSTANCE_NORM_EPS,
     FittedLinearModel,
     TrainingStats,
-    _features,
-    _fold_scale,
+    _design,
     _forward,
     _init_params,
-    _normal_equations,
+    _mixing,
+    _moving_average_matrix,
     _pack,
     _unpack,
     loss_and_gradients,
@@ -40,6 +41,61 @@ def _manual_model(variant, weights, bias, kernel=1, i_in=None, o_out=None):
         config=LinearModelConfig(variant=variant, decomposition_kernel=kernel),
         training_stats=TrainingStats(0.0, 0.0, 0, 0),
     )
+
+
+# -- reference path ------------------------------------------------------
+# The explicit-feature path that the phi-space fit replaced: every window is
+# decomposed on its own, and predictions and gradients are taken on theta.
+
+
+def _padded_moving_average(rows, kernel):
+    """Trend of each row: the mean over a centered window of the edge-padded row."""
+    radius = (kernel - 1) // 2
+    padded = np.pad(rows, ((0, 0), (radius, radius)), mode="edge")
+    return sliding_window_view(padded, kernel, axis=1).mean(axis=-1)
+
+
+def _features(windows, variant, kernel):
+    """Per-window features ``(F, scale, shift)``: predictions are ``(F @ theta) * scale + shift``.
+
+    dlinear's ``F`` is ``[trend, seasonal, 1]``; rlinear's is the instance-normed
+    window and a column of ones, scaled back by the clamped std and shifted by
+    the mean.
+    """
+    rows, _ = windows.shape
+    if variant == "dlinear":
+        trend = _padded_moving_average(windows, kernel)
+        return np.hstack([trend, windows - trend, np.ones((rows, 1))]), 1.0, 0.0
+    mean = windows.mean(axis=1, keepdims=True)
+    scale = np.maximum(windows.std(axis=1, keepdims=True), INSTANCE_NORM_EPS)
+    return np.hstack([(windows - mean) / scale, np.ones((rows, 1))]), scale, mean
+
+
+def _reference_forward(params, windows, variant, kernel):
+    matrix, scale, shift = _features(windows, variant, kernel)
+    return (matrix @ _pack(params, variant)) * scale + shift
+
+
+def _reference_loss_and_gradients(params, windows, targets, variant, loss, kernel):
+    """Mean l1/l2 loss and its gradient with respect to ``theta`` on explicit features."""
+    matrix, scale, shift = _features(windows, variant, kernel)
+    residual = (matrix @ _pack(params, variant)) * scale + shift - targets
+    if loss == "l2":
+        value, dpred = np.mean(residual**2), 2.0 * residual / residual.size
+    else:
+        value, dpred = np.mean(np.abs(residual)), np.sign(residual) / residual.size
+    return float(value), _unpack(matrix.T @ (dpred * scale), variant)
+
+
+def _reference_predict(model, context, horizon):
+    """Autoregressive blocks of ``_reference_forward``, as ``predict`` made them before."""
+    params = dict(model.weights, bias=model.bias)
+    rows = context.T.copy()
+    blocks = []
+    while sum(b.shape[1] for b in blocks) < horizon:
+        blocks.append(_reference_forward(params, rows, model.variant, model.decomposition_kernel))
+        rows = np.concatenate([rows, blocks[-1]], axis=1)[:, -model.inner_input :]
+    return np.concatenate(blocks, axis=1)[:, :horizon].T
 
 
 # -- decomposition -------------------------------------------------------
@@ -83,6 +139,21 @@ def test_decompose_kernel_too_large():
         decompose_moving_average(np.zeros(4), 9)
 
 
+@pytest.mark.parametrize("width", [1, 2, 8, 13])
+def test_trend_is_the_moving_average_matrix(width):
+    rng = np.random.default_rng(width)
+    for kernel in sorted({1, min(3, 2 * width - 1), 2 * width - 1}):
+        average = _moving_average_matrix(width, kernel)
+        assert np.array_equal(average, _padded_moving_average(np.eye(width), kernel))
+        assert np.array_equal(average, decompose_moving_average(np.eye(width), kernel)[0])
+        X = rng.normal(scale=3.0, size=(7, width))
+        trend, _ = decompose_moving_average(X, kernel)
+        np.testing.assert_allclose(trend, _padded_moving_average(X, kernel),
+                                   rtol=1e-12, atol=1e-12 * np.abs(X).max())
+    with pytest.raises(KernelTooLargeError):
+        _moving_average_matrix(width, 2 * width + 1)
+
+
 # -- gradients -----------------------------------------------------------
 
 
@@ -120,20 +191,24 @@ def test_gradient_check(variant, loss):
         )
         value, analytic = loss_and_gradients(params, X, Y, variant, loss, kernel=3)
         numeric = _finite_difference_grads(params, X, Y, variant, loss, kernel=3)
+        ref_value, reference = _reference_loss_and_gradients(params, X, Y, variant, loss, 3)
+        assert value == pytest.approx(ref_value, rel=1e-12)
         for name in analytic:
             denom = np.maximum(np.maximum(np.abs(numeric[name]), np.abs(analytic[name])), 1e-6)
             rel = np.abs(analytic[name] - numeric[name]) / denom
             assert rel.max() < 1e-4, f"{variant}/{loss}/{name}: {rel.max()}"
+            np.testing.assert_allclose(analytic[name], reference[name], rtol=1e-12, atol=1e-14)
 
 
 # -- fitting -------------------------------------------------------------
 
 
 def _reference_fit(series, task, cfg, val_fraction=0.2):
-    """The per-epoch direct-gradient loop that the sufficient-statistics fit replaced.
+    """The per-epoch direct-gradient loop on explicit features that the phi-space fit replaced.
 
     Every epoch recomputes the features and the full-batch gradient through
-    ``loss_and_gradients``, then the validation loss at the updated weights.
+    ``_reference_loss_and_gradients``, then the validation loss at the updated
+    weights.
     """
     plan = plan_windows(task, series.channels)
     train, val = train_val_partition(make_windows(series, plan), val_fraction)
@@ -142,9 +217,11 @@ def _reference_fit(series, task, cfg, val_fraction=0.2):
     best, best_val, best_epoch, bad_epochs, epochs_run = params, np.inf, 0, 0, 0
     for epoch in range(1, cfg.max_epochs + 1):
         epochs_run = epoch
-        _, grads = loss_and_gradients(params, train.inputs, train.targets, cfg.variant, cfg.loss, kernel)
+        _, grads = _reference_loss_and_gradients(params, train.inputs, train.targets, cfg.variant,
+                                                 cfg.loss, kernel)
         params = {name: params[name] - cfg.learning_rate * grads[name] for name in params}
-        val_loss, _ = loss_and_gradients(params, val.inputs, val.targets, cfg.variant, cfg.loss, kernel)
+        val_loss, _ = _reference_loss_and_gradients(params, val.inputs, val.targets, cfg.variant,
+                                                    cfg.loss, kernel)
         if val_loss < best_val:
             best, best_val, best_epoch, bad_epochs = params, val_loss, epoch, 0
         else:
@@ -207,6 +284,7 @@ def test_fit_matches_reference_loop(name, values, n_in, horizon, kwargs):
 
 @pytest.mark.parametrize("variant", ["dlinear", "rlinear"])
 def test_normal_equations_give_the_l2_gradient(variant):
+    # the fit's l2 step: Mᵀ(H phi - c) with H = 2/n X̃ᵀX̃, c = 2/n X̃ᵀ(Y - shift)
     rng = np.random.default_rng(11)
     i_in, o_out = 6, 4
     X = rng.normal(size=(9, i_in))
@@ -216,12 +294,17 @@ def test_normal_equations_give_the_l2_gradient(variant):
     Y = rng.normal(size=(9, o_out))
     params = _init_params(variant, i_in, o_out, seed=3)
     params = {name: p + 0.3 * rng.normal(size=p.shape) for name, p in params.items()}
-    feats = _features(X, variant, 3)
+    matrix, shift = _design(X, variant)
     if variant == "rlinear":
-        assert feats[1][0, 0] == feats[1][1, 0] == INSTANCE_NORM_EPS
-    gram, moment = _normal_equations(_fold_scale(feats), Y)
-    got = _unpack(gram @ _pack(params, variant) - moment, variant)
-    _, want = loss_and_gradients(params, X, Y, variant, "l2", 3)
+        assert matrix[0, -1] == matrix[1, -1] == INSTANCE_NORM_EPS
+    mixing = _mixing(variant, i_in, 3)
+    if mixing is None:
+        mixing = np.eye(i_in + 1)
+    factor = 2.0 / Y.size
+    hessian = matrix.T @ matrix * factor
+    moment = matrix.T @ (Y if shift is None else Y - shift) * factor
+    got = _unpack(mixing.T @ (hessian @ mixing @ _pack(params, variant) - moment), variant)
+    _, want = _reference_loss_and_gradients(params, X, Y, variant, "l2", 3)
     assert got.keys() == want.keys()
     for key in want:
         np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=1e-14)
@@ -237,7 +320,7 @@ def test_train_loss_is_measured_at_the_returned_weights(variant, loss):
     model = fit_single_shot(series, task, cfg)
     train, _ = train_val_partition(make_windows(series, plan_windows(task, 2)), 0.2)
     params = dict(model.weights, bias=model.bias)
-    pred, _ = _forward(params, train.inputs, variant, cfg.decomposition_kernel)
+    pred = _reference_forward(params, train.inputs, variant, cfg.decomposition_kernel)
     residual = pred - train.targets
     direct = np.mean(residual**2) if loss == "l2" else np.mean(np.abs(residual))
     assert model.training_stats.train_loss == pytest.approx(direct, rel=1e-12, abs=0)
@@ -302,7 +385,7 @@ def test_fit_sine_validation_mae(variant):
     _, val = train_val_partition(make_windows(series, plan), 0.2)
     params = dict(model.weights)
     params["bias"] = model.bias
-    pred, _ = _forward(params, val.inputs, variant, model.decomposition_kernel)
+    pred = _reference_forward(params, val.inputs, variant, model.decomposition_kernel)
     assert np.abs(pred - val.targets).mean() < 0.05
 
 
@@ -391,6 +474,23 @@ def test_predict_identity_rlinear_constant():
     model = _manual_model("rlinear", {"weight": np.eye(4)}, np.zeros(4))
     fc = predict_linear(model, np.full((4, 2), 2.5), 4)
     assert np.allclose(fc, 2.5)
+
+
+@pytest.mark.parametrize("variant", ["dlinear", "rlinear"])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_predict_matches_reference_decomposition(variant, channels):
+    rng = np.random.default_rng(channels)
+    width = 8
+    for kernel in (1, 3, 2 * width - 1):
+        names = ("trend", "seasonal") if variant == "dlinear" else ("weight",)
+        weights = {name: rng.normal(scale=0.3 / width, size=(width, width)) for name in names}
+        model = _manual_model(variant, weights, rng.normal(scale=0.1, size=width), kernel=kernel)
+        ctx = rng.normal(loc=2.0, size=(width, channels))
+        for horizon in (1, width, 2 * width + 3):
+            got = predict_linear(model, ctx, horizon)
+            want = _reference_predict(model, ctx, horizon)
+            assert got.shape == want.shape == (horizon, channels)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (kernel, horizon)
 
 
 def test_predict_shape_mismatch():

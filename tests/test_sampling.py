@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -79,6 +81,43 @@ def test_transcript_records_exchanges(tmp_path):
     assert lines[1]["payload"]["response"] == "1, 2, 3"
     assert lines[1]["payload"]["scaling"] == {"offset": 0.0, "scale": 1.0, "decimals": 0}
     assert lines[1]["payload"]["channel"] == 0
+    transcript.close()
+
+
+def test_transcript_keeps_one_handle_and_flushes_each_record(tmp_path, monkeypatch):
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(adapters, "open", counting_open, raising=False)
+    path = tmp_path / "transcript.jsonl"
+    path.write_text("left by an earlier writer\n")
+    writer = TranscriptWriter(path)
+    assert path.read_text() == ""
+
+    def work(thread):
+        for i in range(50):
+            writer.record("exchange", {"thread": thread, "i": i})
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    # complete before close: the benchmark counts lines without closing its writer
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    got = sorted((line["payload"]["thread"], line["payload"]["i"]) for line in lines)
+    assert got == [(t, i) for t in range(4) for i in range(50)]
+    writer.close()
+    assert opened == [path]
 
 
 def test_mock_from_file_json_and_jsonl(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from castlab import (
     ForecastTask,
     WindowPlan,
+    WindowSet,
     make_windows,
     plan_windows,
     train_val_partition,
@@ -150,3 +151,46 @@ def test_partition_is_disjoint_exhaustive_and_later():
             va_offs = val.start_offset[val.channel_index == c]
             assert len(tr_offs) and len(va_offs)
             assert tr_offs.max() < va_offs.min()
+
+
+def test_window_sets_are_read_only_and_partitions_match_the_mask_split():
+    inputs = np.arange(6.0).reshape(3, 2)
+    handed = WindowSet(inputs=inputs, targets=np.zeros((3, 1)),
+                       channel_index=np.zeros(3, dtype=int), start_offset=np.arange(3))
+    view = inputs[:, :1]
+    view.setflags(write=False)  # read-only, but its base is not
+    through_view = WindowSet(inputs=view, targets=np.zeros((3, 1)),
+                             channel_index=np.zeros(3, dtype=int), start_offset=np.arange(3))
+    inputs[:] = -1.0
+    assert handed.inputs.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+    assert through_view.inputs[:, 0].tolist() == [0.0, 2.0, 4.0]
+
+    rng = np.random.default_rng(9)
+    series = validate_series(rng.normal(size=(30, 3)))
+    plan = WindowPlan(outer_input=30, outer_output=8, inner_input=5, inner_output=4,
+                      channels=3, window_count=window_count(3, 30, 5, 4))
+    ws = make_windows(series, plan)
+    train, val = train_val_partition(ws, 0.3)
+    fields = ("inputs", "targets", "channel_index", "start_offset")
+    for part in (handed, ws, train, val):
+        for name in fields:
+            arr = getattr(part, name)
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+    # the boolean-mask gather that slicing the channel blocks replaced
+    offsets = plan.offsets_per_channel
+    is_val = ws.start_offset >= offsets - int(np.ceil(offsets * 0.3))
+    for name in fields:
+        assert np.array_equal(getattr(train, name), getattr(ws, name)[~is_val])
+        assert np.array_equal(getattr(val, name), getattr(ws, name)[is_val])
+
+
+def test_partition_rejects_a_layout_other_than_make_windows():
+    ws = make_windows(validate_series(np.arange(24.0).reshape(12, 2)),
+                      WindowPlan(outer_input=12, outer_output=4, inner_input=2, inner_output=2,
+                                 channels=2, window_count=18))
+    order = np.argsort(ws.start_offset, kind="stable")  # offset-major
+    shuffled = WindowSet(*(getattr(ws, name)[order] for name in
+                           ("inputs", "targets", "channel_index", "start_offset")))
+    with pytest.raises(ShapeMismatchError):
+        train_val_partition(shuffled, 0.25)
