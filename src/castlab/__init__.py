@@ -44,7 +44,6 @@ from .llm import (
     ScalingConfig,
     TranscriptWriter,
     aggregate_median,
-    build_multi_turn_prompts,
     build_prompt,
     decode_response,
     sample_forecasts,
@@ -105,7 +104,6 @@ __all__ = [
     "ScalingConfig",
     "PromptBundle",
     "build_prompt",
-    "build_multi_turn_prompts",
     "decode_response",
     "DecodingConfig",
     "aggregate_median",

@@ -91,7 +91,6 @@ class LlmForecasterConfig:
     adapter: AdapterConfig
     decimals: int = 0
     shots: int = 3
-    multi_turn: bool = False
     channel_concurrency: int = 1
 
 
@@ -228,6 +227,8 @@ def _forecaster_from_dict(d: dict, base_dir: Path) -> ForecasterConfig:
         baseline = _build(BaselineConfig, b, f"forecaster {name!r} baseline")
         return ForecasterConfig(name=name, baseline=baseline)
     llm = dict(d["llm"])
+    if llm.get("multi_turn"):
+        raise ConfigError(f"forecaster {name!r}: 'multi_turn' is no longer supported; remove the key")
     style = llm.get("style", "llmtime_chat")
     if style not in PROMPT_STYLES:
         raise ConfigError(f"forecaster {name!r}: style must be one of {PROMPT_STYLES}")
@@ -241,7 +242,6 @@ def _forecaster_from_dict(d: dict, base_dir: Path) -> ForecasterConfig:
             adapter=adapter,
             decimals=int(llm.get("decimals", 0)),
             shots=int(llm.get("shots", 3)),
-            multi_turn=bool(llm.get("multi_turn", False)),
             channel_concurrency=int(llm.get("channel_concurrency", 1)),
         ),
     )

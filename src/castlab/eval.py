@@ -39,7 +39,8 @@ class Forecaster(ABC):
 
     ``fit`` is an optional per-call hook, timed separately from ``predict``
     by the protocol runners; the default is a no-op for training-free
-    forecasters.
+    forecasters. ``close`` releases what the forecaster holds between calls,
+    such as threads; the default holds nothing.
     """
 
     name: str = "forecaster"
@@ -51,6 +52,9 @@ class Forecaster(ABC):
     @abstractmethod
     def predict(self, window: np.ndarray, horizon: int) -> np.ndarray:
         raise NotImplementedError
+
+    def close(self) -> None:
+        return None
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ reference used to demonstrate that the harness detects robustness contrasts.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .linear import FittedLinearModel, LinearModelConfig, fit_single_shot
 from .linear import predict as linear_predict
 from .llm.adapters import LlmAdapter, TranscriptWriter
 from .llm.decode import DecodingConfig, aggregate_median
-from .llm.prompts import ScalingConfig, build_multi_turn_prompts, build_prompt
+from .llm.prompts import ScalingConfig, build_prompt
 from .llm.sampling import sample_forecasts
 from .series import ForecastTask, validate_series
 
@@ -147,6 +147,11 @@ class LlmPromptForecaster(Forecaster):
     channel count), sampled ``num_samples`` times concurrently, decoded, and
     median-aggregated. The affine scaling is derived per channel unless an
     explicit one is supplied, and is recorded in the transcript.
+
+    Up to ``channel_concurrency`` channels are forecast at once, so at most
+    ``channel_concurrency * num_samples`` adapter calls are in flight. The
+    threads of the two pools behind this start on first use and serve every
+    later prompt until ``close``.
     """
 
     family = "llm"
@@ -159,7 +164,6 @@ class LlmPromptForecaster(Forecaster):
         decimals: int = 0,
         scaling: ScalingConfig | None = None,
         shots: int = 3,
-        multi_turn: bool = False,
         transcript: TranscriptWriter | None = None,
         channel_concurrency: int = 1,
         name: str | None = None,
@@ -170,42 +174,42 @@ class LlmPromptForecaster(Forecaster):
         self.decimals = decimals
         self.scaling = scaling
         self.shots = shots
-        # one completion per horizon step; off by default because cost scales with O
-        self.multi_turn = multi_turn
         self.transcript = transcript
         self.channel_concurrency = max(1, channel_concurrency)
         self.name = name or style
+        concurrency = self.channel_concurrency
+        self._channel_pool = ThreadPoolExecutor(concurrency) if concurrency > 1 else None
+        # a channel's thread runs its sample 0 itself and hands the rest to the sample pool
+        extra = concurrency * (self.decoding.num_samples - 1)
+        self._sample_pool = ThreadPoolExecutor(extra) if extra > 0 else None
 
     def _predict_channel(self, values: np.ndarray, horizon: int, channel: int) -> np.ndarray:
         scaling = self.scaling or ScalingConfig.from_values(values, decimals=self.decimals)
-        context = {"channel": channel, "forecaster": self.name}
-        if self.multi_turn:
-            steps = []
-            for bundle in build_multi_turn_prompts(values, horizon, scaling):
-                samples = sample_forecasts(
-                    self.adapter, bundle, self.decoding,
-                    transcript=self.transcript, transcript_context=context,
-                )
-                steps.append(aggregate_median([s.values for s in samples])[0])
-            return np.asarray(steps)
         bundle = build_prompt(values, horizon, self.style, scaling, shots=self.shots)
         samples = sample_forecasts(
             self.adapter,
             bundle,
             self.decoding,
+            self._sample_pool,
             transcript=self.transcript,
-            transcript_context=context,
+            transcript_context={"channel": channel, "forecaster": self.name},
         )
         return aggregate_median([s.values for s in samples])
 
     def predict(self, window: np.ndarray, horizon: int) -> np.ndarray:
         arr = _as_window(window)
         channels = range(arr.shape[1])
-        if self.channel_concurrency == 1 or arr.shape[1] == 1:
+        if self._channel_pool is None or arr.shape[1] == 1:
             columns = [self._predict_channel(arr[:, c], horizon, c) for c in channels]
         else:
-            with ThreadPoolExecutor(max_workers=self.channel_concurrency) as pool:
-                columns = list(
-                    pool.map(lambda c: self._predict_channel(arr[:, c], horizon, c), channels)
-                )
+            futures = [self._channel_pool.submit(self._predict_channel, arr[:, c], horizon, c)
+                       for c in channels]
+            wait(futures)
+            columns = [f.result() for f in futures]
         return np.column_stack(columns)
+
+    def close(self) -> None:
+        """Stop the pool threads; call once the forecaster is done predicting."""
+        for pool in (self._channel_pool, self._sample_pool):
+            if pool is not None:
+                pool.shutdown()

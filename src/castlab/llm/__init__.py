@@ -6,7 +6,6 @@ from .prompts import (
     PROMPT_STYLES,
     PromptBundle,
     ScalingConfig,
-    build_multi_turn_prompts,
     build_prompt,
     render_sequence,
 )
@@ -17,7 +16,6 @@ __all__ = [
     "PromptBundle",
     "ScalingConfig",
     "build_prompt",
-    "build_multi_turn_prompts",
     "render_sequence",
     "DecodingConfig",
     "decode_response",

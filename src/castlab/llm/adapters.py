@@ -100,7 +100,10 @@ class HttpChatAdapter(LlmAdapter):
 
     Transport errors, throttling (429) and server errors (5xx) are retried
     up to ``TRANSPORT_RETRIES`` times, waiting 1 s, 2 s, ... between tries;
-    any other non-200 status raises at once.
+    any other non-200 status raises at once. Each calling thread posts
+    through its own ``requests.Session`` (kept for the thread's lifetime, so
+    its keep-alive connection is reused), unless a ``session`` is given,
+    which every thread then shares.
     """
 
     def __init__(
@@ -115,7 +118,13 @@ class HttpChatAdapter(LlmAdapter):
         self.model = model
         self.api_key_env = api_key_env
         self.timeout_seconds = timeout_seconds
-        self._session = session or requests.Session()
+        self._shared_session = session
+        self._local = threading.local()
+
+    def _session(self) -> requests.Session:
+        if not hasattr(self._local, "session"):
+            self._local.session = self._shared_session or requests.Session()
+        return self._local.session
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -140,7 +149,7 @@ class HttpChatAdapter(LlmAdapter):
             if attempt:
                 time.sleep(2.0 ** (attempt - 1))
             try:
-                response = self._session.post(
+                response = self._session().post(
                     self.endpoint,
                     json=payload,
                     headers=self._headers(),

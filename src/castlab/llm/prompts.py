@@ -198,29 +198,3 @@ def build_prompt(
         return PromptBundle(style, STANDARD_SYSTEM_TEXT, user, scaling, horizon)
 
     raise UnknownKindError(f"unknown prompt style {style!r}")
-
-
-def build_multi_turn_prompts(
-    values: Sequence[float] | np.ndarray,
-    horizon: int,
-    scaling: ScalingConfig,
-) -> list[PromptBundle]:
-    """The multi-turn variant of the ordered-pair style: one prompt per step.
-
-    Each prompt repeats every known (x, y) pair and queries a single future
-    index, expecting exactly one value back. Costs scale with the horizon,
-    which is why forecasters keep this variant off by default.
-    """
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise EmptyInputError("cannot build a prompt from an empty sequence")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    tokens = _render_values(arr, scaling)
-    data_rows = [f"{i},{tok}" for i, tok in enumerate(tokens)]
-    bundles = []
-    for step in range(horizon):
-        rows = data_rows + [f"{arr.size + step}, "]
-        user = "\n ".join(rows)
-        bundles.append(PromptBundle("llmp_multi", "", user, scaling, 1))
-    return bundles

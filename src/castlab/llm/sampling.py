@@ -1,9 +1,9 @@
-"""Concurrent multi-sample forecasting through a completion adapter."""
+"""Multi-sample forecasting through a completion adapter, on a caller's thread pool."""
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,19 +67,22 @@ def sample_forecasts(
     adapter: LlmAdapter,
     bundle: PromptBundle,
     config: DecodingConfig,
-    max_concurrency: int | None = None,
+    executor: Executor | None = None,
     transcript: TranscriptWriter | None = None,
     transcript_context: dict | None = None,
 ) -> list[SampleResult]:
-    """Issue ``num_samples`` completions concurrently and decode each one.
+    """Issue ``num_samples`` completions and decode each one.
 
-    A sample whose response fails to decode (or whose adapter call errors)
-    is retried with a fresh completion, up to ``max_attempts_per_sample``
-    attempts. Returns the successful samples ordered by sample index; raises
-    AllSamplesFailedError when none succeed. Every raw exchange is appended
-    to the transcript when one is given.
+    Samples 1 .. n-1 go to ``executor`` and sample 0 runs on the calling
+    thread, so one prompt has at most n calls in flight, and every sample
+    has finished when this returns; with no executor the samples run one
+    after another on the calling thread. A sample whose response fails to
+    decode (or whose adapter call errors) is retried with a fresh
+    completion, up to ``max_attempts_per_sample`` attempts. Returns the
+    successful samples ordered by sample index; raises AllSamplesFailedError
+    when none succeed. Every raw exchange is appended to the transcript when
+    one is given.
     """
-    workers = max(1, min(max_concurrency or config.num_samples, config.num_samples))
 
     def run_sample(index: int) -> SampleResult | None:
         last_error: str | None = None
@@ -103,11 +106,15 @@ def sample_forecasts(
             return SampleResult(index, values, latency, attempt, raw)
         return None
 
-    if workers == 1:
+    if executor is None:
         results = [run_sample(i) for i in range(config.num_samples)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_sample, range(config.num_samples)))
+        futures = [executor.submit(run_sample, i) for i in range(1, config.num_samples)]
+        try:
+            results = [run_sample(0)]
+        finally:
+            wait(futures)
+        results += [f.result() for f in futures]
 
     successes = [r for r in results if r is not None]
     if not successes:

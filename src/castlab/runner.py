@@ -131,7 +131,6 @@ def build_forecaster(
         decoding=cfg.llm.decoding,
         decimals=cfg.llm.decimals,
         shots=cfg.llm.shots,
-        multi_turn=cfg.llm.multi_turn,
         transcript=transcript,
         channel_concurrency=cfg.llm.channel_concurrency,
         name=cfg.name,
@@ -170,6 +169,7 @@ def _run_cell(
 ) -> CellResult:
     """One cell on its dataset's shared series, or failed with the dataset's load failure."""
     result = CellResult(cell=cell, family=cell.forecaster.family)
+    forecaster = None
     try:
         # a forecaster that cannot be built is the cell's error, ahead of its dataset's
         forecaster = build_forecaster(cell.forecaster, transcript)
@@ -189,6 +189,9 @@ def _run_cell(
         )
     except Exception as exc:  # one cell's failure is itemized, never fatal to the batch
         result.error, result.traceback = _failure(exc)
+    finally:
+        if forecaster is not None:
+            forecaster.close()
     return result
 
 

@@ -2,8 +2,9 @@
 
 ``perfbench/tracing.py`` patches public names in castlab's module namespaces.
 If a refactor moves or renames one of them, the traced metrics silently read
-zero; this test runs one tiny sliding-protocol CSV grid of two cells under the
-tracer, in a subprocess so the patches do not leak into other tests.
+zero; this test runs one tiny sliding-protocol CSV grid of three cells (linear,
+baseline and a mock LLM) under the tracer, in a subprocess so the patches do
+not leak into other tests.
 """
 
 import json
@@ -38,7 +39,9 @@ cfg = config_from_dict({
     "datasets": [{"name": "tiny", "csv": {"path": "tiny.csv"}}],
     "forecasters": [{"name": "dlin", "linear": {"variant": "dlinear", "max_epochs": 5,
                                                 "decomposition_kernel": 5}},
-                    {"name": "naive", "baseline": {"type": "last_value"}}],
+                    {"name": "naive", "baseline": {"type": "last_value"}},
+                    {"name": "llm", "llm": {"decoding": {"num_samples": 3}, "adapter": {
+                        "type": "mock", "responses": [", ".join(["1"] * 10)]}}}],
 }, base_dir=".")
 result = runner.run_experiment(cfg)
 print(json.dumps({"status": result.status,
@@ -55,7 +58,9 @@ def test_tracer_records_every_layer_on_a_sliding_csv_grid(tmp_path):
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert out["status"] == 0
     for span in ("eval.protocol", "linear.fit", "windowing.make_windows", "linear.predict",
-                 "runner.run_experiment"):
+                 "runner.run_experiment", "llm.prompts.build", "llm.sampling",
+                 "llm.decode.decode_response", "llm.decode.aggregate_median",
+                 "llm.adapters.transcript"):
         assert out["calls"].get(span, 0) >= 1, (span, out["calls"])
-    # two cells share one load, through the name the tracer patches
+    # the cells share one load, through the name the tracer patches
     assert out["calls"].get("data_io.load_csv") == 1, out["calls"]

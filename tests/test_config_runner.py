@@ -1,5 +1,7 @@
 import csv
 import json
+import threading
+
 import pytest
 import yaml
 
@@ -52,6 +54,17 @@ def test_config_rejects_inline_api_key(tmp_path):
         },
     }]
     with pytest.raises(ConfigError, match="environment"):
+        config_from_dict(raw, base_dir=tmp_path)
+
+
+def test_config_rejects_the_removed_multi_turn_key(tmp_path):
+    raw = _base_config(tmp_path)
+    raw["forecasters"] = [{
+        "name": "llm",
+        "llm": {"style": "llmp_single", "multi_turn": True,
+                "adapter": {"type": "mock", "responses": ["1"]}},
+    }]
+    with pytest.raises(ConfigError, match="multi_turn"):
         config_from_dict(raw, base_dir=tmp_path)
 
 
@@ -164,6 +177,31 @@ def test_failing_llm_cell_fails_only_itself(tmp_path):
     rows = {r["forecaster"]: r for r in csv.DictReader(open(result.summary_path))}
     assert rows["llm-mock"]["family"] == "llm" and rows["llm-mock"]["mae"] == ""
     assert float(rows["naive"]["mae"]) >= 0.0
+
+
+@pytest.mark.parametrize("response", [", ".join(["0.5"] * 10), "no numbers here"])
+def test_llm_cells_leave_no_pool_thread_running(tmp_path, response):
+    (tmp_path / "two.csv").write_text("".join(f"{i / 7:.6f},{(i % 9) / 3:.6f}\n" for i in range(100)))
+    raw = _base_config(tmp_path)
+    raw["datasets"] = [{"name": "two", "csv": {"path": "two.csv"}}]
+    raw["forecasters"] = [{
+        "name": "llm-mock",
+        "llm": {
+            "style": "llmtime_chat",
+            "decimals": 2,
+            "channel_concurrency": 2,
+            "decoding": {"num_samples": 3, "max_attempts_per_sample": 1},
+            "adapter": {"type": "mock", "responses": [response]},
+        },
+    }]
+    before = set(threading.enumerate())
+    result = run_experiment(config_from_dict(raw, base_dir=tmp_path))
+    assert set(threading.enumerate()) - before == set()
+    (cell,) = result.results
+    if response == "no numbers here":
+        assert cell.error.startswith("AllSamplesFailedError: ")
+    else:
+        assert cell.error is None and cell.report.window_count == 1
 
 
 def test_each_dataset_is_loaded_once_and_a_bad_one_fails_only_its_cells(tmp_path, monkeypatch):

@@ -1,3 +1,8 @@
+import hashlib
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -13,6 +18,7 @@ from castlab import (
     SeasonalRepeatForecaster,
 )
 from castlab.errors import ShapeMismatchError
+from castlab.llm.adapters import LlmAdapter
 
 
 def test_last_value_shapes():
@@ -125,16 +131,67 @@ def test_llm_forecaster_derives_scaling_per_channel():
     assert out[0, 1] / out[0, 0] == pytest.approx(10.0, rel=0.2)
 
 
-def test_llm_forecaster_multi_turn():
-    # scripted one value per step; horizon 3 -> three single-value queries x samples
-    adapter = MockAdapter(["-9", "-10", "-12"], cycle=True)
+class RecordingAdapter(LlmAdapter):
+    """Replies keyed on the prompt text and its draw count, so what each
+    prompt is served does not depend on call order; notes the thread of
+    every call and the most calls in flight at once."""
+
+    def __init__(self, horizon, delay=0.002):
+        self.horizon = horizon
+        self.delay = delay
+        self._lock = threading.Lock()
+        self.draws = {}
+        self.threads = set()
+        self.in_flight = self.in_flight_max = 0
+
+    def complete(self, system_text, user_text, config):
+        key = hashlib.sha256(f"{system_text}\0{user_text}".encode()).digest()
+        with self._lock:
+            draw = self.draws.get(key, 0)
+            self.draws[key] = draw + 1
+            self.threads.add(threading.current_thread())
+            self.in_flight += 1
+            self.in_flight_max = max(self.in_flight_max, self.in_flight)
+        time.sleep(self.delay)
+        with self._lock:
+            self.in_flight -= 1
+        return ", ".join(str((key[draw % 32] + 7 * step) % 50) for step in range(self.horizon))
+
+
+def _pooled_forecasts(channel_concurrency):
+    """30 predicts of a 3-channel window at num_samples=5, with frequent thread switches."""
+    adapter = RecordingAdapter(horizon=4)
     f = LlmPromptForecaster(
         adapter,
-        style="llmp_single",
-        decoding=DecodingConfig(num_samples=1, max_attempts_per_sample=1),
+        decoding=DecodingConfig(num_samples=5, max_attempts_per_sample=1),
         scaling=ScalingConfig(decimals=0),
-        multi_turn=True,
+        channel_concurrency=channel_concurrency,
     )
-    out = f.predict(np.arange(8.0).reshape(-1, 1), 3)
-    assert out[:, 0].tolist() == [-9.0, -10.0, -12.0]
-    assert adapter.calls == 3
+    rng = np.random.default_rng(5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        outs = [f.predict(rng.integers(0, 40, size=(12, 3)).astype(float), 4) for _ in range(30)]
+    finally:
+        sys.setswitchinterval(interval)
+        f.close()
+    return outs, adapter
+
+
+@pytest.mark.parametrize("channel_concurrency", [1, 3])
+def test_llm_forecaster_pools_bound_threads_and_calls_in_flight(channel_concurrency):
+    outs, adapter = _pooled_forecasts(channel_concurrency)
+    bound = channel_concurrency * 5
+    assert sum(adapter.draws.values()) == 30 * 3 * 5
+    # one set of pool threads serves all 450 calls, counting the caller's
+    assert 1 < len(adapter.threads) <= bound
+    assert 1 < adapter.in_flight_max <= bound
+    assert not any(t.is_alive() for t in adapter.threads - {threading.current_thread()})
+    assert all(o.shape == (4, 3) for o in outs)
+
+
+def test_llm_forecasts_do_not_depend_on_channel_concurrency():
+    serial, _ = _pooled_forecasts(1)
+    concurrent, _ = _pooled_forecasts(3)
+    assert all(np.array_equal(a, b) for a, b in zip(serial, concurrent, strict=True))
+

@@ -89,19 +89,3 @@ def test_all_styles_build(style):
     bundle = build_prompt(FIXTURE, 5, style, IDENTITY, shots=shots)
     assert bundle.user_text
     assert bundle.style == style
-
-
-def test_multi_turn_prompts_figure_shape():
-    from castlab import build_multi_turn_prompts
-
-    bundles = build_multi_turn_prompts(FIXTURE, 5, IDENTITY)
-    assert len(bundles) == 5
-    first = bundles[0]
-    assert first.system_text == ""
-    assert first.expected_count == 1
-    assert first.user_text.startswith("0,-12\n 1,-13\n 2,-15")
-    assert first.user_text.endswith("19,-13\n 20, ")
-    assert bundles[4].user_text.endswith("19,-13\n 24, ")
-    # every turn repeats the full history
-    for b in bundles:
-        assert "7,98" in b.user_text

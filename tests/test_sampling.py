@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -52,15 +53,39 @@ def test_reproducible_with_deterministic_adapter():
     runs = []
     for _ in range(2):
         adapter = MockAdapter(["5, 6, 7", "5, 6, 7", "5, 6, 7", "5, 6, 7"])
-        results = sample_forecasts(adapter, BUNDLE, cfg, max_concurrency=1)
+        results = sample_forecasts(adapter, BUNDLE, cfg)
         runs.append([r.values.tolist() for r in results])
     assert runs[0] == runs[1]
+
+
+def test_sample_zero_runs_on_the_calling_thread_and_results_keep_sample_order():
+    class ThreadNamingAdapter(MockAdapter):
+        def complete(self, system_text, user_text, config):
+            super().complete(system_text, user_text, config)
+            return "1, 2, 3" if threading.current_thread() is caller else "4, 5, 6"
+
+    caller = threading.current_thread()
+    adapter = ThreadNamingAdapter(["unused"])
+    cfg = DecodingConfig(num_samples=5, max_attempts_per_sample=1)
+    with ThreadPoolExecutor(4) as pool:
+        results = sample_forecasts(adapter, BUNDLE, cfg, pool)
+    assert [r.sample_index for r in results] == [0, 1, 2, 3, 4]
+    assert [r.values.tolist() for r in results] == [[1, 2, 3]] + [[4, 5, 6]] * 4
+    assert adapter.calls == 5
+
+
+def test_all_samples_failed_on_an_executor():
+    adapter = MockAdapter(["garbage"])
+    cfg = DecodingConfig(num_samples=3, max_attempts_per_sample=2)
+    with ThreadPoolExecutor(2) as pool, pytest.raises(AllSamplesFailedError):
+        sample_forecasts(adapter, BUNDLE, cfg, pool)
+    assert adapter.calls == 6
 
 
 def test_partial_failures_keep_successes():
     adapter = MockAdapter(["bad", "bad", "1, 2, 3"])  # cycles
     cfg = DecodingConfig(num_samples=2, max_attempts_per_sample=3)
-    results = sample_forecasts(adapter, BUNDLE, cfg, max_concurrency=1)
+    results = sample_forecasts(adapter, BUNDLE, cfg)
     assert 1 <= len(results) <= 2
     for r in results:
         assert r.values.tolist() == [1.0, 2.0, 3.0]
@@ -125,13 +150,13 @@ def test_mock_from_file_json_and_jsonl(tmp_path):
     p.write_text(json.dumps(["1, 2, 3", "4, 5, 6"]))
     adapter = MockAdapter.from_file(p)
     cfg = DecodingConfig(num_samples=2, max_attempts_per_sample=1)
-    results = sample_forecasts(adapter, BUNDLE, cfg, max_concurrency=1)
+    results = sample_forecasts(adapter, BUNDLE, cfg)
     assert [r.values.tolist() for r in results] == [[1, 2, 3], [4, 5, 6]]
 
     p2 = tmp_path / "r.jsonl"
     p2.write_text('"7, 8, 9"\n"10, 11, 12"\n')
     adapter2 = MockAdapter.from_file(p2)
-    results2 = sample_forecasts(adapter2, BUNDLE, cfg, max_concurrency=1)
+    results2 = sample_forecasts(adapter2, BUNDLE, cfg)
     assert [r.values.tolist() for r in results2] == [[7, 8, 9], [10, 11, 12]]
 
 
@@ -169,6 +194,43 @@ def test_http_adapter_wire_format():
         "top_p": 0.8,
     }
     assert captured["timeout"] == 120.0
+
+
+def test_http_adapter_keeps_one_session_per_thread(monkeypatch):
+    class CountingSession:
+        made = []
+
+        def __init__(self):
+            self.posters = []
+            CountingSession.made.append(self)
+
+        def post(self, url, json=None, headers=None, timeout=None):
+            self.posters.append(threading.current_thread())
+            return type("Response", (), {"status_code": 200, "text": "",
+                                         "json": lambda self: {"choices": [{"message": {"content": "1"}}]}})()
+
+    monkeypatch.setattr(adapters.requests, "Session", CountingSession)
+
+    def call_from_two_threads(adapter):
+        threads = [threading.Thread(target=lambda: [adapter.complete("", "u", DecodingConfig())
+                                                    for _ in range(3)]) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        return threads
+
+    threads = call_from_two_threads(HttpChatAdapter(endpoint="http://x.invalid", model="m"))
+    made = CountingSession.made
+    assert len(made) == 2
+    assert all(s.posters == [s.posters[0]] * 3 for s in made)
+    assert {s.posters[0] for s in made} == set(threads)
+
+    given = _ScriptedSession([200] * 6)
+    CountingSession.made.clear()
+    call_from_two_threads(HttpChatAdapter(endpoint="http://x.invalid", model="m", session=given))
+    assert given.posts == 6 and CountingSession.made == []
 
 
 def test_http_adapter_omits_empty_system_and_raises_on_status(monkeypatch):
