@@ -20,19 +20,11 @@ import json
 import sys
 from pathlib import Path
 
-import yaml
-
-from .config import load_config
+from .config import build_forecaster, build_spec, forecaster_from_dict, load_config, read_yaml
 from .data_io import FunctionSpec, generate_function_series, load_csv, write_csv
-from .errors import CastlabError
+from .errors import CastlabError, ConfigError, SeriesTooShortError
 from .eval import run_last_sample, run_sliding
-from .forecasters import (
-    LastValueForecaster,
-    LinearSingleShotForecaster,
-    PolynomialExtrapolator,
-    SeasonalRepeatForecaster,
-)
-from .linear import LinearModelConfig, fit_single_shot, save_model
+from .linear import VARIANTS, LinearModelConfig, fit_single_shot, save_model
 from .noise import FilterSpec, NoiseSpec, apply_filter, inject_noise
 from .runner import run_experiment
 from .series import ForecastTask, SplitSpec
@@ -66,18 +58,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate_functions(args: argparse.Namespace) -> int:
-    raw = yaml.safe_load(Path(args.specs).read_text(encoding="utf-8"))
-    if not isinstance(raw, list) or not raw:
-        print("specs file must contain a non-empty list of function specs", file=sys.stderr)
-        return 2
+    raw = read_yaml(Path(args.specs))
+    if not (isinstance(raw, list) and raw and all(isinstance(entry, dict) for entry in raw)):
+        raise ConfigError("specs file must contain a non-empty list of function-spec mappings")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for entry in raw:
-        entry = dict(entry)
-        name = entry.pop("name", None) or entry["kind"]
-        spec = FunctionSpec(**entry)
+        fields = dict(entry)
+        name = fields.pop("name", None)
+        spec = build_spec(FunctionSpec, fields, "function spec")
         series = generate_function_series(spec)
-        path = write_csv(series, out_dir / f"{name}.csv")
+        path = write_csv(series, out_dir / f"{name or spec.kind}.csv")
         print(f"wrote {path}")
     return 0
 
@@ -106,25 +97,26 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     return 0
 
 
+def _task(args: argparse.Namespace) -> ForecastTask:
+    return build_spec(ForecastTask, {"input_length": args.input_length,
+                                     "output_length": args.output_length}, "task")
+
+
 def _cmd_fit_linear(args: argparse.Namespace) -> int:
+    config = build_spec(LinearModelConfig, {
+        "variant": args.variant,
+        "loss": args.loss,
+        "learning_rate": args.learning_rate,
+        "max_epochs": args.max_epochs,
+        "patience": args.patience,
+        "decomposition_kernel": args.kernel,
+        "seed": args.seed,
+    }, "linear config")
+    task = _task(args)
     series = load_csv(args.input, layout=args.layout)
     if series.length < args.input_length:
-        print(
-            f"series has {series.length} rows, need input_length={args.input_length}",
-            file=sys.stderr,
-        )
-        return 2
+        raise SeriesTooShortError(f"series has {series.length} rows, need input_length={args.input_length}")
     window = series.segment(series.length - args.input_length, series.length)
-    config = LinearModelConfig(
-        variant=args.variant,
-        loss=args.loss,
-        learning_rate=args.learning_rate,
-        max_epochs=args.max_epochs,
-        patience=args.patience,
-        decomposition_kernel=args.kernel,
-        seed=args.seed,
-    )
-    task = ForecastTask(input_length=args.input_length, output_length=args.output_length)
     model = fit_single_shot(window, task, config)
     save_model(model, args.save)
     stats = model.training_stats
@@ -135,28 +127,22 @@ def _cmd_fit_linear(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_eval_forecaster(args: argparse.Namespace):
-    if args.forecaster in ("dlinear", "rlinear"):
-        return LinearSingleShotForecaster(
-            LinearModelConfig(variant=args.forecaster, seed=args.seed)
-        )
-    if args.forecaster == "last_value":
-        return LastValueForecaster()
-    if args.forecaster == "seasonal_repeat":
-        return SeasonalRepeatForecaster(period=args.period)
-    return PolynomialExtrapolator(degree=args.degree)
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
+    if args.forecaster in VARIANTS:
+        body = {"linear": {"variant": args.forecaster, "seed": args.seed}}
+    else:
+        body = {"baseline": {"type": args.forecaster, "degree": args.degree, "period": args.period}}
+    entry = forecaster_from_dict({"name": args.forecaster, **body}, Path("."))
+    task = _task(args)
+    split = build_spec(SplitSpec, {"test_fraction": args.test_fraction,
+                                   "val_fraction": args.val_fraction}, "split")
     series = load_csv(args.input, layout=args.layout)
-    task = ForecastTask(input_length=args.input_length, output_length=args.output_length)
-    forecaster = _build_eval_forecaster(args)
     runner = run_last_sample if args.protocol == "last_sample" else run_sliding
     report = runner(
         series,
         task,
-        forecaster,
-        split=SplitSpec(test_fraction=args.test_fraction, val_fraction=args.val_fraction),
+        build_forecaster(entry),
+        split=split,
         metric_space=args.metric_space,
         dataset_name=Path(args.input).stem,
     )

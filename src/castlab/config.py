@@ -33,22 +33,40 @@ Schema (see README for a complete annotated example)::
 API keys are never read from the config file; HTTP adapters name an
 environment variable (``api_key_env``) instead. Grid cells run one after
 another, in dataset x forecaster x sweep value x replicate order. Keys the
-schema does not name are ignored.
+schema does not name are ignored, except inside the sections parsed into
+spec classes (function, linear, baseline, decoding, task, split, noise,
+filter). Malformed values raise ConfigError; ``build_forecaster``, the one
+forecaster builder, builds each entry once at load time, so a value a
+constructor rejects fails the config rather than its cells.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from pathlib import Path
 from typing import Any
 
 import yaml
 
 from .data_io import CSV_LAYOUTS, FunctionSpec
-from .errors import ConfigError
-from .eval import METRIC_SPACES, PROTOCOLS
+from .errors import CastlabError, ConfigError
+from .eval import METRIC_SPACES, PROTOCOLS, Forecaster
+from .forecasters import (
+    LastValueForecaster,
+    LinearSingleShotForecaster,
+    LlmPromptForecaster,
+    PolynomialExtrapolator,
+    SeasonalRepeatForecaster,
+)
 from .linear import LinearModelConfig
-from .llm.adapters import _check_responses, read_responses
+from .llm.adapters import (
+    HttpChatAdapter,
+    LlmAdapter,
+    MockAdapter,
+    TranscriptWriter,
+    _check_responses,
+    read_responses,
+)
 from .llm.decode import DecodingConfig
 from .llm.prompts import PROMPT_STYLES
 from .noise import FilterSpec, NoiseSpec
@@ -144,20 +162,70 @@ def _require(mapping: dict, key: str, context: str) -> Any:
     return mapping[key]
 
 
-def _build(cls, payload: dict, context: str):
-    from .errors import CastlabError
+def _checked(value: Any, kind: type, context: str) -> Any:
+    """``value`` if it is a ``kind`` (dict: a mapping), else a ConfigError."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{context} must be a {'mapping' if kind is dict else kind.__name__}")
+    return value
 
+
+def build_spec(make, payload: Any, context: str):
+    """``make(**payload)`` for a spec dataclass, else ``make(payload)``.
+
+    A payload the maker rejects raises ConfigError naming ``context``.
+    """
+    spec = is_dataclass(make)
+    if spec:
+        _checked(payload, dict, context)
     try:
-        return cls(**payload)
+        return make(**payload) if spec else make(payload)
     except (TypeError, ValueError, CastlabError) as exc:
         raise ConfigError(f"bad {context}: {exc}") from None
+
+
+def _build_adapter(cfg: AdapterConfig) -> LlmAdapter:
+    if cfg.type == "mock":
+        return MockAdapter(cfg.responses)
+    return HttpChatAdapter(
+        endpoint=cfg.endpoint,
+        model=cfg.model,
+        api_key_env=cfg.api_key_env,
+        timeout_seconds=cfg.timeout_seconds,
+    )
+
+
+def build_forecaster(
+    cfg: ForecasterConfig, transcript: TranscriptWriter | None = None
+) -> Forecaster:
+    """Fresh forecaster instance for one cell (linear forecasters are stateful)."""
+    if cfg.linear is not None:
+        return LinearSingleShotForecaster(cfg.linear, name=cfg.name)
+    if cfg.baseline is not None:
+        b = cfg.baseline
+        if b.type == "last_value":
+            return LastValueForecaster(name=cfg.name)
+        if b.type == "seasonal_repeat":
+            return SeasonalRepeatForecaster(period=b.period, name=cfg.name)
+        return PolynomialExtrapolator(degree=b.degree, fit_span=b.fit_span, name=cfg.name)
+    assert cfg.llm is not None
+    return LlmPromptForecaster(
+        adapter=_build_adapter(cfg.llm.adapter),
+        style=cfg.llm.style,
+        decoding=cfg.llm.decoding,
+        decimals=cfg.llm.decimals,
+        shots=cfg.llm.shots,
+        transcript=transcript,
+        channel_concurrency=cfg.llm.channel_concurrency,
+        name=cfg.name,
+    )
 
 
 def _dataset_from_dict(d: dict, base_dir: Path) -> DatasetConfig:
     name = _require(d, "name", "dataset entry")
     if "csv" in d:
-        csv = d["csv"]
-        path = Path(_require(csv, "path", f"dataset {name!r} csv"))
+        where = f"dataset {name!r} csv"
+        csv = _checked(d["csv"], dict, where)
+        path = build_spec(Path, _require(csv, "path", where), f"{where} path")
         if not path.is_absolute():
             path = base_dir / path
         layout = csv.get("layout", "plain")
@@ -167,7 +235,7 @@ def _dataset_from_dict(d: dict, base_dir: Path) -> DatasetConfig:
             raise ConfigError(f"dataset {name!r}: file not found: {path}")
         return DatasetConfig(name=name, csv_path=path, csv_layout=layout)
     if "function" in d:
-        spec = _build(FunctionSpec, dict(d["function"]), f"dataset {name!r} function spec")
+        spec = build_spec(FunctionSpec, d["function"], f"dataset {name!r} function spec")
         return DatasetConfig(name=name, function=spec)
     raise ConfigError(f"dataset {name!r} needs either a 'csv' or 'function' source")
 
@@ -186,7 +254,7 @@ def _adapter_from_dict(d: dict, base_dir: Path) -> AdapterConfig:
             if fixture is None:
                 responses = _check_responses(responses, "inline mock 'responses'")
             else:
-                path = Path(fixture)
+                path = build_spec(Path, fixture, "mock fixture")
                 if not path.is_absolute():
                     path = base_dir / path
                 if not path.exists():
@@ -197,82 +265,75 @@ def _adapter_from_dict(d: dict, base_dir: Path) -> AdapterConfig:
         return AdapterConfig(type="mock", responses=tuple(responses))
     if "api_key" in d:
         raise ConfigError("API keys belong in the environment, not in config files; use api_key_env")
-    endpoint = _require(d, "endpoint", "http adapter")
-    model = _require(d, "model", "http adapter")
     return AdapterConfig(
         type="http",
-        endpoint=endpoint,
-        model=model,
+        endpoint=_require(d, "endpoint", "http adapter"),
+        model=_require(d, "model", "http adapter"),
         api_key_env=d.get("api_key_env", "OPENAI_API_KEY"),
-        timeout_seconds=float(d.get("timeout_seconds", 120.0)),
+        timeout_seconds=build_spec(float, d.get("timeout_seconds", 120.0),
+                                   "http adapter timeout_seconds"),
     )
 
 
-def _forecaster_from_dict(d: dict, base_dir: Path) -> ForecasterConfig:
+def forecaster_from_dict(d: dict, base_dir: Path) -> ForecasterConfig:
+    """Validate one forecaster entry, building the forecaster once to check its values."""
     name = _require(d, "name", "forecaster entry")
+    where = f"forecaster {name!r}"
     kinds = [k for k in ("linear", "llm", "baseline") if k in d]
     if len(kinds) != 1:
-        raise ConfigError(
-            f"forecaster {name!r} needs exactly one of 'linear', 'llm', 'baseline'"
-        )
-    kind = kinds[0]
-    if kind == "linear":
-        cfg = _build(LinearModelConfig, dict(d["linear"]), f"forecaster {name!r} linear config")
-        return ForecasterConfig(name=name, linear=cfg)
-    if kind == "baseline":
-        b = dict(d["baseline"])
-        btype = _require(b, "type", f"forecaster {name!r} baseline")
-        if btype not in BASELINE_TYPES:
+        raise ConfigError(f"{where} needs exactly one of 'linear', 'llm', 'baseline'")
+    if "linear" in d:
+        cfg = ForecasterConfig(name=name, linear=build_spec(
+            LinearModelConfig, d["linear"], f"{where} linear config"))
+    elif "baseline" in d:
+        baseline = build_spec(BaselineConfig, d["baseline"], f"{where} baseline")
+        if baseline.type not in BASELINE_TYPES:
             raise ConfigError(f"baseline type must be one of {BASELINE_TYPES}")
-        baseline = _build(BaselineConfig, b, f"forecaster {name!r} baseline")
-        return ForecasterConfig(name=name, baseline=baseline)
-    llm = dict(d["llm"])
-    if llm.get("multi_turn"):
-        raise ConfigError(f"forecaster {name!r}: 'multi_turn' is no longer supported; remove the key")
-    style = llm.get("style", "llmtime_chat")
-    if style not in PROMPT_STYLES:
-        raise ConfigError(f"forecaster {name!r}: style must be one of {PROMPT_STYLES}")
-    decoding = _build(DecodingConfig, dict(llm.get("decoding", {})), f"forecaster {name!r} decoding")
-    adapter = _adapter_from_dict(dict(_require(llm, "adapter", f"forecaster {name!r}")), base_dir)
-    return ForecasterConfig(
-        name=name,
-        llm=LlmForecasterConfig(
+        cfg = ForecasterConfig(name=name, baseline=baseline)
+    else:
+        llm = _checked(d["llm"], dict, f"{where} llm")
+        if llm.get("multi_turn"):
+            raise ConfigError(f"{where}: 'multi_turn' is no longer supported; remove the key")
+        style = llm.get("style", "llmtime_chat")
+        if style not in PROMPT_STYLES:
+            raise ConfigError(f"{where}: style must be one of {PROMPT_STYLES}")
+        adapter = _checked(_require(llm, "adapter", where), dict, f"{where} adapter")
+        cfg = ForecasterConfig(name=name, llm=LlmForecasterConfig(
             style=style,
-            decoding=decoding,
-            adapter=adapter,
-            decimals=int(llm.get("decimals", 0)),
-            shots=int(llm.get("shots", 3)),
-            channel_concurrency=int(llm.get("channel_concurrency", 1)),
-        ),
-    )
+            decoding=build_spec(DecodingConfig, llm.get("decoding", {}), f"{where} decoding"),
+            adapter=_adapter_from_dict(adapter, base_dir),
+            decimals=build_spec(int, llm.get("decimals", 0), f"{where} decimals"),
+            shots=build_spec(int, llm.get("shots", 3), f"{where} shots"),
+            channel_concurrency=build_spec(int, llm.get("channel_concurrency", 1),
+                                           f"{where} channel_concurrency"),
+        ))
+    build_spec(build_forecaster, cfg, where).close()
+    return cfg
 
 
 def config_from_dict(raw: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     """Validate a parsed config mapping into an ExperimentConfig."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
+    _checked(raw, dict, "config root")
     base_dir = Path(base_dir)
 
-    datasets = [ _dataset_from_dict(dict(d), base_dir) for d in _require(raw, "datasets", "config") ]
+    datasets = [_dataset_from_dict(_checked(d, dict, "dataset entry"), base_dir)
+                for d in _checked(_require(raw, "datasets", "config"), list, "datasets")]
     if not datasets:
         raise ConfigError("at least one dataset is required")
     names = [d.name for d in datasets]
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate dataset names: {names}")
 
-    forecasters = [
-        _forecaster_from_dict(dict(f), base_dir) for f in _require(raw, "forecasters", "config")
-    ]
+    forecasters = [forecaster_from_dict(_checked(f, dict, "forecaster entry"), base_dir)
+                   for f in _checked(_require(raw, "forecasters", "config"), list, "forecasters")]
     if not forecasters:
         raise ConfigError("at least one forecaster is required")
     fnames = [f.name for f in forecasters]
     if len(set(fnames)) != len(fnames):
         raise ConfigError(f"duplicate forecaster names: {fnames}")
 
-    task_raw = dict(_require(raw, "task", "config"))
-    task = _build(ForecastTask, task_raw, "task")
-
-    split = _build(SplitSpec, dict(raw.get("split", {})), "split")
+    task = build_spec(ForecastTask, _require(raw, "task", "config"), "task")
+    split = build_spec(SplitSpec, raw.get("split", {}), "split")
 
     protocol = raw.get("protocol", "last_sample")
     if protocol not in PROTOCOLS:
@@ -283,30 +344,31 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> ExperimentConfig:
 
     noise = None
     if raw.get("noise") is not None:
-        noise = _build(NoiseSpec, dict(raw["noise"]), "noise spec")
+        noise = build_spec(NoiseSpec, raw["noise"], "noise spec")
     noise_filter = None
     if raw.get("filter") is not None:
-        noise_filter = _build(FilterSpec, dict(raw["filter"]), "filter spec")
+        noise_filter = build_spec(FilterSpec, raw["filter"], "filter spec")
 
     sweep = None
     if raw.get("sweep") is not None:
-        s = dict(raw["sweep"])
+        s = _checked(raw["sweep"], dict, "sweep")
         parameter = _require(s, "parameter", "sweep")
         if parameter not in SWEEPABLE_PARAMETERS:
             raise ConfigError(f"sweep parameter must be one of {SWEEPABLE_PARAMETERS}")
         if noise is None:
             raise ConfigError("a sweep over noise parameters requires a 'noise' section")
-        values = tuple(float(v) for v in _require(s, "values", "sweep"))
+        values = tuple(build_spec(float, v, "sweep value")
+                       for v in _checked(_require(s, "values", "sweep"), list, "sweep values"))
         if not values:
             raise ConfigError("sweep values must be non-empty")
-        replicates = int(s.get("replicates", 1))
+        replicates = build_spec(int, s.get("replicates", 1), "sweep replicates")
         if replicates < 1:
             raise ConfigError("sweep replicates must be >= 1")
         sweep = SweepConfig(parameter=parameter, values=values, replicates=replicates)
 
     # dataset/fixture paths resolve against the config file; outputs against the
     # working directory, so a config bundle stays relocatable
-    output_dir = Path(raw.get("output_dir", "results"))
+    output_dir = build_spec(Path, raw.get("output_dir", "results"), "output_dir")
 
     return ExperimentConfig(
         datasets=tuple(datasets),
@@ -322,6 +384,16 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     )
 
 
+def read_yaml(path: Path) -> Any:
+    """The parsed YAML file; a missing or malformed file raises ConfigError."""
+    if not path.exists():
+        raise ConfigError(f"file not found: {path}")
+    try:
+        return yaml.safe_load(path.read_text(encoding="utf-8"))
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from None
+
+
 def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentConfig:
     """Load and validate a YAML experiment config.
 
@@ -329,13 +401,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
     top-level fields before validation; used by CLI flags.
     """
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    try:
-        raw = yaml.safe_load(p.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse {p}: {exc}") from None
-    if overrides:
-        raw = dict(raw or {})
-        raw.update({k: v for k, v in overrides.items() if v is not None})
+    raw = read_yaml(p)
+    if overrides and isinstance(raw, dict):
+        raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
     return config_from_dict(raw, base_dir=p.parent)

@@ -168,6 +168,8 @@ class LlmPromptForecaster(Forecaster):
         channel_concurrency: int = 1,
         name: str | None = None,
     ):
+        if channel_concurrency < 1:
+            raise ValueError("channel_concurrency must be >= 1")
         self.adapter = adapter
         self.style = style
         self.decoding = decoding or DecodingConfig()
@@ -175,12 +177,11 @@ class LlmPromptForecaster(Forecaster):
         self.scaling = scaling
         self.shots = shots
         self.transcript = transcript
-        self.channel_concurrency = max(1, channel_concurrency)
+        self.channel_concurrency = channel_concurrency
         self.name = name or style
-        concurrency = self.channel_concurrency
-        self._channel_pool = ThreadPoolExecutor(concurrency) if concurrency > 1 else None
+        self._channel_pool = ThreadPoolExecutor(channel_concurrency) if channel_concurrency > 1 else None
         # a channel's thread runs its sample 0 itself and hands the rest to the sample pool
-        extra = concurrency * (self.decoding.num_samples - 1)
+        extra = channel_concurrency * (self.decoding.num_samples - 1)
         self._sample_pool = ThreadPoolExecutor(extra) if extra > 0 else None
 
     def _predict_channel(self, values: np.ndarray, horizon: int, channel: int) -> np.ndarray:

@@ -30,12 +30,13 @@ from .errors import (
     ShapeMismatchError,
 )
 from .series import ForecastTask, TimeSeries
-from .windowing import _partition_blocks, make_windows, plan_windows
+from .windowing import make_windows, plan_windows, train_val_partition
 
 VARIANTS = ("dlinear", "rlinear")
 LOSSES = ("l1", "l2")
 
 INSTANCE_NORM_EPS = 1e-8
+VAL_FRACTION = 0.2  # share of each channel's latest offsets that validates
 MODEL_FORMAT_VERSION = 1
 
 
@@ -257,15 +258,14 @@ def fit_single_shot(
     input_sequence: TimeSeries,
     task: ForecastTask,
     config: LinearModelConfig,
-    val_fraction: float = 0.2,
 ) -> FittedLinearModel:
     """Fit a linear model on the windows of one input sequence.
 
     Full-batch gradient descent on the train windows; the chronologically
-    latest fraction of offsets per channel validates. Training stops after
-    ``max_epochs`` or once validation loss has failed to improve for more
-    than ``patience`` consecutive epochs; the best-validation parameters are
-    returned, with the train and validation losses measured at them.
+    latest ``VAL_FRACTION`` of offsets per channel validates. Training stops
+    after ``max_epochs`` or once validation loss has failed to improve for
+    more than ``patience`` consecutive epochs; the best-validation parameters
+    are returned, with the train and validation losses measured at them.
 
     Descent on ``theta`` runs as descent on ``phi``: with ``g`` the gradient
     in ``phi``, an epoch adds ``lr * g`` to a sum ``r`` and steps ``phi -= lr
@@ -276,13 +276,12 @@ def fit_single_shot(
     plan = plan_windows(task, input_sequence.channels)
     kernel = config.decomposition_kernel
     mixing = _mixing(config.variant, plan.inner_input, kernel)
-    windows = make_windows(input_sequence, plan)
     # the inputs are copied once more, into X̃; the targets into one block each
-    train, val = _partition_blocks(windows, val_fraction)
-    train_design = _design(train["inputs"], config.variant)
-    val_design = _design(val["inputs"], config.variant)
-    train_targets = train["targets"].reshape(-1, plan.inner_output)
-    val_targets = val["targets"].reshape(-1, plan.inner_output)
+    train, val = train_val_partition(make_windows(input_sequence, plan), VAL_FRACTION)
+    train_design = _design(train.inputs, config.variant)
+    val_design = _design(val.inputs, config.variant)
+    train_targets = train.targets.reshape(-1, plan.inner_output)
+    val_targets = val.targets.reshape(-1, plan.inner_output)
     if config.loss == "l2":
         matrix, shift = train_design
         factor = 2.0 / train_targets.size

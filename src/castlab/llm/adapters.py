@@ -63,34 +63,22 @@ def _check_responses(responses: Any, source: str) -> list[str]:
 class MockAdapter(LlmAdapter):
     """Deterministic scripted adapter for offline runs.
 
-    Responses are consumed in order under a lock; by default the script
-    cycles when exhausted. With concurrent callers the response-to-caller
-    assignment follows acquisition order, so per-call pairing can vary with
-    scheduling while the consumed multiset stays fixed.
+    Responses are consumed in order under a lock, cycling through the script.
+    With concurrent callers the response-to-caller assignment follows
+    acquisition order, so per-call pairing can vary with scheduling while the
+    consumed multiset stays fixed.
     """
 
-    def __init__(self, responses: Sequence[str], cycle: bool = True):
+    def __init__(self, responses: Sequence[str]):
         if not responses:
             raise ValueError("MockAdapter needs at least one scripted response")
         self._responses = list(responses)
-        self._cycle = cycle
         self._lock = threading.Lock()
-        self._index = 0
         self.calls = 0
-
-    @classmethod
-    def from_file(cls, path: str | Path, cycle: bool = True) -> "MockAdapter":
-        """Load scripted responses from a JSON array (.json) or JSON-lines file."""
-        return cls(read_responses(path), cycle=cycle)
 
     def complete(self, system_text: str, user_text: str, config: DecodingConfig) -> str:
         with self._lock:
-            if self._index >= len(self._responses):
-                if not self._cycle:
-                    raise AdapterError(None, "mock script exhausted")
-                self._index = 0
-            response = self._responses[self._index]
-            self._index += 1
+            response = self._responses[self.calls % len(self._responses)]
             self.calls += 1
         return response
 

@@ -36,6 +36,8 @@ PROMPT_STYLES = (
     "ts_incontext",
 )
 
+SCALING_TARGET = 10.0  # derived scalings map the 90th percentile of |values| here
+
 STANDARD_SYSTEM_TEXT = (
     "You are a helpful assistant that performs time series predictions. "
     "The user will provide a sequence and you will predict the remaining sequence. "
@@ -78,15 +80,13 @@ class ScalingConfig:
             raise ValueError("decimals must be >= 0")
 
     @classmethod
-    def from_values(
-        cls, values: Sequence[float] | np.ndarray, decimals: int = 0, target: float = 10.0
-    ) -> "ScalingConfig":
-        """Scale so the 90th percentile of |values| maps to ``target``; offset 0."""
+    def from_values(cls, values: Sequence[float] | np.ndarray, decimals: int = 0) -> "ScalingConfig":
+        """Scale so the 90th percentile of |values| maps to ``SCALING_TARGET``; offset 0."""
         arr = np.asarray(values, dtype=np.float64).ravel()
         if arr.size == 0:
             raise EmptyInputError("cannot derive scaling from an empty sequence")
         q = float(np.percentile(np.abs(arr), 90.0))
-        scale = q / target if q > 0.0 else 1.0
+        scale = q / SCALING_TARGET if q > 0.0 else 1.0
         return cls(offset=0.0, scale=scale, decimals=decimals)
 
     def transform(self, values: np.ndarray) -> np.ndarray:

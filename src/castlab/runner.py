@@ -29,28 +29,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    AdapterConfig,
-    DatasetConfig,
-    ExperimentConfig,
-    ForecasterConfig,
-)
+from .config import DatasetConfig, ExperimentConfig, ForecasterConfig, build_forecaster
 from .data_io import generate_function_series, load_csv
-from .eval import (
-    EvalReport,
-    Forecaster,
-    compare_cost_families,
-    run_last_sample,
-    run_sliding,
-)
-from .forecasters import (
-    LastValueForecaster,
-    LinearSingleShotForecaster,
-    LlmPromptForecaster,
-    PolynomialExtrapolator,
-    SeasonalRepeatForecaster,
-)
-from .llm.adapters import HttpChatAdapter, LlmAdapter, MockAdapter, TranscriptWriter
+from .eval import EvalReport, compare_cost_families, run_last_sample, run_sliding
+from .llm.adapters import TranscriptWriter
 from .noise import NoiseSpec
 from .series import TimeSeries
 
@@ -98,43 +80,6 @@ class ExperimentResult:
     summary_path: Path
     manifest_path: Path
     cost_lines: list[str]
-
-
-def _build_adapter(cfg: AdapterConfig) -> LlmAdapter:
-    if cfg.type == "mock":
-        return MockAdapter(cfg.responses)
-    return HttpChatAdapter(
-        endpoint=cfg.endpoint,
-        model=cfg.model,
-        api_key_env=cfg.api_key_env,
-        timeout_seconds=cfg.timeout_seconds,
-    )
-
-
-def build_forecaster(
-    cfg: ForecasterConfig, transcript: TranscriptWriter | None = None
-) -> Forecaster:
-    """Fresh forecaster instance for one cell (linear forecasters are stateful)."""
-    if cfg.linear is not None:
-        return LinearSingleShotForecaster(cfg.linear, name=cfg.name)
-    if cfg.baseline is not None:
-        b = cfg.baseline
-        if b.type == "last_value":
-            return LastValueForecaster(name=cfg.name)
-        if b.type == "seasonal_repeat":
-            return SeasonalRepeatForecaster(period=b.period, name=cfg.name)
-        return PolynomialExtrapolator(degree=b.degree, fit_span=b.fit_span, name=cfg.name)
-    assert cfg.llm is not None
-    return LlmPromptForecaster(
-        adapter=_build_adapter(cfg.llm.adapter),
-        style=cfg.llm.style,
-        decoding=cfg.llm.decoding,
-        decimals=cfg.llm.decimals,
-        shots=cfg.llm.shots,
-        transcript=transcript,
-        channel_concurrency=cfg.llm.channel_concurrency,
-        name=cfg.name,
-    )
 
 
 def _load_dataset(cfg: DatasetConfig) -> TimeSeries:

@@ -2,8 +2,9 @@
 
 One input sequence of length I is carved, channel-independently and with
 stride 1, into K = d * (I - (I' + O') + 1) (input, target) pairs of inner
-lengths I' and O'. Channels are flattened into the sample axis, so a
-multivariate sequence contributes d blocks of identical offsets.
+lengths I' and O'. The pairs are kept in channel blocks: entry ``[c, s]``
+of the inputs and of the targets is the pair of channel c that starts at
+offset s.
 """
 
 from __future__ import annotations
@@ -32,59 +33,60 @@ class WindowPlan:
     """
 
     outer_input: int
-    outer_output: int
     inner_input: int
     inner_output: int
     channels: int
-    window_count: int
 
     def __post_init__(self):
         if self.inner_input < 1 or self.inner_output < 1:
             raise ValueError("inner window lengths must be >= 1")
         if self.inner_input + self.inner_output > self.outer_input:
             raise ValueError("inner_input + inner_output must not exceed outer_input")
-        expected = window_count(
-            self.channels, self.outer_input, self.inner_input, self.inner_output
-        )
-        if self.window_count != expected:
-            raise ValueError(f"window_count {self.window_count} != formula value {expected}")
 
     @property
     def offsets_per_channel(self) -> int:
         return self.outer_input - (self.inner_input + self.inner_output) + 1
 
+    @property
+    def window_count(self) -> int:
+        return window_count(self.channels, self.outer_input, self.inner_input, self.inner_output)
 
-_FIELDS = ("inputs", "targets", "channel_index", "start_offset")
+
+def _read_only(arr) -> np.ndarray:
+    """``arr`` when no writeable array can change its values, else a read-only copy."""
+    arr = np.asarray(arr)
+    owner = arr
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    if owner is not None:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
 class WindowSet:
-    """Flattened channel-independent training samples.
+    """Channel-independent training windows in channel blocks.
 
-    Row r holds the input slice, its immediately following target slice, and
-    the (channel, start offset) it came from in the source sequence. Arrays
-    handed in are copied unless they are read-only and own their data.
+    ``inputs`` has shape (channels, offsets, I') and ``targets`` (channels,
+    offsets, O'); ``targets[c, s]`` immediately follows ``inputs[c, s]`` in
+    channel c. Arrays handed in are copied unless they are read-only and no
+    writeable array shares their memory.
     """
 
     inputs: np.ndarray
     targets: np.ndarray
-    channel_index: np.ndarray
-    start_offset: np.ndarray
 
     def __post_init__(self):
-        for name in _FIELDS:
-            arr = np.asarray(getattr(self, name))
-            if arr.flags.writeable or arr.base is not None:
-                arr = arr.copy()
-                arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        k = self.inputs.shape[0]
-        if not (self.targets.shape[0] == self.channel_index.shape[0] == self.start_offset.shape[0] == k):
-            raise ShapeMismatchError("window-set arrays disagree on row count")
+        object.__setattr__(self, "inputs", _read_only(self.inputs))
+        object.__setattr__(self, "targets", _read_only(self.targets))
+        if self.inputs.ndim != 3 or self.targets.ndim != 3 or self.inputs.shape[:2] != self.targets.shape[:2]:
+            raise ShapeMismatchError("window blocks must be (channels, offsets, length) and agree on both")
 
     @property
     def size(self) -> int:
-        return self.inputs.shape[0]
+        """K, the number of (input, target) pairs."""
+        return self.inputs.shape[0] * self.inputs.shape[1]
 
 
 def plan_windows(task: ForecastTask, channels: int) -> WindowPlan:
@@ -112,19 +114,17 @@ def plan_windows(task: ForecastTask, channels: int) -> WindowPlan:
         raise TooFewWindowsError(f"window count K={k} < 2")
     return WindowPlan(
         outer_input=task.input_length,
-        outer_output=task.output_length,
         inner_input=inner_input,
         inner_output=inner_output,
         channels=channels,
-        window_count=k,
     )
 
 
 def make_windows(input_sequence: TimeSeries, plan: WindowPlan) -> WindowSet:
-    """Enumerate every stride-1 window of every channel, channel-major.
+    """Enumerate every stride-1 window of every channel.
 
-    Channel c contributes rows for start offsets 0 .. I - (I' + O'), each row
-    pairing ``values[s : s+I', c]`` with ``values[s+I' : s+I'+O', c]``.
+    ``inputs[c, s]`` is ``values[s : s+I', c]`` and ``targets[c, s]`` is
+    ``values[s+I' : s+I'+O', c]``, for offsets s = 0 .. I - (I' + O').
     """
     if input_sequence.length != plan.outer_input or input_sequence.channels != plan.channels:
         raise ShapeMismatchError(
@@ -132,49 +132,29 @@ def make_windows(input_sequence: TimeSeries, plan: WindowPlan) -> WindowSet:
             f"plan (I={plan.outer_input}, d={plan.channels})"
         )
     span = plan.inner_input + plan.inner_output
-    offsets = plan.offsets_per_channel
     # (channels, offsets, span): every window of every channel, as a view
     spans = sliding_window_view(input_sequence.values, span, axis=0).transpose(1, 0, 2)
-    inputs = np.empty((plan.window_count, plan.inner_input))
-    targets = np.empty((plan.window_count, plan.inner_output))
-    inputs.reshape(plan.channels, offsets, -1)[...] = spans[..., : plan.inner_input]
-    targets.reshape(plan.channels, offsets, -1)[...] = spans[..., plan.inner_input :]
+    inputs = spans[..., : plan.inner_input].copy()
+    targets = spans[..., plan.inner_input :].copy()
     inputs.setflags(write=False)
     targets.setflags(write=False)
-    return WindowSet(
-        inputs=inputs,
-        targets=targets,
-        channel_index=np.repeat(np.arange(plan.channels), offsets),
-        start_offset=np.tile(np.arange(offsets), plan.channels),
-    )
+    return WindowSet(inputs=inputs, targets=targets)
 
 
-def _partition_blocks(ws: WindowSet, val_fraction: float) -> tuple[dict, dict]:
-    """Train and validation views of ``ws``'s arrays, each shaped (channels, offsets, ...).
+def train_val_partition(ws: WindowSet, val_fraction: float) -> tuple[WindowSet, WindowSet]:
+    """Split ``ws`` into read-only views: the latest offsets of each channel validate.
 
-    The chronologically latest offsets of each channel validate, which keeps
-    overlapping windows from leaking across the split.
+    Splitting by offset keeps overlapping windows from leaking across the
+    split; ``ceil(val_fraction * offsets)`` offsets validate.
     """
     if not 0.0 < val_fraction < 1.0:
         raise ValueError("val_fraction must lie in (0, 1)")
-    offsets = int(ws.start_offset.max()) + 1 if ws.size else 0
+    offsets = ws.inputs.shape[1]
     val_count = _round_fraction(offsets, val_fraction, math.ceil)
     train_count = offsets - val_count
     if train_count < 1 or val_count < 1:
         raise TooFewWindowsError(
             f"{offsets} offsets cannot split into train={train_count}, val={val_count}"
         )
-    channels = ws.size // offsets
-    if not np.array_equal(ws.start_offset, np.tile(np.arange(offsets), channels)):
-        raise ShapeMismatchError("windows are not in make_windows' channel-major layout")
-    arrays = {name: getattr(ws, name) for name in _FIELDS}
-    blocks = {name: a.reshape(channels, offsets, *a.shape[1:]) for name, a in arrays.items()}
-    return ({name: b[:, :train_count] for name, b in blocks.items()},
-            {name: b[:, train_count:] for name, b in blocks.items()})
-
-
-def train_val_partition(ws: WindowSet, val_fraction: float) -> tuple[WindowSet, WindowSet]:
-    """Split windows laid out by ``make_windows``: the latest offsets of each channel validate."""
-    train, val = (WindowSet(**{name: b.reshape(-1, *b.shape[2:]) for name, b in part.items()})
-                  for part in _partition_blocks(ws, val_fraction))
-    return train, val
+    return (WindowSet(ws.inputs[:, :train_count], ws.targets[:, :train_count]),
+            WindowSet(ws.inputs[:, train_count:], ws.targets[:, train_count:]))

@@ -44,7 +44,7 @@ cfg = config_from_dict({
                         "type": "mock", "responses": [", ".join(["1"] * 10)]}}}],
 }, base_dir=".")
 result = runner.run_experiment(cfg)
-print(json.dumps({"status": result.status,
+print(json.dumps({"status": result.status, "counts": tracer.counts,
                   "calls": {name: span[0] for name, span in tracer.spans.items()}}))
 """
 
@@ -64,3 +64,7 @@ def test_tracer_records_every_layer_on_a_sliding_csv_grid(tmp_path):
         assert out["calls"].get(span, 0) >= 1, (span, out["calls"])
     # the cells share one load, through the name the tracer patches
     assert out["calls"].get("data_io.load_csv") == 1, out["calls"]
+    # 6 sliding windows, each fit on K = 2 * (40 - 10 + 1) pairs: a count of
+    # pairs, so a window set whose size counted values would fail here
+    assert out["counts"]["windowing.windows"] == 6 * 62, out["counts"]
+    assert out["counts"]["linear.fits"] == 6, out["counts"]

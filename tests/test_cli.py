@@ -1,5 +1,7 @@
 import json
+
 import numpy as np
+import pytest
 import yaml
 
 from castlab import load_csv, load_model, validate_series, write_csv
@@ -70,7 +72,7 @@ def test_eval_prints_report(tmp_path, capsys):
     ])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["forecaster_name"] == "last-value"
+    assert report["forecaster_name"] == "last_value"
     assert report["protocol"] == "last_sample"
     assert report["mae"] >= 0.0
 
@@ -123,3 +125,77 @@ def test_run_full_cycle(tmp_path):
     cfg_path.write_text(yaml.safe_dump(config))
     assert main(["run", str(cfg_path)]) == 0
     assert (tmp_path / "out" / "summary.csv").exists()
+
+
+def _llm_entry(**fields):
+    return {"name": "llm", "llm": {"adapter": {"type": "mock", "responses": ["1"]}, **fields}}
+
+
+_HTTP = {"type": "http", "endpoint": "http://localhost:9/v1", "model": "m", "timeout_seconds": "fast"}
+
+# (config changes, or a whole non-mapping root; substrings stderr must name)
+_BAD_CONFIGS = {
+    "channel-concurrency-many": ({"forecasters": [_llm_entry(channel_concurrency="many")]},
+                                 ["channel_concurrency"]),
+    "timeout-fast": ({"forecasters": [_llm_entry(adapter=_HTTP)]}, ["timeout_seconds"]),
+    "linear-without-body": ({"forecasters": [{"name": "lin", "linear": None}]}, ["'lin'", "linear"]),
+    "root-is-a-list": (["datasets", "forecasters"], ["config root"]),
+    "output-dir-5": ({"output_dir": 5}, ["output_dir"]),
+    "csv-path-5": ({"datasets": [{"name": "c", "csv": {"path": 5}}]}, ["'c'", "csv path"]),
+    "fixture-5": ({"forecasters": [_llm_entry(adapter={"type": "mock", "fixture": 5})]}, ["mock fixture"]),
+    "sweep-value-x": ({"noise": {"kind": "gaussian", "sigma": 0.0},
+                       "sweep": {"parameter": "noise.sigma", "values": [0.1, "x"]}}, ["sweep value"]),
+    # values only a forecaster's constructor rejects
+    "period-0": ({"forecasters": [{"name": "season", "baseline": {"type": "seasonal_repeat",
+                                                                   "period": 0}}]}, ["'season'", "period"]),
+    "degree-0": ({"forecasters": [{"name": "poly", "baseline": {"type": "polynomial", "degree": 0}}]},
+                 ["'poly'", "degree"]),
+    "fit-span-at-degree": ({"forecasters": [{"name": "poly", "baseline": {
+        "type": "polynomial", "degree": 4, "fit_span": 4}}]}, ["'poly'", "fit_span"]),
+    "channel-concurrency-0": ({"forecasters": [_llm_entry(channel_concurrency=0)]},
+                              ["'llm'", "channel_concurrency"]),
+}
+
+
+@pytest.mark.parametrize("changes,named", _BAD_CONFIGS.values(), ids=_BAD_CONFIGS.keys())
+def test_dry_run_rejects_each_bad_value_by_name(tmp_path, capsys, changes, named):
+    config = changes if isinstance(changes, list) else {
+        "task": {"input_length": 20, "output_length": 5},
+        "datasets": [{"name": "sine", "function": {"kind": "sine", "length": 80}}],
+        "forecasters": [{"name": "naive", "baseline": {"type": "last_value"}}],
+        **changes,
+    }
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(yaml.safe_dump(config))
+    assert main(["run", str(cfg_path), "--dry-run"]) == 2
+    captured = capsys.readouterr()
+    assert "config OK" not in captured.out
+    for name in named:
+        assert name in captured.err
+
+
+_EVAL = ["eval", "--input", "{csv}", "--output-length", "6"]
+_GENERATE = ["generate-functions", "{specs}", "{tmp}/fns"]
+_BAD_ARGS = {
+    "eval-period-0": (_EVAL + ["--input-length", "24", "--forecaster", "seasonal_repeat",
+                               "--period", "0"], None),
+    "eval-degree-0": (_EVAL + ["--input-length", "24", "--forecaster", "polynomial",
+                               "--degree", "0"], None),
+    "eval-test-fraction-1.5": (_EVAL + ["--input-length", "24", "--test-fraction", "1.5"], None),
+    "eval-input-length-0": (_EVAL + ["--input-length", "0"], None),
+    "fit-linear-kernel-4": (["fit-linear", "--input", "{csv}", "--input-length", "64",
+                             "--output-length", "16", "--kernel", "4", "--save", "{tmp}/m.json"], None),
+    "function-without-kind": (_GENERATE, [{"name": "nameless", "length": 64}]),
+    "function-unknown-key": (_GENERATE, [{"kind": "sine", "wavelength": 3}]),
+    "function-bare-string": (_GENERATE, ["sine"]),
+    "specs-not-yaml": (_GENERATE, "- {kind: sine"),
+}
+
+
+@pytest.mark.parametrize("argv,specs", _BAD_ARGS.values(), ids=_BAD_ARGS.keys())
+def test_bad_cli_input_is_an_error_not_a_traceback(tmp_path, capsys, argv, specs):
+    (tmp_path / "specs.yaml").write_text(specs if isinstance(specs, str) else yaml.safe_dump(specs))
+    paths = {"csv": _write_series(tmp_path), "specs": tmp_path / "specs.yaml", "tmp": tmp_path}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err, err

@@ -108,7 +108,7 @@ def test_llm_forecaster_channel_independent():
 
 
 def test_llm_forecaster_median_aggregation():
-    adapter = MockAdapter(["1, 1, 1", "3, 3, 3", "100, 100, 100"], cycle=False)
+    adapter = MockAdapter(["1, 1, 1", "3, 3, 3", "100, 100, 100"])
     f = LlmPromptForecaster(
         adapter,
         decoding=DecodingConfig(num_samples=3, max_attempts_per_sample=1),

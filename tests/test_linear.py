@@ -87,6 +87,11 @@ def _reference_loss_and_gradients(params, windows, targets, variant, loss, kerne
     return float(value), _unpack(matrix.T @ (dpred * scale), variant)
 
 
+def _rows(ws):
+    """The (inputs, targets) of a window set as rows, channel by channel."""
+    return ws.inputs.reshape(-1, ws.inputs.shape[-1]), ws.targets.reshape(-1, ws.targets.shape[-1])
+
+
 def _reference_predict(model, context, horizon):
     """Autoregressive blocks of ``_reference_forward``, as ``predict`` made them before."""
     params = dict(model.weights, bias=model.bias)
@@ -203,7 +208,7 @@ def test_gradient_check(variant, loss):
 # -- fitting -------------------------------------------------------------
 
 
-def _reference_fit(series, task, cfg, val_fraction=0.2):
+def _reference_fit(series, task, cfg):
     """The per-epoch direct-gradient loop on explicit features that the phi-space fit replaced.
 
     Every epoch recomputes the features and the full-batch gradient through
@@ -211,17 +216,15 @@ def _reference_fit(series, task, cfg, val_fraction=0.2):
     weights.
     """
     plan = plan_windows(task, series.channels)
-    train, val = train_val_partition(make_windows(series, plan), val_fraction)
+    train, val = map(_rows, train_val_partition(make_windows(series, plan), 0.2))
     params = _init_params(cfg.variant, plan.inner_input, plan.inner_output, cfg.seed)
     kernel = cfg.decomposition_kernel
     best, best_val, best_epoch, bad_epochs, epochs_run = params, np.inf, 0, 0, 0
     for epoch in range(1, cfg.max_epochs + 1):
         epochs_run = epoch
-        _, grads = _reference_loss_and_gradients(params, train.inputs, train.targets, cfg.variant,
-                                                 cfg.loss, kernel)
+        _, grads = _reference_loss_and_gradients(params, *train, cfg.variant, cfg.loss, kernel)
         params = {name: params[name] - cfg.learning_rate * grads[name] for name in params}
-        val_loss, _ = _reference_loss_and_gradients(params, val.inputs, val.targets, cfg.variant,
-                                                    cfg.loss, kernel)
+        val_loss, _ = _reference_loss_and_gradients(params, *val, cfg.variant, cfg.loss, kernel)
         if val_loss < best_val:
             best, best_val, best_epoch, bad_epochs = params, val_loss, epoch, 0
         else:
@@ -319,9 +322,10 @@ def test_train_loss_is_measured_at_the_returned_weights(variant, loss):
                             decomposition_kernel=5, seed=2)
     model = fit_single_shot(series, task, cfg)
     train, _ = train_val_partition(make_windows(series, plan_windows(task, 2)), 0.2)
+    inputs, targets = _rows(train)
     params = dict(model.weights, bias=model.bias)
-    pred = _reference_forward(params, train.inputs, variant, cfg.decomposition_kernel)
-    residual = pred - train.targets
+    pred = _reference_forward(params, inputs, variant, cfg.decomposition_kernel)
+    residual = pred - targets
     direct = np.mean(residual**2) if loss == "l2" else np.mean(np.abs(residual))
     assert model.training_stats.train_loss == pytest.approx(direct, rel=1e-12, abs=0)
 
@@ -342,9 +346,9 @@ def test_fit_ramp_matches_true_continuation():
 
     # closed-form least-squares oracle on the same windows extrapolates exactly
     plan = plan_windows(ForecastTask(n_in, horizon), 1)
-    ws = make_windows(series, plan)
-    design = np.hstack([ws.inputs, np.ones((ws.size, 1))])
-    solution, *_ = np.linalg.lstsq(design, ws.targets, rcond=None)
+    inputs, targets = _rows(make_windows(series, plan))
+    design = np.hstack([inputs, np.ones((len(inputs), 1))])
+    solution, *_ = np.linalg.lstsq(design, targets, rcond=None)
     context = series.values[-plan.inner_input :, 0]
     out = []
     while len(out) < horizon:
@@ -383,10 +387,11 @@ def test_fit_sine_validation_mae(variant):
     model = fit_single_shot(series, ForecastTask(n_in, horizon), cfg)
     plan = plan_windows(ForecastTask(n_in, horizon), 1)
     _, val = train_val_partition(make_windows(series, plan), 0.2)
+    inputs, targets = _rows(val)
     params = dict(model.weights)
     params["bias"] = model.bias
-    pred = _reference_forward(params, val.inputs, variant, model.decomposition_kernel)
-    assert np.abs(pred - val.targets).mean() < 0.05
+    pred = _reference_forward(params, inputs, variant, model.decomposition_kernel)
+    assert np.abs(pred - targets).mean() < 0.05
 
 
 def test_fit_determinism():

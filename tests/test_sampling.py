@@ -16,7 +16,7 @@ from castlab import (
 )
 from castlab.errors import AdapterError, AllSamplesFailedError
 from castlab.llm import adapters
-from castlab.llm.adapters import HttpChatAdapter
+from castlab.llm.adapters import HttpChatAdapter, read_responses
 
 IDENTITY = ScalingConfig(decimals=0)
 BUNDLE = build_prompt(np.array([1.0, 2.0, 3.0, 4.0]), 3, "llmtime_chat", IDENTITY)
@@ -32,7 +32,7 @@ def test_mock_scripted_five_samples():
 
 
 def test_mock_retry_after_garbage():
-    adapter = MockAdapter(["no numbers here", "1, 2, 3"], cycle=False)
+    adapter = MockAdapter(["no numbers here", "1, 2, 3"])
     cfg = DecodingConfig(num_samples=1, max_attempts_per_sample=2)
     results = sample_forecasts(adapter, BUNDLE, cfg)
     assert len(results) == 1
@@ -95,7 +95,7 @@ def test_transcript_records_exchanges(tmp_path):
     path = tmp_path / "transcript.jsonl"
     path.write_text('{"left": "by an earlier run"}\n')
     transcript = TranscriptWriter(path)
-    adapter = MockAdapter(["oops", "1, 2, 3"], cycle=False)
+    adapter = MockAdapter(["oops", "1, 2, 3"])
     cfg = DecodingConfig(num_samples=1, max_attempts_per_sample=2)
     sample_forecasts(adapter, BUNDLE, cfg, transcript=transcript,
                      transcript_context={"channel": 0})
@@ -145,19 +145,20 @@ def test_transcript_keeps_one_handle_and_flushes_each_record(tmp_path, monkeypat
     assert opened == [path]
 
 
-def test_mock_from_file_json_and_jsonl(tmp_path):
+def test_mock_replays_json_and_jsonl_scripts(tmp_path):
     p = tmp_path / "r.json"
     p.write_text(json.dumps(["1, 2, 3", "4, 5, 6"]))
-    adapter = MockAdapter.from_file(p)
-    cfg = DecodingConfig(num_samples=2, max_attempts_per_sample=1)
+    adapter = MockAdapter(read_responses(p))
+    cfg = DecodingConfig(num_samples=3, max_attempts_per_sample=1)
     results = sample_forecasts(adapter, BUNDLE, cfg)
-    assert [r.values.tolist() for r in results] == [[1, 2, 3], [4, 5, 6]]
+    # the script cycles once exhausted
+    assert [r.values.tolist() for r in results] == [[1, 2, 3], [4, 5, 6], [1, 2, 3]]
 
     p2 = tmp_path / "r.jsonl"
     p2.write_text('"7, 8, 9"\n"10, 11, 12"\n')
-    adapter2 = MockAdapter.from_file(p2)
+    adapter2 = MockAdapter(read_responses(p2))
     results2 = sample_forecasts(adapter2, BUNDLE, cfg)
-    assert [r.values.tolist() for r in results2] == [[7, 8, 9], [10, 11, 12]]
+    assert [r.values.tolist() for r in results2] == [[7, 8, 9], [10, 11, 12], [7, 8, 9]]
 
 
 def test_http_adapter_wire_format():

@@ -57,36 +57,33 @@ def test_formula_matches_enumeration_oracle():
         assert window_count(d, i, ii, oo) == _enumerate_count(d, i, ii, oo)
 
 
+def _plan(i, ii, oo, d):
+    return WindowPlan(outer_input=i, inner_input=ii, inner_output=oo, channels=d)
+
+
 def test_make_windows_hand_case():
-    # d=2, I=4, I'=1, O'=1: six rows, enumerable by hand.
+    # d=2, I=4, I'=1, O'=1: three offsets per channel, enumerable by hand.
     values = np.array([[0.0, 10.0], [1.0, 11.0], [2.0, 12.0], [3.0, 13.0]])
-    series = validate_series(values)
-    plan = WindowPlan(outer_input=4, outer_output=2, inner_input=1, inner_output=1,
-                      channels=2, window_count=6)
-    ws = make_windows(series, plan)
+    ws = make_windows(validate_series(values), _plan(4, 1, 1, 2))
     assert ws.size == 6
-    assert ws.inputs[:, 0].tolist() == [0.0, 1.0, 2.0, 10.0, 11.0, 12.0]
-    assert ws.targets[:, 0].tolist() == [1.0, 2.0, 3.0, 11.0, 12.0, 13.0]
-    assert ws.channel_index.tolist() == [0, 0, 0, 1, 1, 1]
-    assert ws.start_offset.tolist() == [0, 1, 2, 0, 1, 2]
+    assert ws.inputs.shape == ws.targets.shape == (2, 3, 1)
+    for c in range(2):
+        for s in range(3):
+            assert ws.inputs[c, s].tolist() == [values[s, c]]
+            assert ws.targets[c, s].tolist() == [values[s + 1, c]]
 
 
 def test_make_windows_single_row():
-    series = validate_series(np.arange(6.0))
-    plan = WindowPlan(outer_input=6, outer_output=4, inner_input=4, inner_output=2,
-                      channels=1, window_count=1)
-    ws = make_windows(series, plan)
+    ws = make_windows(validate_series(np.arange(6.0)), _plan(6, 4, 2, 1))
     assert ws.size == 1
-    assert ws.inputs[0].tolist() == [0, 1, 2, 3]
-    assert ws.targets[0].tolist() == [4, 5]
+    assert ws.inputs[0, 0].tolist() == [0, 1, 2, 3]
+    assert ws.targets[0, 0].tolist() == [4, 5]
 
 
 def test_make_windows_shape_mismatch():
     series = validate_series(np.zeros((8, 3)))
-    plan = WindowPlan(outer_input=8, outer_output=4, inner_input=2, inner_output=2,
-                      channels=2, window_count=10)
     with pytest.raises(ShapeMismatchError):
-        make_windows(series, plan)
+        make_windows(series, _plan(8, 2, 2, 2))
 
 
 def test_make_windows_matches_plan_count_random():
@@ -97,39 +94,30 @@ def test_make_windows_matches_plan_count_random():
         oo = int(rng.integers(1, 12))
         i = ii + oo + int(rng.integers(0, 20))
         series = validate_series(rng.normal(size=(i, d)))
-        k = window_count(d, i, ii, oo)
-        plan = WindowPlan(outer_input=i, outer_output=2 * oo, inner_input=ii,
-                          inner_output=oo, channels=d, window_count=k)
+        plan = _plan(i, ii, oo, d)
+        assert plan.window_count == window_count(d, i, ii, oo) == _enumerate_count(d, i, ii, oo)
         ws = make_windows(series, plan)
-        assert ws.size == k
-        # every row reconstructs a contiguous slice of its source channel
-        for r in range(ws.size):
-            c = ws.channel_index[r]
-            s = ws.start_offset[r]
-            joined = np.concatenate([ws.inputs[r], ws.targets[r]])
-            assert np.array_equal(joined, series.values[s : s + ii + oo, c])
+        assert ws.size == plan.window_count
+        assert ws.inputs.shape[:2] == (d, plan.offsets_per_channel)
+        # every pair reconstructs a contiguous slice of its source channel
+        for c in range(d):
+            for s in range(plan.offsets_per_channel):
+                joined = np.concatenate([ws.inputs[c, s], ws.targets[c, s]])
+                assert np.array_equal(joined, series.values[s : s + ii + oo, c])
 
 
 def test_partition_examples():
     series = validate_series(np.arange(12.0))
-    plan = WindowPlan(outer_input=12, outer_output=2, inner_input=2, inner_output=1,
-                      channels=1, window_count=10)
-    ws = make_windows(series, plan)
+    ws = make_windows(series, _plan(12, 2, 1, 1))
     train, val = train_val_partition(ws, 0.2)
-    assert sorted(val.start_offset.tolist()) == [8, 9]
+    assert val.inputs[0, :, 0].tolist() == [8, 9]  # windows starting at offsets 8 and 9
     assert train.size == 8
 
-    plan2 = WindowPlan(outer_input=4, outer_output=2, inner_input=2, inner_output=1,
-                       channels=1, window_count=2)
-    ws2 = make_windows(series.segment(0, 4), plan2)
-    t2, v2 = train_val_partition(ws2, 0.5)
+    t2, v2 = train_val_partition(make_windows(series.segment(0, 4), _plan(4, 2, 1, 1)), 0.5)
     assert t2.size == 1 and v2.size == 1
 
-    plan3 = WindowPlan(outer_input=3, outer_output=2, inner_input=2, inner_output=1,
-                       channels=1, window_count=1)
-    ws3 = make_windows(series.segment(0, 3), plan3)
     with pytest.raises(TooFewWindowsError):
-        train_val_partition(ws3, 0.5)
+        train_val_partition(make_windows(series.segment(0, 3), _plan(3, 2, 1, 1)), 0.5)
 
 
 def test_partition_is_disjoint_exhaustive_and_later():
@@ -138,59 +126,48 @@ def test_partition_is_disjoint_exhaustive_and_later():
         d = int(rng.integers(1, 5))
         ii, oo = int(rng.integers(1, 6)), int(rng.integers(1, 6))
         i = ii + oo + int(rng.integers(2, 25))
-        series = validate_series(rng.normal(size=(i, d)))
-        k = window_count(d, i, ii, oo)
-        plan = WindowPlan(outer_input=i, outer_output=2 * oo, inner_input=ii,
-                          inner_output=oo, channels=d, window_count=k)
-        ws = make_windows(series, plan)
-        frac = float(rng.uniform(0.1, 0.6))
-        train, val = train_val_partition(ws, frac)
+        # a channel's values are its time index, so a window's first input is its offset
+        series = validate_series(np.tile(np.arange(float(i))[:, None], (1, d)) + 1000.0 * np.arange(d))
+        ws = make_windows(series, _plan(i, ii, oo, d))
+        train, val = train_val_partition(ws, float(rng.uniform(0.1, 0.6)))
         assert train.size + val.size == ws.size
         for c in range(d):
-            tr_offs = train.start_offset[train.channel_index == c]
-            va_offs = val.start_offset[val.channel_index == c]
+            tr_offs = train.inputs[c, :, 0] - 1000.0 * c
+            va_offs = val.inputs[c, :, 0] - 1000.0 * c
             assert len(tr_offs) and len(va_offs)
+            assert sorted([*tr_offs, *va_offs]) == list(range(ws.inputs.shape[1]))
             assert tr_offs.max() < va_offs.min()
 
 
 def test_window_sets_are_read_only_and_partitions_match_the_mask_split():
-    inputs = np.arange(6.0).reshape(3, 2)
-    handed = WindowSet(inputs=inputs, targets=np.zeros((3, 1)),
-                       channel_index=np.zeros(3, dtype=int), start_offset=np.arange(3))
-    view = inputs[:, :1]
+    inputs = np.arange(6.0).reshape(1, 3, 2)
+    handed = WindowSet(inputs=inputs, targets=np.zeros((1, 3, 1)))
+    view = inputs[..., :1]
     view.setflags(write=False)  # read-only, but its base is not
-    through_view = WindowSet(inputs=view, targets=np.zeros((3, 1)),
-                             channel_index=np.zeros(3, dtype=int), start_offset=np.arange(3))
+    through_view = WindowSet(inputs=view, targets=np.zeros((1, 3, 1)))
     inputs[:] = -1.0
-    assert handed.inputs.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
-    assert through_view.inputs[:, 0].tolist() == [0.0, 2.0, 4.0]
+    assert handed.inputs[0].tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+    assert through_view.inputs[0, :, 0].tolist() == [0.0, 2.0, 4.0]
+    with pytest.raises(ShapeMismatchError):
+        WindowSet(inputs=np.zeros((2, 3, 1)), targets=np.zeros((2, 4, 1)))
 
     rng = np.random.default_rng(9)
     series = validate_series(rng.normal(size=(30, 3)))
-    plan = WindowPlan(outer_input=30, outer_output=8, inner_input=5, inner_output=4,
-                      channels=3, window_count=window_count(3, 30, 5, 4))
+    plan = _plan(30, 5, 4, 3)
     ws = make_windows(series, plan)
     train, val = train_val_partition(ws, 0.3)
-    fields = ("inputs", "targets", "channel_index", "start_offset")
     for part in (handed, ws, train, val):
-        for name in fields:
-            arr = getattr(part, name)
+        for arr in (part.inputs, part.targets):
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
-    # the boolean-mask gather that slicing the channel blocks replaced
+    for part in (train, val):
+        # the split copies nothing: its parts are views of the parent's blocks
+        assert np.shares_memory(part.inputs, ws.inputs)
+        assert np.shares_memory(part.targets, ws.targets)
+    # the boolean-mask gather over flattened rows that slicing the blocks replaced
     offsets = plan.offsets_per_channel
-    is_val = ws.start_offset >= offsets - int(np.ceil(offsets * 0.3))
-    for name in fields:
-        assert np.array_equal(getattr(train, name), getattr(ws, name)[~is_val])
-        assert np.array_equal(getattr(val, name), getattr(ws, name)[is_val])
-
-
-def test_partition_rejects_a_layout_other_than_make_windows():
-    ws = make_windows(validate_series(np.arange(24.0).reshape(12, 2)),
-                      WindowPlan(outer_input=12, outer_output=4, inner_input=2, inner_output=2,
-                                 channels=2, window_count=18))
-    order = np.argsort(ws.start_offset, kind="stable")  # offset-major
-    shuffled = WindowSet(*(getattr(ws, name)[order] for name in
-                           ("inputs", "targets", "channel_index", "start_offset")))
-    with pytest.raises(ShapeMismatchError):
-        train_val_partition(shuffled, 0.25)
+    is_val = np.tile(np.arange(offsets), plan.channels) >= offsets - int(np.ceil(offsets * 0.3))
+    for name in ("inputs", "targets"):
+        rows = getattr(ws, name).reshape(ws.size, -1)
+        assert np.array_equal(getattr(train, name).reshape(train.size, -1), rows[~is_val])
+        assert np.array_equal(getattr(val, name).reshape(val.size, -1), rows[is_val])
