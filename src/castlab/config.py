@@ -37,16 +37,15 @@ schema does not name are ignored, except inside the sections parsed into
 spec classes (function, linear, baseline, decoding, task, split, noise,
 filter). Malformed values raise ConfigError; ``build_forecaster``, the one
 forecaster builder, builds each entry once at load time, so a value a
-constructor rejects fails the config rather than its cells.
+constructor rejects fails the config rather than its cells. Names are
+non-empty strings, and no two cells may share a ``report_stem``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Any
-
-import yaml
 
 from .data_io import CSV_LAYOUTS, FunctionSpec
 from .errors import CastlabError, ConfigError
@@ -155,6 +154,22 @@ class ExperimentConfig:
     noise_filter: FilterSpec | None = None
     sweep: SweepConfig | None = None
 
+    def sweep_points(self) -> list[tuple[float | None, int]]:
+        """``(sweep value, replicate)`` of each cell of one dataset and forecaster, in run order."""
+        if self.sweep is None:
+            return [(None, 0)]
+        return [(v, rep) for v in self.sweep.values for rep in range(self.sweep.replicates)]
+
+
+def report_stem(dataset: str, forecaster: str, sweep_value: float | None, replicate: int) -> str:
+    """File stem of one cell's report; a config whose cells share a stem is rejected."""
+    parts = [dataset, forecaster]
+    if sweep_value is not None:
+        parts.append(f"v{sweep_value}")
+    if replicate:
+        parts.append(f"r{replicate}")
+    return "_".join(p.replace("/", "-").replace(" ", "-") for p in parts)
+
 
 def _require(mapping: dict, key: str, context: str) -> Any:
     if key not in mapping:
@@ -169,14 +184,34 @@ def _checked(value: Any, kind: type, context: str) -> Any:
     return value
 
 
+def _name(entry: dict, context: str) -> str:
+    name = _require(entry, "name", context)
+    if not (isinstance(name, str) and name):
+        raise ConfigError(f"{context} name must be a non-empty string, got {name!r}")
+    return name
+
+
+def _integral(value: Any, context: str) -> Any:
+    """An integral float as an int; a bool or a fractional float raises ConfigError."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"bad {context}: must be an integer, got {value!r}")
+    return int(value) if isinstance(value, float) else value
+
+
 def build_spec(make, payload: Any, context: str):
     """``make(**payload)`` for a spec dataclass, else ``make(payload)``.
 
-    A payload the maker rejects raises ConfigError naming ``context``.
+    A payload the maker rejects raises ConfigError naming ``context``; so does
+    a bool or a fractional number given for an ``int`` (or ``int | None``) field.
     """
     spec = is_dataclass(make)
     if spec:
         _checked(payload, dict, context)
+        # annotations are strings here (postponed evaluation in every module)
+        ints = {f.name for f in fields(make) if f.type in ("int", "int | None")}
+        payload = {k: _integral(v, f"{context} {k}") if k in ints else v for k, v in payload.items()}
+    elif make is int:
+        payload = _integral(payload, context)
     try:
         return make(**payload) if spec else make(payload)
     except (TypeError, ValueError, CastlabError) as exc:
@@ -221,7 +256,7 @@ def build_forecaster(
 
 
 def _dataset_from_dict(d: dict, base_dir: Path) -> DatasetConfig:
-    name = _require(d, "name", "dataset entry")
+    name = _name(d, "dataset entry")
     if "csv" in d:
         where = f"dataset {name!r} csv"
         csv = _checked(d["csv"], dict, where)
@@ -277,7 +312,7 @@ def _adapter_from_dict(d: dict, base_dir: Path) -> AdapterConfig:
 
 def forecaster_from_dict(d: dict, base_dir: Path) -> ForecasterConfig:
     """Validate one forecaster entry, building the forecaster once to check its values."""
-    name = _require(d, "name", "forecaster entry")
+    name = _name(d, "forecaster entry")
     where = f"forecaster {name!r}"
     kinds = [k for k in ("linear", "llm", "baseline") if k in d]
     if len(kinds) != 1:
@@ -370,7 +405,7 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     # working directory, so a config bundle stays relocatable
     output_dir = build_spec(Path, raw.get("output_dir", "results"), "output_dir")
 
-    return ExperimentConfig(
+    config = ExperimentConfig(
         datasets=tuple(datasets),
         forecasters=tuple(forecasters),
         task=task,
@@ -382,10 +417,30 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> ExperimentConfig:
         noise_filter=noise_filter,
         sweep=sweep,
     )
+    _check_report_stems(config)
+    return config
+
+
+def _check_report_stems(config: ExperimentConfig) -> None:
+    """Reject a grid in which two cells would write the same report file."""
+    seen: dict[str, tuple] = {}
+    for ds in config.datasets:
+        for fc in config.forecasters:
+            for value, rep in config.sweep_points():
+                stem = report_stem(ds.name, fc.name, value, rep)
+                cell = (ds.name, fc.name, value, rep)
+                if stem in seen:
+                    raise ConfigError(
+                        f"cells (dataset, forecaster, sweep value, replicate) {seen[stem]!r} and "
+                        f"{cell!r} would both write reports/{stem}.json; make the names and "
+                        "sweep values distinct")
+                seen[stem] = cell
 
 
 def read_yaml(path: Path) -> Any:
     """The parsed YAML file; a missing or malformed file raises ConfigError."""
+    import yaml  # the one YAML reader; dict configs never load the parser
+
     if not path.exists():
         raise ConfigError(f"file not found: {path}")
     try:

@@ -18,6 +18,7 @@ than O' are reached autoregressively, block by block.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -177,13 +178,34 @@ def _unpack(theta: np.ndarray, variant: str) -> dict[str, np.ndarray]:
 Design = tuple[np.ndarray, np.ndarray | None]
 
 
+@functools.lru_cache(maxsize=8)
 def _mixing(variant: str, width: int, kernel: int) -> np.ndarray | None:
-    """dlinear's ``M``; None stands for rlinear's identity."""
+    """dlinear's ``M``, read-only and kept per shape; None stands for rlinear's identity."""
     if variant != "dlinear":
         return None
     average = _moving_average_matrix(width, kernel)
-    return np.block([[average, np.eye(width) - average, np.zeros((width, 1))],
-                     [np.zeros((1, 2 * width)), np.ones((1, 1))]])
+    mixing = np.block([[average, np.eye(width) - average, np.zeros((width, 1))],
+                       [np.zeros((1, 2 * width)), np.ones((1, 1))]])
+    mixing.setflags(write=False)
+    return mixing
+
+
+@functools.lru_cache(maxsize=8)
+def _fit_constants(
+    variant: str, inner_input: int, inner_output: int, kernel: int, seed: int
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray, np.ndarray]:
+    """``(M, M Mᵀ, theta0, phi0 = M theta0)`` of a fit, read-only and kept per shape and seed.
+
+    ``M`` and ``M Mᵀ`` are None for rlinear, whose ``phi0`` is ``theta0`` itself.
+    """
+    mixing = _mixing(variant, inner_input, kernel)
+    theta = _pack(_init_params(variant, inner_input, inner_output, seed), variant)
+    phi = _phi(theta, mixing)
+    precondition = None if mixing is None else mixing @ mixing.T
+    for arr in (precondition, theta, phi):
+        if arr is not None:
+            arr.setflags(write=False)
+    return mixing, precondition, theta, phi
 
 
 def _phi(theta: np.ndarray, mixing: np.ndarray | None) -> np.ndarray:
@@ -275,7 +297,9 @@ def fit_single_shot(
     """
     plan = plan_windows(task, input_sequence.channels)
     kernel = config.decomposition_kernel
-    mixing = _mixing(config.variant, plan.inner_input, kernel)
+    mixing, precondition, theta, phi = _fit_constants(
+        config.variant, plan.inner_input, plan.inner_output, kernel, config.seed)
+    phi = phi.copy()  # stepped in place below
     # the inputs are copied once more, into X̃; the targets into one block each
     train, val = train_val_partition(make_windows(input_sequence, plan), VAL_FRACTION)
     train_design = _design(train.inputs, config.variant)
@@ -296,10 +320,6 @@ def fit_single_shot(
         def gradient(phi: np.ndarray) -> np.ndarray:
             return _gradient(train_design, phi, train_targets, config.loss)
 
-    init = _init_params(config.variant, plan.inner_input, plan.inner_output, config.seed)
-    theta = _pack(init, config.variant)
-    phi = _phi(theta, mixing)
-    precondition = None if mixing is None else mixing @ mixing.T
     step_sum = None if mixing is None else np.zeros_like(phi)
     tracked = phi if step_sum is None else step_sum
     best = tracked.copy()

@@ -3,7 +3,8 @@
 The wire format is the common chat-completion JSON shape: request
 ``{model, messages: [{role, content}, ...], temperature, top_p}``, response
 ``choices[0].message.content``. The API key is read from an environment
-variable, never from configuration files.
+variable, never from configuration files. ``requests`` is imported when an
+``HttpChatAdapter`` is built, so mock and offline runs never load it.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Any, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Any, Sequence
 
 from ..errors import AdapterError
 from .decode import DecodingConfig
+
+if TYPE_CHECKING:
+    import requests
 
 DEFAULT_TIMEOUT_SECONDS = 120.0
 TRANSPORT_RETRIES = 2
@@ -102,6 +104,8 @@ class HttpChatAdapter(LlmAdapter):
         timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS,
         session: requests.Session | None = None,
     ):
+        import requests  # noqa: F401  (loaded with the adapter, not in its first timed call)
+
         self.endpoint = endpoint
         self.model = model
         self.api_key_env = api_key_env
@@ -111,6 +115,8 @@ class HttpChatAdapter(LlmAdapter):
 
     def _session(self) -> requests.Session:
         if not hasattr(self._local, "session"):
+            import requests
+
             self._local.session = self._shared_session or requests.Session()
         return self._local.session
 
@@ -122,6 +128,8 @@ class HttpChatAdapter(LlmAdapter):
         return headers
 
     def complete(self, system_text: str, user_text: str, config: DecodingConfig) -> str:
+        import requests
+
         messages = []
         if system_text:
             messages.append({"role": "system", "content": system_text})

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DatasetConfig, ExperimentConfig, ForecasterConfig, build_forecaster
+from .config import DatasetConfig, ExperimentConfig, ForecasterConfig, build_forecaster, report_stem
 from .data_io import generate_function_series, load_csv
 from .eval import EvalReport, compare_cost_families, run_last_sample, run_sliding
 from .llm.adapters import TranscriptWriter
@@ -244,16 +244,6 @@ def _write_plots(config: ExperimentConfig, results: list[CellResult], plots_dir:
                 )
 
 
-def _report_filename(res: CellResult) -> str:
-    parts = [res.cell.dataset.name, res.cell.forecaster.name]
-    if res.cell.sweep_value is not None:
-        parts.append(f"v{res.cell.sweep_value}")
-    if res.cell.replicate:
-        parts.append(f"r{res.cell.replicate}")
-    stem = "_".join(p.replace("/", "-").replace(" ", "-") for p in parts)
-    return f"{stem}.json"
-
-
 def _cost_comparison_lines(results: list[CellResult]) -> list[str]:
     """The two cost-efficiency inequalities, when an LLM family ran."""
     by_family: dict[str, list] = {}
@@ -289,19 +279,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     uses_llm = any(f.llm is not None for f in config.forecasters)
     transcript = TranscriptWriter(out / "transcripts.jsonl") if uses_llm else None
 
-    sweep_values: list[float | None] = [None]
-    replicates = 1
-    if config.sweep is not None:
-        sweep_values = list(config.sweep.values)
-        replicates = config.sweep.replicates
     results: list[CellResult] = []
     try:
         for ds in config.datasets:
             cells = [
                 Cell(dataset=ds, forecaster=fc, sweep_value=value, replicate=rep)
                 for fc in config.forecasters
-                for value in sweep_values
-                for rep in range(replicates if value is not None else 1)
+                for value, rep in config.sweep_points()
             ]
             results += _run_dataset(config, ds, cells, transcript)
     finally:
@@ -314,7 +298,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     for r in results:
         if r.report is not None:
-            (out / "reports" / _report_filename(r)).write_text(
+            c = r.cell
+            stem = report_stem(c.dataset.name, c.forecaster.name, c.sweep_value, c.replicate)
+            (out / "reports" / f"{stem}.json").write_text(
                 json.dumps(r.report.to_dict(), indent=2), encoding="utf-8"
             )
 

@@ -154,6 +154,36 @@ _BAD_CONFIGS = {
         "type": "polynomial", "degree": 4, "fit_span": 4}}]}, ["'poly'", "fit_span"]),
     "channel-concurrency-0": ({"forecasters": [_llm_entry(channel_concurrency=0)]},
                               ["'llm'", "channel_concurrency"]),
+    # names must be non-empty strings
+    "dataset-name-1": ({"datasets": [{"name": 1, "function": {"kind": "sine", "length": 80}}]},
+                       ["dataset entry name", "1"]),
+    "dataset-name-list": ({"datasets": [{"name": ["a"], "function": {"kind": "sine", "length": 80}}]},
+                          ["dataset entry name", "['a']"]),
+    "forecaster-name-empty": ({"forecasters": [{"name": "", "baseline": {"type": "last_value"}}]},
+                              ["forecaster entry name"]),
+    # int fields take integral numbers only
+    "max-epochs-2.5": ({"forecasters": [{"name": "lin", "linear": {"max_epochs": 2.5}}]},
+                       ["'lin'", "max_epochs", "2.5"]),
+    "max-epochs-true": ({"forecasters": [{"name": "lin", "linear": {"max_epochs": True}}]},
+                        ["'lin'", "max_epochs", "True"]),
+    "linear-seed-1.5": ({"forecasters": [{"name": "lin", "linear": {"seed": 1.5}}]},
+                        ["'lin'", "seed", "1.5"]),
+    "input-length-48.5": ({"task": {"input_length": 48.5, "output_length": 5}}, ["task input_length"]),
+    "replicates-2.5": ({"noise": {"kind": "gaussian", "sigma": 0.0},
+                        "sweep": {"parameter": "noise.sigma", "values": [0.1], "replicates": 2.5}},
+                       ["sweep replicates", "2.5"]),
+    "shots-true": ({"forecasters": [_llm_entry(shots=True)]}, ["'llm' shots"]),
+    # two cells that would write one report file
+    "sweep-values-repeat": ({"noise": {"kind": "gaussian", "sigma": 0.0},
+                             "sweep": {"parameter": "noise.sigma", "values": [0.1, 0.1]}},
+                            ["reports/sine_naive_v0.1.json"]),
+    "forecaster-stems-collide": ({"forecasters": [{"name": "a b", "baseline": {"type": "last_value"}},
+                                                  {"name": "a-b", "baseline": {"type": "last_value"}}]},
+                                 ["'a b'", "'a-b'", "reports/sine_a-b.json"]),
+    "dataset-forecaster-stems-collide": ({  # a_b x c and a x b_c both write a_b_c.json
+        "datasets": [{"name": n, "function": {"kind": "sine", "length": 80}} for n in ("a_b", "a")],
+        "forecasters": [{"name": n, "baseline": {"type": "last_value"}} for n in ("c", "b_c")],
+    }, ["('a_b', 'c', None, 0)", "('a', 'b_c', None, 0)", "reports/a_b_c.json"]),
 }
 
 

@@ -74,6 +74,17 @@ def test_config_sweep_requires_noise(tmp_path):
         config_from_dict(raw, base_dir=tmp_path)
 
 
+def test_integral_floats_load_as_ints(tmp_path):
+    raw = _base_config(tmp_path, task={"input_length": 40.0, "output_length": 10})
+    raw["noise"] = {"kind": "gaussian", "sigma": 0.0, "seed": 3.0}
+    raw["sweep"] = {"parameter": "noise.sigma", "values": [0.0], "replicates": 2.0}
+    raw["forecasters"] = [{"name": "lin", "linear": {"max_epochs": 3.0, "seed": 1.0}}]
+    cfg = config_from_dict(raw, base_dir=tmp_path)
+    ints = (cfg.task.input_length, cfg.noise.seed, cfg.sweep.replicates,
+            cfg.forecasters[0].linear.max_epochs, cfg.forecasters[0].linear.seed)
+    assert ints == (40, 3, 2, 3, 1) and all(type(v) is int for v in ints)
+
+
 def test_load_config_yaml_and_overrides(tmp_path):
     raw = _base_config(tmp_path)
     p = tmp_path / "exp.yaml"

@@ -18,6 +18,7 @@ from castlab.linear import (
     FittedLinearModel,
     TrainingStats,
     _design,
+    _fit_constants,
     _forward,
     _init_params,
     _mixing,
@@ -403,6 +404,23 @@ def test_fit_determinism():
     assert np.array_equal(a.weights["weight"], b.weights["weight"])
     assert np.array_equal(a.bias, b.bias)
     assert a.training_stats == b.training_stats
+
+
+@pytest.mark.parametrize("variant", ["dlinear", "rlinear"])
+def test_fits_share_read_only_start_constants(variant):
+    rng = np.random.default_rng(1)
+    series = validate_series(rng.normal(size=(48, 2)))
+    task = ForecastTask(48, 16)
+    cfg = LinearModelConfig(variant=variant, max_epochs=60, decomposition_kernel=5, seed=7)
+    a = fit_single_shot(series, task, cfg)
+    plan = plan_windows(task, 2)
+    mixing, precondition, theta, phi = _fit_constants(variant, plan.inner_input, plan.inner_output, 5, 7)
+    assert not any(c.flags.writeable for c in (mixing, precondition, theta, phi) if c is not None)
+    # the fit stepped a copy: the kept start is still the seeded draw
+    assert np.array_equal(theta, _pack(_init_params(variant, plan.inner_input, plan.inner_output, 7), variant))
+    b = fit_single_shot(series, task, cfg)
+    assert all(np.array_equal(a.weights[k], b.weights[k]) for k in a.weights)
+    assert np.array_equal(a.bias, b.bias) and a.training_stats == b.training_stats
 
 
 def test_fit_diverged_loss():

@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import requests
 
 from castlab import (
     DecodingConfig,
@@ -210,7 +211,7 @@ def test_http_adapter_keeps_one_session_per_thread(monkeypatch):
             return type("Response", (), {"status_code": 200, "text": "",
                                          "json": lambda self: {"choices": [{"message": {"content": "1"}}]}})()
 
-    monkeypatch.setattr(adapters.requests, "Session", CountingSession)
+    monkeypatch.setattr(requests, "Session", CountingSession)
 
     def call_from_two_threads(adapter):
         threads = [threading.Thread(target=lambda: [adapter.complete("", "u", DecodingConfig())
@@ -299,3 +300,37 @@ def test_http_adapter_raises_other_client_errors_at_once(monkeypatch):
         adapter.complete("", "u", DecodingConfig())
     assert err.value.status == 404
     assert session.posts == 1 and sleeps == []
+
+
+class _FailingSession(_ScriptedSession):
+    """Raises ``error`` for the first ``failures`` posts, then answers 200."""
+
+    def __init__(self, error, failures):
+        super().__init__([200])
+        self.error = error
+        self.failures = failures
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        if self.failures:
+            self.failures -= 1
+            self.posts += 1
+            raise self.error("connection dropped")
+        return super().post(url, json=json, headers=headers, timeout=timeout)
+
+
+@pytest.mark.parametrize("error", [requests.ConnectionError, requests.Timeout])
+def test_http_adapter_retries_transport_errors(monkeypatch, error):
+    sleeps = []
+    monkeypatch.setattr(adapters.time, "sleep", sleeps.append)
+    session = _FailingSession(error, 2)
+    adapter = HttpChatAdapter(endpoint="http://x.invalid", model="m", session=session)
+    assert adapter.complete("", "u", DecodingConfig()) == "4, 5"
+    assert session.posts == 3 and sleeps == [1.0, 2.0]
+
+    sleeps.clear()
+    session = _FailingSession(error, adapters.TRANSPORT_RETRIES + 1)
+    adapter = HttpChatAdapter(endpoint="http://x.invalid", model="m", session=session)
+    with pytest.raises(AdapterError, match="transport failed after retries") as err:
+        adapter.complete("", "u", DecodingConfig())
+    assert err.value.status is None
+    assert session.posts == adapters.TRANSPORT_RETRIES + 1 and sleeps == [1.0, 2.0]
