@@ -184,11 +184,13 @@ def _checked(value: Any, kind: type, context: str) -> Any:
     return value
 
 
-def _name(entry: dict, context: str) -> str:
-    name = _require(entry, "name", context)
-    if not (isinstance(name, str) and name):
-        raise ConfigError(f"{context} name must be a non-empty string, got {name!r}")
-    return name
+def _text(mapping: dict, key: str, context: str, default: str | None = None) -> str:
+    """``mapping[key]``, or ``default`` if given and the key is absent; a ConfigError
+    unless it is a non-empty string."""
+    value = _require(mapping, key, context) if default is None else mapping.get(key, default)
+    if not (isinstance(value, str) and value):
+        raise ConfigError(f"{context} {key} must be a non-empty string, got {value!r}")
+    return value
 
 
 def _integral(value: Any, context: str) -> Any:
@@ -256,7 +258,7 @@ def build_forecaster(
 
 
 def _dataset_from_dict(d: dict, base_dir: Path) -> DatasetConfig:
-    name = _name(d, "dataset entry")
+    name = _text(d, "name", "dataset entry")
     if "csv" in d:
         where = f"dataset {name!r} csv"
         csv = _checked(d["csv"], dict, where)
@@ -300,11 +302,14 @@ def _adapter_from_dict(d: dict, base_dir: Path) -> AdapterConfig:
         return AdapterConfig(type="mock", responses=tuple(responses))
     if "api_key" in d:
         raise ConfigError("API keys belong in the environment, not in config files; use api_key_env")
+    endpoint = _text(d, "endpoint", "http adapter")
+    if not endpoint.startswith(("http://", "https://")):
+        raise ConfigError(f"http adapter endpoint must start with http:// or https://, got {endpoint!r}")
     return AdapterConfig(
         type="http",
-        endpoint=_require(d, "endpoint", "http adapter"),
-        model=_require(d, "model", "http adapter"),
-        api_key_env=d.get("api_key_env", "OPENAI_API_KEY"),
+        endpoint=endpoint,
+        model=_text(d, "model", "http adapter"),
+        api_key_env=_text(d, "api_key_env", "http adapter", default="OPENAI_API_KEY"),
         timeout_seconds=build_spec(float, d.get("timeout_seconds", 120.0),
                                    "http adapter timeout_seconds"),
     )
@@ -312,7 +317,7 @@ def _adapter_from_dict(d: dict, base_dir: Path) -> AdapterConfig:
 
 def forecaster_from_dict(d: dict, base_dir: Path) -> ForecasterConfig:
     """Validate one forecaster entry, building the forecaster once to check its values."""
-    name = _name(d, "forecaster entry")
+    name = _text(d, "name", "forecaster entry")
     where = f"forecaster {name!r}"
     kinds = [k for k in ("linear", "llm", "baseline") if k in d]
     if len(kinds) != 1:

@@ -10,7 +10,7 @@ reference used to demonstrate that the harness detects robustness contrasts.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -144,14 +144,14 @@ class LlmPromptForecaster(Forecaster):
     """Prompt-based forecaster over a pluggable completion adapter.
 
     Each channel is serialized independently (the prompt count equals the
-    channel count), sampled ``num_samples`` times concurrently, decoded, and
+    channel count), sampled ``num_samples`` times, decoded, and
     median-aggregated. The affine scaling is derived per channel unless an
     explicit one is supplied, and is recorded in the transcript.
 
-    Up to ``channel_concurrency`` channels are forecast at once, so at most
-    ``channel_concurrency * num_samples`` adapter calls are in flight. The
-    threads of the two pools behind this start on first use and serve every
-    later prompt until ``close``.
+    ``predict`` builds every channel's prompt, then queues all (channel,
+    sample) completions on one pool of ``channel_concurrency * num_samples``
+    threads, which bounds the adapter calls in flight. The threads start on
+    first use and serve every later prompt until ``close``.
     """
 
     family = "llm"
@@ -170,6 +170,10 @@ class LlmPromptForecaster(Forecaster):
     ):
         if channel_concurrency < 1:
             raise ValueError("channel_concurrency must be >= 1")
+        if decimals < 0:
+            raise ValueError("decimals must be >= 0")
+        if shots < 1:
+            raise ValueError("shots must be >= 1")
         self.adapter = adapter
         self.style = style
         self.decoding = decoding or DecodingConfig()
@@ -179,38 +183,19 @@ class LlmPromptForecaster(Forecaster):
         self.transcript = transcript
         self.channel_concurrency = channel_concurrency
         self.name = name or style
-        self._channel_pool = ThreadPoolExecutor(channel_concurrency) if channel_concurrency > 1 else None
-        # a channel's thread runs its sample 0 itself and hands the rest to the sample pool
-        extra = channel_concurrency * (self.decoding.num_samples - 1)
-        self._sample_pool = ThreadPoolExecutor(extra) if extra > 0 else None
-
-    def _predict_channel(self, values: np.ndarray, horizon: int, channel: int) -> np.ndarray:
-        scaling = self.scaling or ScalingConfig.from_values(values, decimals=self.decimals)
-        bundle = build_prompt(values, horizon, self.style, scaling, shots=self.shots)
-        samples = sample_forecasts(
-            self.adapter,
-            bundle,
-            self.decoding,
-            self._sample_pool,
-            transcript=self.transcript,
-            transcript_context={"channel": channel, "forecaster": self.name},
-        )
-        return aggregate_median([s.values for s in samples])
+        self._pool = ThreadPoolExecutor(channel_concurrency * self.decoding.num_samples)
 
     def predict(self, window: np.ndarray, horizon: int) -> np.ndarray:
         arr = _as_window(window)
-        channels = range(arr.shape[1])
-        if self._channel_pool is None or arr.shape[1] == 1:
-            columns = [self._predict_channel(arr[:, c], horizon, c) for c in channels]
-        else:
-            futures = [self._channel_pool.submit(self._predict_channel, arr[:, c], horizon, c)
-                       for c in channels]
-            wait(futures)
-            columns = [f.result() for f in futures]
-        return np.column_stack(columns)
+        bundles = []
+        for values in arr.T:
+            scaling = self.scaling or ScalingConfig.from_values(values, decimals=self.decimals)
+            bundles.append(build_prompt(values, horizon, self.style, scaling, shots=self.shots))
+        samples = sample_forecasts(self.adapter, bundles, self.decoding, self._pool,
+                                   transcript=self.transcript,
+                                   transcript_context={"forecaster": self.name})
+        return np.column_stack([aggregate_median([s.values for s in channel]) for channel in samples])
 
     def close(self) -> None:
         """Stop the pool threads; call once the forecaster is done predicting."""
-        for pool in (self._channel_pool, self._sample_pool):
-            if pool is not None:
-                pool.shutdown()
+        self._pool.shutdown()

@@ -9,6 +9,7 @@ variable, never from configuration files. ``requests`` is imported when an
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
@@ -65,10 +66,12 @@ def _check_responses(responses: Any, source: str) -> list[str]:
 class MockAdapter(LlmAdapter):
     """Deterministic scripted adapter for offline runs.
 
-    Responses are consumed in order under a lock, cycling through the script.
-    With concurrent callers the response-to-caller assignment follows
-    acquisition order, so per-call pairing can vary with scheduling while the
-    consumed multiset stays fixed.
+    Draws are counted per prompt text under a lock: each distinct
+    ``(system_text, user_text)`` is answered ``script[0], script[1], ...``
+    in its own call order, cycling through the script, whatever other
+    prompts are sent before or between its calls. Concurrent samples of one
+    prompt may take its replies in either order, so which sample index
+    receives which reply can vary, but not the replies the prompt receives.
     """
 
     def __init__(self, responses: Sequence[str]):
@@ -76,13 +79,16 @@ class MockAdapter(LlmAdapter):
             raise ValueError("MockAdapter needs at least one scripted response")
         self._responses = list(responses)
         self._lock = threading.Lock()
+        self._draws: dict[bytes, int] = {}
         self.calls = 0
 
     def complete(self, system_text: str, user_text: str, config: DecodingConfig) -> str:
+        key = hashlib.sha256(f"{system_text}\0{user_text}".encode("utf-8")).digest()
         with self._lock:
-            response = self._responses[self.calls % len(self._responses)]
+            draw = self._draws.get(key, 0)
+            self._draws[key] = draw + 1
             self.calls += 1
-        return response
+        return self._responses[draw % len(self._responses)]
 
 
 class HttpChatAdapter(LlmAdapter):

@@ -131,7 +131,8 @@ def _llm_entry(**fields):
     return {"name": "llm", "llm": {"adapter": {"type": "mock", "responses": ["1"]}, **fields}}
 
 
-_HTTP = {"type": "http", "endpoint": "http://localhost:9/v1", "model": "m", "timeout_seconds": "fast"}
+_HTTP_OK = {"type": "http", "endpoint": "http://localhost:9/v1", "model": "m"}
+_HTTP = {**_HTTP_OK, "timeout_seconds": "fast"}
 
 # (config changes, or a whole non-mapping root; substrings stderr must name)
 _BAD_CONFIGS = {
@@ -154,6 +155,15 @@ _BAD_CONFIGS = {
         "type": "polynomial", "degree": 4, "fit_span": 4}}]}, ["'poly'", "fit_span"]),
     "channel-concurrency-0": ({"forecasters": [_llm_entry(channel_concurrency=0)]},
                               ["'llm'", "channel_concurrency"]),
+    "decimals-negative": ({"forecasters": [_llm_entry(decimals=-1)]}, ["'llm'", "decimals"]),
+    "shots-0": ({"forecasters": [_llm_entry(style="ts_incontext", shots=0)]}, ["'llm'", "shots"]),
+    "shots-0-unused-style": ({"forecasters": [_llm_entry(shots=0)]}, ["'llm'", "shots"]),
+    # http adapter fields, checked before any call is made
+    "endpoint-5": ({"forecasters": [_llm_entry(adapter={**_HTTP_OK, "endpoint": 5})]}, ["endpoint", "5"]),
+    "endpoint-without-scheme": ({"forecasters": [_llm_entry(adapter={**_HTTP_OK, "endpoint": "localhost:8000"})]},
+                                ["endpoint", "localhost:8000"]),
+    "model-empty": ({"forecasters": [_llm_entry(adapter={**_HTTP_OK, "model": ""})]}, ["model"]),
+    "api-key-env-5": ({"forecasters": [_llm_entry(adapter={**_HTTP_OK, "api_key_env": 5})]}, ["api_key_env"]),
     # names must be non-empty strings
     "dataset-name-1": ({"datasets": [{"name": 1, "function": {"kind": "sine", "length": 80}}]},
                        ["dataset entry name", "1"]),

@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 import threading
 
 import pytest
@@ -358,3 +359,34 @@ def test_cost_comparison_written_for_llm_runs(tmp_path):
     assert "C_LLM = " in text
     assert "C_LLM < C_Linear" in text
     assert result.cost_lines and result.cost_lines[0].startswith("C_LLM")
+
+
+def test_sliding_mock_llm_report_does_not_depend_on_concurrency_or_scheduling(tmp_path):
+    (tmp_path / "three.csv").write_text("".join(
+        f"{i / 7:.6f},{(i % 9) / 3:.6f},{(i * i % 13) / 5:.6f}\n" for i in range(160)))
+    script = [", ".join(str((7 * r + 3 * k) % 11) for k in range(10)) for r in range(5)]
+    script.insert(2, "no numbers here")  # one undecodable reply, so some sample retries
+
+    def summary(concurrency, out):
+        raw = _base_config(tmp_path, protocol="sliding", output_dir=str(tmp_path / out))
+        raw["datasets"] = [{"name": "three", "csv": {"path": "three.csv"}}]
+        raw["forecasters"] = [{"name": "llm-mock", "llm": {
+            "style": "llmtime_chat",
+            "decimals": 2,
+            "channel_concurrency": concurrency,
+            "decoding": {"num_samples": 3, "max_attempts_per_sample": 2},
+            "adapter": {"type": "mock", "responses": script},
+        }}]
+        result = run_experiment(config_from_dict(raw, base_dir=tmp_path))
+        with open(result.summary_path, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert int(row["window_count"]) > 1
+        return row["mae"], row["mse"]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runs = {summary(c, f"c{c}-{r}") for c in (1, 4) for r in range(3)}
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(runs) == 1

@@ -1,6 +1,8 @@
 import json
+import random
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -26,7 +28,7 @@ BUNDLE = build_prompt(np.array([1.0, 2.0, 3.0, 4.0]), 3, "llmtime_chat", IDENTIT
 def test_mock_scripted_five_samples():
     adapter = MockAdapter(["1, 2, 3"])
     cfg = DecodingConfig(num_samples=5, max_attempts_per_sample=1)
-    results = sample_forecasts(adapter, BUNDLE, cfg)
+    results = sample_forecasts(adapter, [BUNDLE], cfg)[0]
     assert len(results) == 5
     for r in results:
         assert r.values.tolist() == [1.0, 2.0, 3.0]
@@ -35,7 +37,7 @@ def test_mock_scripted_five_samples():
 def test_mock_retry_after_garbage():
     adapter = MockAdapter(["no numbers here", "1, 2, 3"])
     cfg = DecodingConfig(num_samples=1, max_attempts_per_sample=2)
-    results = sample_forecasts(adapter, BUNDLE, cfg)
+    results = sample_forecasts(adapter, [BUNDLE], cfg)[0]
     assert len(results) == 1
     assert results[0].attempts == 2
     assert results[0].values.tolist() == [1.0, 2.0, 3.0]
@@ -45,7 +47,7 @@ def test_all_samples_failed():
     adapter = MockAdapter(["garbage"])
     cfg = DecodingConfig(num_samples=3, max_attempts_per_sample=2)
     with pytest.raises(AllSamplesFailedError):
-        sample_forecasts(adapter, BUNDLE, cfg)
+        sample_forecasts(adapter, [BUNDLE], cfg)
     assert adapter.calls == 6
 
 
@@ -54,39 +56,63 @@ def test_reproducible_with_deterministic_adapter():
     runs = []
     for _ in range(2):
         adapter = MockAdapter(["5, 6, 7", "5, 6, 7", "5, 6, 7", "5, 6, 7"])
-        results = sample_forecasts(adapter, BUNDLE, cfg)
+        results = sample_forecasts(adapter, [BUNDLE], cfg)[0]
         runs.append([r.values.tolist() for r in results])
     assert runs[0] == runs[1]
 
 
-def test_sample_zero_runs_on_the_calling_thread_and_results_keep_sample_order():
-    class ThreadNamingAdapter(MockAdapter):
-        def complete(self, system_text, user_text, config):
-            super().complete(system_text, user_text, config)
-            return "1, 2, 3" if threading.current_thread() is caller else "4, 5, 6"
+def test_bundles_share_one_queue_and_come_back_grouped_in_sample_order(tmp_path):
+    other = build_prompt(np.array([10.0, 20.0, 30.0, 40.0]), 3, "llmtime_chat", IDENTITY)
+    adapter = MockAdapter(["1, 2, 3", "4, 5, 6", "7, 8, 9"])
+    transcript = TranscriptWriter(tmp_path / "t.jsonl")
+    cfg = DecodingConfig(num_samples=4, max_attempts_per_sample=1)
+    with ThreadPoolExecutor(3) as pool:
+        results = sample_forecasts(adapter, [BUNDLE, other], cfg, pool, transcript=transcript)
+    transcript.close()
+    assert [[r.sample_index for r in rs] for rs in results] == [[0, 1, 2, 3]] * 2
+    # each prompt is served the script from its start, whichever samples ran first
+    for rs in results:
+        assert sorted(r.values.tolist() for r in rs) == [[1, 2, 3], [1, 2, 3], [4, 5, 6], [7, 8, 9]]
+    assert adapter.calls == 8
+    records = [json.loads(line)["payload"] for line in (tmp_path / "t.jsonl").read_text().splitlines()]
+    channels = {bundle: {r["channel"] for r in records if r["user_text"] == bundle.user_text}
+                for bundle in (BUNDLE, other)}
+    assert channels == {BUNDLE: {0}, other: {1}}
 
-    caller = threading.current_thread()
-    adapter = ThreadNamingAdapter(["unused"])
-    cfg = DecodingConfig(num_samples=5, max_attempts_per_sample=1)
-    with ThreadPoolExecutor(4) as pool:
-        results = sample_forecasts(adapter, BUNDLE, cfg, pool)
-    assert [r.sample_index for r in results] == [0, 1, 2, 3, 4]
-    assert [r.values.tolist() for r in results] == [[1, 2, 3]] + [[4, 5, 6]] * 4
-    assert adapter.calls == 5
+
+def test_a_bundle_without_successes_fails_the_call_after_every_task_ends():
+    good = build_prompt(np.array([10.0, 20.0, 30.0, 40.0]), 3, "llmtime_chat", IDENTITY)
+    finished = []
+
+    class SlowPerPromptAdapter(MockAdapter):
+        def complete(self, system_text, user_text, config):
+            time.sleep(0.01)
+            finished.append(user_text)
+            return "1, 2, 3" if user_text == good.user_text else "garbage"
+
+    adapter = SlowPerPromptAdapter(["unused"])
+    cfg = DecodingConfig(num_samples=3, max_attempts_per_sample=2)
+    with ThreadPoolExecutor(2) as pool:
+        with pytest.raises(AllSamplesFailedError, match=r"channel\(s\) \[1\]"):
+            sample_forecasts(adapter, [good, BUNDLE], cfg, pool)
+        # nothing was left in flight: every call had returned before the error
+        calls = len(finished)
+        time.sleep(0.05)
+    assert calls == len(finished) == 3 + 3 * 2
 
 
 def test_all_samples_failed_on_an_executor():
     adapter = MockAdapter(["garbage"])
     cfg = DecodingConfig(num_samples=3, max_attempts_per_sample=2)
     with ThreadPoolExecutor(2) as pool, pytest.raises(AllSamplesFailedError):
-        sample_forecasts(adapter, BUNDLE, cfg, pool)
+        sample_forecasts(adapter, [BUNDLE], cfg, pool)
     assert adapter.calls == 6
 
 
 def test_partial_failures_keep_successes():
     adapter = MockAdapter(["bad", "bad", "1, 2, 3"])  # cycles
     cfg = DecodingConfig(num_samples=2, max_attempts_per_sample=3)
-    results = sample_forecasts(adapter, BUNDLE, cfg)
+    results = sample_forecasts(adapter, [BUNDLE], cfg)[0]
     assert 1 <= len(results) <= 2
     for r in results:
         assert r.values.tolist() == [1.0, 2.0, 3.0]
@@ -98,8 +124,8 @@ def test_transcript_records_exchanges(tmp_path):
     transcript = TranscriptWriter(path)
     adapter = MockAdapter(["oops", "1, 2, 3"])
     cfg = DecodingConfig(num_samples=1, max_attempts_per_sample=2)
-    sample_forecasts(adapter, BUNDLE, cfg, transcript=transcript,
-                     transcript_context={"channel": 0})
+    sample_forecasts(adapter, [BUNDLE], cfg, transcript=transcript,
+                     transcript_context={"forecaster": "f"})
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert len(lines) == 2
     assert lines[0]["payload"]["error"] is not None
@@ -107,6 +133,7 @@ def test_transcript_records_exchanges(tmp_path):
     assert lines[1]["payload"]["response"] == "1, 2, 3"
     assert lines[1]["payload"]["scaling"] == {"offset": 0.0, "scale": 1.0, "decimals": 0}
     assert lines[1]["payload"]["channel"] == 0
+    assert lines[1]["payload"]["forecaster"] == "f"
     transcript.close()
 
 
@@ -151,15 +178,40 @@ def test_mock_replays_json_and_jsonl_scripts(tmp_path):
     p.write_text(json.dumps(["1, 2, 3", "4, 5, 6"]))
     adapter = MockAdapter(read_responses(p))
     cfg = DecodingConfig(num_samples=3, max_attempts_per_sample=1)
-    results = sample_forecasts(adapter, BUNDLE, cfg)
+    results = sample_forecasts(adapter, [BUNDLE], cfg)[0]
     # the script cycles once exhausted
     assert [r.values.tolist() for r in results] == [[1, 2, 3], [4, 5, 6], [1, 2, 3]]
 
     p2 = tmp_path / "r.jsonl"
     p2.write_text('"7, 8, 9"\n"10, 11, 12"\n')
     adapter2 = MockAdapter(read_responses(p2))
-    results2 = sample_forecasts(adapter2, BUNDLE, cfg)
+    results2 = sample_forecasts(adapter2, [BUNDLE], cfg)[0]
     assert [r.values.tolist() for r in results2] == [[7, 8, 9], [10, 11, 12], [7, 8, 9]]
+
+
+def test_mock_serves_each_prompt_its_script_whatever_the_call_order():
+    script = ["1", "2", "3"]
+    prompts = [("sys", "a"), ("sys", "b"), ("", "a")]
+    order = [p for p in prompts for _ in range(7)]
+    random.Random(4).shuffle(order)
+    adapter = MockAdapter(script)
+    served = {p: [] for p in prompts}
+    for p in order:
+        served[p].append(adapter.complete(*p, DecodingConfig()))
+    assert all(replies == (script * 3)[:7] for replies in served.values())
+    assert adapter.calls == 21
+
+    adapter = MockAdapter(script)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(6) as pool:
+            served = list(pool.map(lambda p: (p, adapter.complete(*p, DecodingConfig())), order * 20))
+    finally:
+        sys.setswitchinterval(interval)
+    for p in prompts:
+        assert sorted(r for q, r in served if q == p) == sorted((script * 47)[:140])
+    assert adapter.calls == 420
 
 
 def test_http_adapter_wire_format():
