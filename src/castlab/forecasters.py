@@ -10,6 +10,8 @@ reference used to demonstrate that the harness detects robustness contrasts.
 
 from __future__ import annotations
 
+import functools
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -69,6 +71,20 @@ class SeasonalRepeatForecaster(Forecaster):
         return np.tile(season, (reps, 1))[:horizon]
 
 
+@functools.lru_cache(maxsize=8)
+def _polynomial_design(n: int, degree: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(lhs, scl, rcond)`` of ``polyfit`` on ``n`` points of [0, 1]: the Vandermonde matrix
+    with unit-norm columns, the norms and ``n * eps``, built as ``polyfit`` builds them."""
+    t = np.arange(n, dtype=np.float64) / (n - 1)
+    vander = np.polynomial.polynomial.polyvander(t, degree)
+    scl = np.sqrt(np.square(vander.T).sum(1))
+    scl[scl == 0] = 1
+    lhs = vander / scl
+    lhs.setflags(write=False)
+    scl.setflags(write=False)
+    return lhs, scl, n * np.finfo(np.float64).eps
+
+
 class PolynomialExtrapolator(Forecaster):
     """Unregularized high-degree polynomial fit per channel, extrapolated.
 
@@ -76,7 +92,9 @@ class PolynomialExtrapolator(Forecaster):
     ``fit_span`` points of the input window (time rescaled to [0, 1]); the
     polynomial is then evaluated beyond 1. High degrees make the
     extrapolation exquisitely sensitive to input noise, which is exactly
-    the point of this baseline.
+    the point of this baseline. Each channel's coefficients are ``polyfit``'s,
+    bit for bit and with its ``RankWarning``, solved against a design kept per
+    (length, degree); one ``polyval`` evaluates every channel.
     """
 
     family = "domain"
@@ -100,13 +118,17 @@ class PolynomialExtrapolator(Forecaster):
             raise ShapeMismatchError(
                 f"window length {n} cannot support degree {self.degree}"
             )
-        t = np.arange(n, dtype=np.float64) / (n - 1)
-        t_future = (np.arange(n, n + horizon, dtype=np.float64)) / (n - 1)
-        out = np.empty((horizon, arr.shape[1]))
+        lhs, scl, rcond = _polynomial_design(n, self.degree)
+        coeffs = np.empty((self.degree + 1, arr.shape[1]))
         for c in range(arr.shape[1]):
-            coeffs = np.polynomial.polynomial.polyfit(t, arr[:, c], self.degree)
-            out[:, c] = np.polynomial.polynomial.polyval(t_future, coeffs)
-        return out
+            # one right-hand side per solve: a 2-D one changes the last bits
+            solution, _, rank, _ = np.linalg.lstsq(lhs, arr[:, c], rcond)
+            coeffs[:, c] = solution / scl
+            if rank != self.degree + 1:
+                warnings.warn("The fit may be poorly conditioned", np.exceptions.RankWarning,
+                              stacklevel=2)
+        t_future = np.arange(n, n + horizon, dtype=np.float64) / (n - 1)
+        return np.polynomial.polynomial.polyval(t_future[:, None], coeffs, tensor=False)
 
 
 class LinearSingleShotForecaster(Forecaster):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -212,45 +213,60 @@ def _phi(theta: np.ndarray, mixing: np.ndarray | None) -> np.ndarray:
     return theta if mixing is None else mixing @ theta
 
 
-def _design(windows: np.ndarray, variant: str) -> Design:
-    """``(X̃, shift)``, one row of ``X̃`` per window along the last axis of ``windows``."""
-    width = windows.shape[-1]
-    design = np.empty((*windows.shape[:-1], width + 1))
+def _stack(*blocks: np.ndarray, extra: int = 0) -> np.ndarray:
+    """The windows along the last axis of ``blocks`` copied into rows, then ``extra`` unset columns."""
+    width = blocks[0].shape[-1]
+    rows = np.empty((sum(math.prod(b.shape[:-1]) for b in blocks), width + extra))
+    start = 0
+    for block in blocks:
+        stop = start + math.prod(block.shape[:-1])
+        rows[start:stop, :width].reshape(block.shape)[...] = block
+        start = stop
+    return rows
+
+
+def _design(variant: str, *blocks: np.ndarray) -> Design:
+    """``(X̃, shift)``, one row of ``X̃`` per window along the last axis of ``blocks``, block after block."""
+    design = _stack(*blocks, extra=1)
+    windows = design[:, :-1]
     if variant == "dlinear":
-        design[..., :-1] = windows
-        design[..., -1] = 1.0
-        return design.reshape(-1, width + 1), None
-    mean = windows.mean(axis=-1, keepdims=True)
-    np.subtract(windows, mean, out=design[..., :-1])
-    np.maximum(windows.std(axis=-1, keepdims=True), INSTANCE_NORM_EPS, out=design[..., -1:])
-    return design.reshape(-1, width + 1), mean.reshape(-1, 1)
+        design[:, -1] = 1.0
+        return design, None
+    mean = windows.mean(axis=1, keepdims=True)
+    np.maximum(windows.std(axis=1, keepdims=True), INSTANCE_NORM_EPS, out=design[:, -1:])
+    windows -= mean
+    return design, mean
 
 
-def _predict(design: Design, phi: np.ndarray) -> np.ndarray:
+def _predict(design: Design, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     matrix, shift = design
-    pred = matrix @ phi
+    pred = np.matmul(matrix, phi, out=out)
     if shift is not None:
         pred += shift
     return pred
 
 
-def _loss(design: Design, phi: np.ndarray, targets: np.ndarray, loss: str) -> float:
-    residual = _predict(design, phi) - targets
-    return float(np.mean(residual**2 if loss == "l2" else np.abs(residual)))
+def _loss(residual: np.ndarray, loss: str) -> float:
+    """Mean l1/l2 loss, squaring or taking ``abs`` of ``residual`` in place; the bits of ``np.mean``."""
+    (np.square if loss == "l2" else np.abs)(residual, out=residual)
+    return float(np.add.reduce(residual, axis=None)) / residual.size
 
 
-def _gradient(design: Design, phi: np.ndarray, targets: np.ndarray, loss: str) -> np.ndarray:
-    """Gradient of the mean l1/l2 loss with respect to ``phi``."""
-    residual = _predict(design, phi) - targets
-    dpred = (2.0 * residual if loss == "l2" else np.sign(residual)) / residual.size
-    return design[0].T @ dpred
+def _gradient(matrix: np.ndarray, residual: np.ndarray, loss: str, out=None) -> np.ndarray:
+    """Gradient of the mean l1/l2 loss with respect to ``phi``; overwrites ``residual``."""
+    if loss == "l2":
+        residual *= 2.0
+    else:
+        np.sign(residual, out=residual)
+    residual /= residual.size
+    return np.matmul(matrix.T, residual, out=out)
 
 
 def _forward(
     params: dict[str, np.ndarray], windows: np.ndarray, variant: str, kernel: int
 ) -> tuple[np.ndarray, Design]:
     """Predictions for a batch of input windows (rows), with their design."""
-    design = _design(windows, variant)
+    design = _design(variant, windows)
     phi = _phi(_pack(params, variant), _mixing(variant, windows.shape[1], kernel))
     return _predict(design, phi), design
 
@@ -266,11 +282,12 @@ def loss_and_gradients(
     """Mean l1/l2 loss over all entries and its analytic parameter gradients."""
     # overflow here means divergence, reported as DivergedLossError by callers
     with np.errstate(over="ignore", invalid="ignore"):
-        design = _design(windows, variant)
+        design = _design(variant, windows)
         mixing = _mixing(variant, windows.shape[1], kernel)
         phi = _phi(_pack(params, variant), mixing)
-        value = _loss(design, phi, targets, loss)
-        grad = _gradient(design, phi, targets, loss)
+        residual = _predict(design, phi) - targets
+        value = _loss(residual.copy(), loss)
+        grad = _gradient(design[0], residual, loss)
         if mixing is not None:
             grad = mixing.T @ grad
     return value, _unpack(grad, variant)
@@ -293,32 +310,45 @@ def fit_single_shot(
     in ``phi``, an epoch adds ``lr * g`` to a sum ``r`` and steps ``phi -= lr
     * M Mᵀ g``, so its ``theta`` is ``theta0 - Mᵀ r``. An l2 ``g`` is ``H phi
     - c`` (``H = 2/n X̃ᵀX̃``, ``c = 2/n X̃ᵀ(Y - shift)``), whose cost does not
-    grow with the window count; an l1 ``g`` is the direct gradient.
+    grow with the window count; an l1 ``g`` is the direct gradient, from the
+    train rows of the one product that also scored the previous step.
     """
     plan = plan_windows(task, input_sequence.channels)
     kernel = config.decomposition_kernel
     mixing, precondition, theta, phi = _fit_constants(
         config.variant, plan.inner_input, plan.inner_output, kernel, config.seed)
     phi = phi.copy()  # stepped in place below
-    # the inputs are copied once more, into X̃; the targets into one block each
     train, val = train_val_partition(make_windows(input_sequence, plan), VAL_FRACTION)
-    train_design = _design(train.inputs, config.variant)
-    val_design = _design(val.inputs, config.variant)
-    train_targets = train.targets.reshape(-1, plan.inner_output)
-    val_targets = val.targets.reshape(-1, plan.inner_output)
+    # X̃ and the targets hold the train rows, then the validation rows: each
+    # value of the windows is copied once, and one product can score both parts
+    matrix, shift = _design(config.variant, train.inputs, val.inputs)
+    targets = _stack(train.targets, val.targets)
+    train_rows, val_rows = slice(None, train.size), slice(train.size, None)
+    residual = np.empty_like(targets)
+    step = np.empty_like(phi)
+    preconditioned = np.empty_like(phi)
+
+    def residual_at(phi: np.ndarray, rows: slice) -> np.ndarray:
+        part = (matrix[rows], None if shift is None else shift[rows])
+        return np.subtract(_predict(part, phi, residual[rows]), targets[rows], out=residual[rows])
+
     if config.loss == "l2":
-        matrix, shift = train_design
-        factor = 2.0 / train_targets.size
-        centered = train_targets if shift is None else train_targets - shift
-        hessian = (matrix.T @ matrix) * factor
-        moment = (matrix.T @ centered) * factor
+        train_matrix = matrix[train_rows]
+        factor = 2.0 / train.targets.size
+        centered = targets[train_rows] if shift is None else targets[train_rows] - shift[train_rows]
+        hessian = (train_matrix.T @ train_matrix) * factor
+        moment = (train_matrix.T @ centered) * factor
+        scored = val_rows
 
-        def gradient(phi: np.ndarray) -> np.ndarray:
-            return hessian @ phi - moment
+        def gradient() -> None:
+            np.subtract(np.matmul(hessian, phi, out=step), moment, out=step)
     else:
+        # each epoch's product over all rows also leaves the next epoch's train residual
+        scored = slice(None)
+        residual_at(phi, train_rows)
 
-        def gradient(phi: np.ndarray) -> np.ndarray:
-            return _gradient(train_design, phi, train_targets, config.loss)
+        def gradient() -> None:
+            _gradient(matrix[train_rows], residual[train_rows], config.loss, out=step)
 
     step_sum = None if mixing is None else np.zeros_like(phi)
     tracked = phi if step_sum is None else step_sum
@@ -332,13 +362,15 @@ def fit_single_shot(
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.max_epochs + 1):
             epochs_run = epoch
-            step = config.learning_rate * gradient(phi)
+            gradient()
+            step *= config.learning_rate
             if step_sum is None:
                 phi -= step
             else:
                 step_sum += step
-                phi -= precondition @ step
-            val_loss = _loss(val_design, phi, val_targets, config.loss)
+                phi -= np.matmul(precondition, step, out=preconditioned)
+            residual_at(phi, scored)
+            val_loss = _loss(residual[val_rows], config.loss)
             if not (np.isfinite(val_loss) and np.isfinite(phi).all()):
                 raise DivergedLossError(
                     f"parameters or validation loss became non-finite at epoch {epoch}"
@@ -346,7 +378,7 @@ def fit_single_shot(
             if val_loss < best_val:
                 best_val = val_loss
                 best_epoch = epoch
-                best = tracked.copy()
+                best[...] = tracked
                 bad_epochs = 0
             else:
                 bad_epochs += 1
@@ -354,7 +386,7 @@ def fit_single_shot(
                     break
         if mixing is not None:
             best = theta - mixing.T @ best
-        train_loss = _loss(train_design, _phi(best, mixing), train_targets, config.loss)
+        train_loss = _loss(residual_at(_phi(best, mixing), train_rows), config.loss)
     if not np.isfinite(train_loss):
         raise DivergedLossError("training loss is non-finite at the best-validation parameters")
 
@@ -399,7 +431,7 @@ def predict(model: FittedLinearModel, recent: np.ndarray | TimeSeries, horizon: 
     blocks = []
     produced = 0
     while produced < horizon:
-        block = _predict(_design(context, model.variant), phi)
+        block = _predict(_design(model.variant, context), phi)
         blocks.append(block)
         produced += block.shape[1]
         context = np.concatenate([context, block], axis=1)[:, -model.inner_input :]

@@ -4,7 +4,8 @@ One input sequence of length I is carved, channel-independently and with
 stride 1, into K = d * (I - (I' + O') + 1) (input, target) pairs of inner
 lengths I' and O'. The pairs are kept in channel blocks: entry ``[c, s]``
 of the inputs and of the targets is the pair of channel c that starts at
-offset s.
+offset s. The blocks are read-only views of one channel-major copy of the
+sequence; no window is copied.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import ShapeMismatchError, TooFewWindowsError
 from .series import ForecastTask, TimeSeries, _round_fraction
@@ -52,11 +53,17 @@ class WindowPlan:
         return window_count(self.channels, self.outer_input, self.inner_input, self.inner_output)
 
 
+# the non-array object ``as_strided`` (and so ``sliding_window_view``) leaves
+# between a view and the array whose memory it reads, as ``.base``
+_STRIDED_BASE = type(as_strided(np.empty(1)).base)
+
+
 def _read_only(arr) -> np.ndarray:
     """``arr`` when no writeable array can change its values, else a read-only copy."""
     arr = np.asarray(arr)
     owner = arr
-    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+    while isinstance(owner, _STRIDED_BASE) or (
+            isinstance(owner, np.ndarray) and not owner.flags.writeable):
         owner = owner.base
     if owner is not None:
         arr = arr.copy()
@@ -71,7 +78,8 @@ class WindowSet:
     ``inputs`` has shape (channels, offsets, I') and ``targets`` (channels,
     offsets, O'); ``targets[c, s]`` immediately follows ``inputs[c, s]`` in
     channel c. Arrays handed in are copied unless they are read-only and no
-    writeable array shares their memory.
+    writeable array shares their memory, so read-only views (strided window
+    views included) of read-only memory are kept as they are.
     """
 
     inputs: np.ndarray
@@ -124,21 +132,20 @@ def make_windows(input_sequence: TimeSeries, plan: WindowPlan) -> WindowSet:
     """Enumerate every stride-1 window of every channel.
 
     ``inputs[c, s]`` is ``values[s : s+I', c]`` and ``targets[c, s]`` is
-    ``values[s+I' : s+I'+O', c]``, for offsets s = 0 .. I - (I' + O').
+    ``values[s+I' : s+I'+O', c]``, for offsets s = 0 .. I - (I' + O'). Both
+    blocks are read-only views of one channel-major copy ``values.T``, so
+    each window row is contiguous and no window is copied.
     """
     if input_sequence.length != plan.outer_input or input_sequence.channels != plan.channels:
         raise ShapeMismatchError(
             f"sequence shape ({input_sequence.length}, {input_sequence.channels}) does not match "
             f"plan (I={plan.outer_input}, d={plan.channels})"
         )
-    span = plan.inner_input + plan.inner_output
-    # (channels, offsets, span): every window of every channel, as a view
-    spans = sliding_window_view(input_sequence.values, span, axis=0).transpose(1, 0, 2)
-    inputs = spans[..., : plan.inner_input].copy()
-    targets = spans[..., plan.inner_input :].copy()
-    inputs.setflags(write=False)
-    targets.setflags(write=False)
-    return WindowSet(inputs=inputs, targets=targets)
+    channels = input_sequence.values.T.copy()  # (d, I)
+    channels.setflags(write=False)
+    # (channels, offsets, span): every window of every channel
+    spans = sliding_window_view(channels, plan.inner_input + plan.inner_output, axis=1)
+    return WindowSet(inputs=spans[..., : plan.inner_input], targets=spans[..., plan.inner_input :])
 
 
 def train_val_partition(ws: WindowSet, val_fraction: float) -> tuple[WindowSet, WindowSet]:

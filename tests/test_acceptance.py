@@ -466,7 +466,8 @@ def test_criterion_10_offline_end_to_end(tmp_path):
         assert len(entries) == 10  # 2 datasets x 5 samples, one channel each
         assert all(e["payload"]["response"] for e in entries)
 
-        rows = list(csv.DictReader(open(first.summary_path)))
+        with open(first.summary_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert {r["forecaster"] for r in rows} == {"dlinear-s", "llm-mock", "naive"}
         assert all(r["mae"] for r in rows)
         manifest = json.loads((Path(first.output_dir) / "manifest.json").read_text())

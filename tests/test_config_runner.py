@@ -12,6 +12,11 @@ from castlab import runner
 from castlab.runner import TIMING_COLUMNS, run_experiment
 
 
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def _base_config(tmp_path, **overrides):
     raw = {
         "seed": 0,
@@ -100,7 +105,7 @@ def test_run_experiment_writes_outputs(tmp_path):
     result = run_experiment(cfg)
     assert result.status == 0
     assert result.summary_path.exists()
-    rows = list(csv.DictReader(open(result.summary_path)))
+    rows = _csv_rows(result.summary_path)
     assert len(rows) == 1
     assert rows[0]["dataset"] == "sine" and rows[0]["forecaster"] == "naive"
     assert float(rows[0]["mae"]) >= 0.0
@@ -126,7 +131,7 @@ def test_run_experiment_collects_errors(tmp_path):
     assert manifest["errors"][0]["dataset"] == "short"
     assert "SeriesTooShort" in manifest["errors"][0]["error"]
     # the healthy cell still produced a row with metrics
-    rows = list(csv.DictReader(open(result.summary_path)))
+    rows = _csv_rows(result.summary_path)
     ok_rows = [r for r in rows if r["mae"]]
     assert len(ok_rows) == 1
 
@@ -186,7 +191,7 @@ def test_failing_llm_cell_fails_only_itself(tmp_path):
     assert error["forecaster"] == "llm-mock"
     assert error["error"].startswith("AllSamplesFailedError: ")
     assert "Traceback" in error["traceback"]
-    rows = {r["forecaster"]: r for r in csv.DictReader(open(result.summary_path))}
+    rows = {r["forecaster"]: r for r in _csv_rows(result.summary_path)}
     assert rows["llm-mock"]["family"] == "llm" and rows["llm-mock"]["mae"] == ""
     assert float(rows["naive"]["mae"]) >= 0.0
 
@@ -297,7 +302,7 @@ def test_run_experiment_with_mock_llm_and_transcript(tmp_path):
     assert transcript.exists()
     lines = transcript.read_text().splitlines()
     assert len(lines) == 2  # one prompt, two samples
-    rows = list(csv.DictReader(open(result.summary_path)))
+    rows = _csv_rows(result.summary_path)
     families = {r["forecaster"]: r["family"] for r in rows}
     assert families == {"naive": "domain", "llm-mock": "llm"}
 
@@ -309,9 +314,9 @@ def test_sweep_emits_plot_files_and_replicates(tmp_path):
     cfg = config_from_dict(raw, base_dir=tmp_path)
     result = run_experiment(cfg)
     assert result.status == 0
-    sweep_rows = list(csv.DictReader(open(cfg.output_dir / "plots" / "noise_sweep.csv")))
+    sweep_rows = _csv_rows(cfg.output_dir / "plots" / "noise_sweep.csv")
     assert len(sweep_rows) == 4  # 2 values x 2 replicates x 1 dataset x 1 forecaster
-    mean_rows = list(csv.DictReader(open(cfg.output_dir / "plots" / "noise_sweep_mean.csv")))
+    mean_rows = _csv_rows(cfg.output_dir / "plots" / "noise_sweep_mean.csv")
     assert len(mean_rows) == 2
     assert [float(r["value"]) for r in mean_rows] == [0.0, 0.05]
     assert all(int(r["runs"]) == 2 for r in mean_rows)
@@ -329,7 +334,7 @@ def test_rerun_is_deterministic_excluding_timings(tmp_path):
         raw2 = dict(raw, output_dir=str(tmp_path / out))
         cfg = config_from_dict(raw2, base_dir=tmp_path)
         result = run_experiment(cfg)
-        rows = list(csv.DictReader(open(result.summary_path)))
+        rows = _csv_rows(result.summary_path)
         assert all(r["mae"] for r in rows)  # every cell actually produced metrics
         for r in rows:
             for col in TIMING_COLUMNS:

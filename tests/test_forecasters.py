@@ -2,6 +2,7 @@ import hashlib
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,42 @@ def test_polynomial_fit_span_limits_context():
     a = PolynomialExtrapolator(degree=3, fit_span=20).predict(window, 4)
     b = PolynomialExtrapolator(degree=3).predict(window[-20:], 4)
     assert np.allclose(a, b)
+
+
+def _polyfit_per_channel(window, degree, fit_span, horizon):
+    """The per-channel ``polyfit``/``polyval`` loop that the cached design replaced."""
+    arr = window if fit_span is None else window[-fit_span:]
+    n = arr.shape[0]
+    t = np.arange(n, dtype=np.float64) / (n - 1)
+    t_future = np.arange(n, n + horizon, dtype=np.float64) / (n - 1)
+    out = np.empty((horizon, arr.shape[1]))
+    for c in range(arr.shape[1]):
+        coeffs = np.polynomial.polynomial.polyfit(t, arr[:, c], degree)
+        out[:, c] = np.polynomial.polynomial.polyval(t_future, coeffs)
+    return out
+
+
+@pytest.mark.parametrize("fit_span", [None, 100])
+def test_polynomial_is_bitwise_the_polyfit_loop(fit_span):
+    rng = np.random.default_rng(7)
+    for degree in range(1, 13):
+        for length, channels in ((120, 3), (40, 7), (384, 1)):
+            window = rng.normal(size=(length, channels)).cumsum(axis=0)
+            for horizon in (1, 24, 192):
+                got = PolynomialExtrapolator(degree=degree, fit_span=fit_span).predict(window, horizon)
+                assert np.array_equal(got, _polyfit_per_channel(window, degree, fit_span, horizon))
+
+
+def test_polynomial_warns_rank_deficiency_as_polyfit_does():
+    window = np.random.default_rng(3).normal(size=(26, 2))
+    with pytest.warns(np.exceptions.RankWarning):
+        _polyfit_per_channel(window, 25, None, 4)
+    with pytest.warns(np.exceptions.RankWarning):
+        PolynomialExtrapolator(degree=25).predict(window, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a full-rank fit warns on neither side
+        _polyfit_per_channel(window, 12, None, 4)
+        PolynomialExtrapolator(degree=12).predict(window, 4)
 
 
 def test_polynomial_noise_brittleness():

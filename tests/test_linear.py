@@ -4,6 +4,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from castlab import (
     ForecastTask,
+    WindowSet,
     LinearModelConfig,
     decompose_moving_average,
     fit_single_shot,
@@ -20,6 +21,7 @@ from castlab.linear import (
     _design,
     _fit_constants,
     _forward,
+    _phi,
     _init_params,
     _mixing,
     _moving_average_matrix,
@@ -286,6 +288,131 @@ def test_fit_matches_reference_loop(name, values, n_in, horizon, kwargs):
         assert ref_run == ref_best + cfg.patience + 1
 
 
+# The fit loop that in-place stepping replaced: fresh X̃ blocks for the
+# train and the validation windows, copied out of row-major window copies, and
+# a new temporary for every gradient, step and loss. The new loop does the
+# same arithmetic, so it must return the same bits.
+
+
+def _copied_design(windows, variant):
+    width = windows.shape[-1]
+    design = np.empty((*windows.shape[:-1], width + 1))
+    if variant == "dlinear":
+        design[..., :-1] = windows
+        design[..., -1] = 1.0
+        return design.reshape(-1, width + 1), None
+    mean = windows.mean(axis=-1, keepdims=True)
+    np.subtract(windows, mean, out=design[..., :-1])
+    np.maximum(windows.std(axis=-1, keepdims=True), INSTANCE_NORM_EPS, out=design[..., -1:])
+    return design.reshape(-1, width + 1), mean.reshape(-1, 1)
+
+
+def _copied_residual(design, phi, targets):
+    matrix, shift = design
+    pred = matrix @ phi
+    if shift is not None:
+        pred += shift
+    return pred - targets
+
+
+def _copied_loss(design, phi, targets, loss):
+    residual = _copied_residual(design, phi, targets)
+    return float(np.mean(residual**2 if loss == "l2" else np.abs(residual)))
+
+
+def _copying_fit(series, task, cfg):
+    """``(weights, bias, TrainingStats)`` of the copy-per-step fit loop."""
+    plan = plan_windows(task, series.channels)
+    mixing, precondition, theta, phi = _fit_constants(
+        cfg.variant, plan.inner_input, plan.inner_output, cfg.decomposition_kernel, cfg.seed)
+    phi = phi.copy()
+    ws = make_windows(series, plan)
+    train, val = train_val_partition(
+        WindowSet(ws.inputs.copy(), ws.targets.copy()), 0.2)
+    train_design = _copied_design(train.inputs, cfg.variant)
+    val_design = _copied_design(val.inputs, cfg.variant)
+    train_targets = train.targets.reshape(-1, plan.inner_output)
+    val_targets = val.targets.reshape(-1, plan.inner_output)
+    if cfg.loss == "l2":
+        matrix, shift = train_design
+        factor = 2.0 / train_targets.size
+        centered = train_targets if shift is None else train_targets - shift
+        hessian = (matrix.T @ matrix) * factor
+        moment = (matrix.T @ centered) * factor
+
+        def gradient(phi):
+            return hessian @ phi - moment
+    else:
+
+        def gradient(phi):
+            residual = _copied_residual(train_design, phi, train_targets)
+            return train_design[0].T @ (np.sign(residual) / residual.size)
+
+    step_sum = None if mixing is None else np.zeros_like(phi)
+    tracked = phi if step_sum is None else step_sum
+    best, best_val, best_epoch, bad_epochs, epochs_run = tracked.copy(), np.inf, 0, 0, 0
+    for epoch in range(1, cfg.max_epochs + 1):
+        epochs_run = epoch
+        step = cfg.learning_rate * gradient(phi)
+        if step_sum is None:
+            phi -= step
+        else:
+            step_sum += step
+            phi -= precondition @ step
+        val_loss = _copied_loss(val_design, phi, val_targets, cfg.loss)
+        if val_loss < best_val:
+            best_val, best_epoch, best, bad_epochs = val_loss, epoch, tracked.copy(), 0
+        else:
+            bad_epochs += 1
+            if bad_epochs > cfg.patience:
+                break
+    if mixing is not None:
+        best = theta - mixing.T @ best
+    train_loss = _copied_loss(train_design, _phi(best, mixing), train_targets, cfg.loss)
+    params = _unpack(best, cfg.variant)
+    bias = params.pop("bias")
+    return params, bias, TrainingStats(train_loss, float(best_val), epochs_run, best_epoch)
+
+
+def _trend_sines(length, channels, noise, seed=0):
+    t = np.arange(length, dtype=float)[:, None]
+    rng = np.random.default_rng(seed)
+    return (np.sin(2 * np.pi * t / 24.0 + np.arange(channels)) + 0.002 * t
+            + noise * rng.normal(size=(length, channels)))
+
+
+_BITWISE_CASES = [
+    # every variant and loss, on d = 1, 3 and 7
+    *[(f"{v}-{l}-d{d}", (64, 16, d), dict(variant=v, loss=l, learning_rate=0.2, max_epochs=40,
+                                          patience=40, decomposition_kernel=5, seed=1))
+      for v in ("dlinear", "rlinear") for l in ("l1", "l2") for d in (1, 3, 7)],
+    # the benchmark shapes: sliding-csv (I=384, O=192, d=7) and sweep-linear (I=278, O=120, d=1)
+    *[(f"{v}-{l}-{i}x{d}", (i, o, d), dict(variant=v, loss=l, learning_rate=0.05, max_epochs=8,
+                                           patience=8, decomposition_kernel=25, seed=3))
+      for v in ("dlinear", "rlinear") for l in ("l1", "l2") for i, o, d in ((384, 192, 7), (278, 120, 1))],
+    # patience stops these before max_epochs
+    *[(f"{v}-{l}-early-stop", (60, 20, 3), dict(variant=v, loss=l, learning_rate=0.5, max_epochs=400,
+                                                 patience=2, decomposition_kernel=5, seed=1))
+      for v in ("dlinear", "rlinear") for l in ("l1", "l2")],
+]
+
+
+@pytest.mark.parametrize("name,shape,kwargs", _BITWISE_CASES, ids=[c[0] for c in _BITWISE_CASES])
+def test_fit_is_bitwise_the_copying_loop(name, shape, kwargs):
+    n_in, horizon, channels = shape
+    series = validate_series(_trend_sines(n_in, channels, 0.3 if "early" in name else 0.1))
+    task = ForecastTask(n_in, horizon)
+    cfg = LinearModelConfig(**kwargs)
+    model = fit_single_shot(series, task, cfg)
+    weights, bias, stats = _copying_fit(series, task, cfg)
+    assert model.weights.keys() == weights.keys()
+    assert all(np.array_equal(model.weights[k], weights[k]) for k in weights)
+    assert np.array_equal(model.bias, bias)
+    assert model.training_stats == stats
+    if "early" in name:
+        assert stats.epochs_run < cfg.max_epochs
+
+
 @pytest.mark.parametrize("variant", ["dlinear", "rlinear"])
 def test_normal_equations_give_the_l2_gradient(variant):
     # the fit's l2 step: Mᵀ(H phi - c) with H = 2/n X̃ᵀX̃, c = 2/n X̃ᵀ(Y - shift)
@@ -298,7 +425,7 @@ def test_normal_equations_give_the_l2_gradient(variant):
     Y = rng.normal(size=(9, o_out))
     params = _init_params(variant, i_in, o_out, seed=3)
     params = {name: p + 0.3 * rng.normal(size=p.shape) for name, p in params.items()}
-    matrix, shift = _design(X, variant)
+    matrix, shift = _design(variant, X)
     if variant == "rlinear":
         assert matrix[0, -1] == matrix[1, -1] == INSTANCE_NORM_EPS
     mixing = _mixing(variant, i_in, 3)

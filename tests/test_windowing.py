@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from castlab import (
     ForecastTask,
@@ -171,3 +172,37 @@ def test_window_sets_are_read_only_and_partitions_match_the_mask_split():
         rows = getattr(ws, name).reshape(ws.size, -1)
         assert np.array_equal(getattr(train, name).reshape(train.size, -1), rows[~is_val])
         assert np.array_equal(getattr(val, name).reshape(val.size, -1), rows[is_val])
+
+
+def test_make_windows_are_read_only_views_of_one_channel_major_copy():
+    rng = np.random.default_rng(4)
+    values = rng.normal(size=(30, 3))
+    ws = make_windows(validate_series(values), _plan(30, 5, 4, 3))
+    owner = ws.inputs
+    while owner.base is not None:
+        owner = owner.base
+    # one (d, I) array holds every window: no window is copied
+    assert owner.shape == (3, 30) and owner.flags.c_contiguous and not owner.flags.writeable
+    assert np.array_equal(owner, values.T)
+    for block in (ws.inputs, ws.targets):
+        assert not block.flags.writeable
+        assert np.shares_memory(block, owner)
+        with pytest.raises(ValueError):
+            block[0, 0, 0] = 1.0
+
+
+def test_window_set_keeps_strided_views_of_read_only_memory_only():
+    owned = np.arange(20.0).reshape(2, 10).copy()  # owns its memory
+    owned.setflags(write=False)
+    spans = sliding_window_view(owned, 4, axis=1)
+    kept = WindowSet(inputs=spans[..., :3], targets=spans[..., 3:])
+    assert np.shares_memory(kept.inputs, owned) and np.shares_memory(kept.targets, owned)
+
+    writeable = np.arange(20.0).reshape(2, 10)
+    spans = sliding_window_view(writeable, 4, axis=1)  # a read-only view of writeable memory
+    copied = WindowSet(inputs=spans[..., :3], targets=spans[..., 3:])
+    assert not np.shares_memory(copied.inputs, writeable)
+    assert not np.shares_memory(copied.targets, writeable)
+    writeable[:] = -1.0
+    assert copied.inputs[1, 0].tolist() == [10.0, 11.0, 12.0]
+    assert copied.targets[0, 6].tolist() == [9.0]
