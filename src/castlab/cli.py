@@ -11,6 +11,9 @@ Subcommands:
   of a CSV series and save it as JSON.
 * ``eval``: run one forecaster on one CSV under either protocol and print
   the report as JSON.
+
+A flag left out is absent, not a default: each command builds its specs
+from the flags given, so every default is the library's own.
 """
 
 from __future__ import annotations
@@ -20,30 +23,54 @@ import json
 import sys
 from pathlib import Path
 
-from .config import build_forecaster, build_spec, forecaster_from_dict, load_config, read_yaml
-from .data_io import FunctionSpec, generate_function_series, load_csv, write_csv
+from .config import (
+    BASELINE_TYPES,
+    BaselineConfig,
+    ExperimentConfig,
+    build_forecaster,
+    build_spec,
+    forecaster_from_dict,
+    keys_for,
+    load_config,
+    read_yaml,
+)
+from .data_io import CSV_LAYOUTS, FunctionSpec, generate_function_series, load_csv, write_csv
 from .errors import CastlabError, ConfigError, SeriesTooShortError
-from .eval import run_last_sample, run_sliding
-from .linear import VARIANTS, LinearModelConfig, fit_single_shot, save_model
-from .noise import FilterSpec, NoiseSpec, apply_filter, inject_noise
+from .eval import METRIC_SPACES, PROTOCOLS, run_last_sample, run_sliding
+from .linear import LOSSES, VARIANTS, LinearModelConfig, fit_single_shot, save_model
+from .noise import FILTER_KINDS, NOISE_KINDS, FilterSpec, NoiseSpec, apply_filter, inject_noise
 from .runner import run_experiment
-from .series import ForecastTask, SplitSpec
+from .series import ForecastTask, SplitSpec, TimeSeries
+
+
+def _spec(make, args: argparse.Namespace, context: str):
+    """``make`` built from the given flags that name its fields."""
+    return build_spec(make, keys_for(make, vars(args)), context)
+
+
+def _load(args: argparse.Namespace) -> TimeSeries:
+    return load_csv(args.input, **keys_for(load_csv, vars(args)))
+
+
+def _add_input_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--input", required=True, help="input CSV path")
+    parser.add_argument("--layout", choices=CSV_LAYOUTS)
 
 
 def _add_io_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", required=True, help="input CSV path")
-    parser.add_argument("--layout", default="plain", choices=("plain", "informer"))
+    _add_input_args(parser)
     parser.add_argument("--output", required=True, help="output CSV path")
 
 
+def _add_task_args(parser: argparse.ArgumentParser) -> None:
+    _add_input_args(parser)
+    parser.add_argument("--input-length", dest="input_length", type=int, required=True)
+    parser.add_argument("--output-length", dest="output_length", type=int, required=True)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    overrides = {
-        "protocol": args.protocol,
-        "metric_space": args.metric_space,
-        "output_dir": args.output_dir,
-    }
-    config = load_config(args.config, overrides)
-    if args.dry_run:
+    config = load_config(args.config, keys_for(ExperimentConfig, vars(args)))
+    if "dry_run" in args:
         print(f"config OK: {len(config.datasets)} dataset(s), {len(config.forecasters)} forecaster(s)")
         return 0
     result = run_experiment(config)
@@ -74,49 +101,24 @@ def _cmd_generate_functions(args: argparse.Namespace) -> int:
 
 
 def _cmd_inject_noise(args: argparse.Namespace) -> int:
-    series = load_csv(args.input, layout=args.layout)
-    spec = NoiseSpec(
-        kind=args.kind,
-        sigma=args.sigma,
-        epsilon=args.epsilon,
-        contamination=args.contamination,
-        amplitude=args.amplitude,
-        frequency=args.frequency,
-        seed=args.seed,
-    )
-    write_csv(inject_noise(series, spec), args.output)
+    write_csv(inject_noise(_load(args), _spec(NoiseSpec, args, "noise spec")), args.output)
     print(f"wrote {args.output}")
     return 0
 
 
 def _cmd_filter(args: argparse.Namespace) -> int:
-    series = load_csv(args.input, layout=args.layout)
-    spec = FilterSpec(kind=args.kind, kernel_sigma=args.kernel_sigma, alpha=args.alpha)
-    write_csv(apply_filter(series, spec), args.output)
+    write_csv(apply_filter(_load(args), _spec(FilterSpec, args, "filter spec")), args.output)
     print(f"wrote {args.output}")
     return 0
 
 
-def _task(args: argparse.Namespace) -> ForecastTask:
-    return build_spec(ForecastTask, {"input_length": args.input_length,
-                                     "output_length": args.output_length}, "task")
-
-
 def _cmd_fit_linear(args: argparse.Namespace) -> int:
-    config = build_spec(LinearModelConfig, {
-        "variant": args.variant,
-        "loss": args.loss,
-        "learning_rate": args.learning_rate,
-        "max_epochs": args.max_epochs,
-        "patience": args.patience,
-        "decomposition_kernel": args.kernel,
-        "seed": args.seed,
-    }, "linear config")
-    task = _task(args)
-    series = load_csv(args.input, layout=args.layout)
-    if series.length < args.input_length:
-        raise SeriesTooShortError(f"series has {series.length} rows, need input_length={args.input_length}")
-    window = series.segment(series.length - args.input_length, series.length)
+    config = _spec(LinearModelConfig, args, "linear config")
+    task = _spec(ForecastTask, args, "task")
+    series = _load(args)
+    if series.length < task.input_length:
+        raise SeriesTooShortError(f"series has {series.length} rows, need input_length={task.input_length}")
+    window = series.segment(series.length - task.input_length, series.length)
     model = fit_single_shot(window, task, config)
     save_model(model, args.save)
     stats = model.training_stats
@@ -128,23 +130,23 @@ def _cmd_fit_linear(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    given = vars(args)
     if args.forecaster in VARIANTS:
-        body = {"linear": {"variant": args.forecaster, "seed": args.seed}}
+        body = {"linear": {**keys_for(LinearModelConfig, given), "variant": args.forecaster}}
     else:
-        body = {"baseline": {"type": args.forecaster, "degree": args.degree, "period": args.period}}
+        body = {"baseline": {**keys_for(BaselineConfig, given), "type": args.forecaster}}
     entry = forecaster_from_dict({"name": args.forecaster, **body}, Path("."))
-    task = _task(args)
-    split = build_spec(SplitSpec, {"test_fraction": args.test_fraction,
-                                   "val_fraction": args.val_fraction}, "split")
-    series = load_csv(args.input, layout=args.layout)
-    runner = run_last_sample if args.protocol == "last_sample" else run_sliding
+    task = _spec(ForecastTask, args, "task")
+    split = _spec(SplitSpec, args, "split")
+    series = _load(args)
+    runner = run_sliding if given.get("protocol") == "sliding" else run_last_sample
     report = runner(
         series,
         task,
         build_forecaster(entry),
         split=split,
-        metric_space=args.metric_space,
         dataset_name=Path(args.input).stem,
+        **{k: v for k, v in given.items() if k == "metric_space"},
     )
     print(json.dumps(report.to_dict(), indent=2))
     return 0
@@ -154,72 +156,56 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="castlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a config-driven experiment")
+    def command(name: str, func, about: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=about, argument_default=argparse.SUPPRESS)
+        p.set_defaults(func=func)
+        return p
+
+    p_run = command("run", _cmd_run, "run a config-driven experiment")
     p_run.add_argument("config")
     p_run.add_argument("--dry-run", action="store_true", help="validate the config and exit")
-    p_run.add_argument("--protocol", choices=("last_sample", "sliding"))
-    p_run.add_argument("--metric-space", dest="metric_space", choices=("standardized", "raw"))
+    p_run.add_argument("--protocol", choices=PROTOCOLS)
+    p_run.add_argument("--metric-space", dest="metric_space", choices=METRIC_SPACES)
     p_run.add_argument("--output-dir", dest="output_dir")
-    p_run.set_defaults(func=_cmd_run)
 
-    p_gen = sub.add_parser("generate-functions", help="write synthetic function CSVs")
+    p_gen = command("generate-functions", _cmd_generate_functions, "write synthetic function CSVs")
     p_gen.add_argument("specs", help="YAML list of function specs")
     p_gen.add_argument("out_dir")
-    p_gen.set_defaults(func=_cmd_generate_functions)
 
-    p_noise = sub.add_parser("inject-noise", help="corrupt a CSV series")
+    p_noise = command("inject-noise", _cmd_inject_noise, "corrupt a CSV series")
     _add_io_args(p_noise)
-    p_noise.add_argument("--kind", required=True,
-                         choices=("gaussian", "constant", "missing", "freq_add", "freq_replace"))
-    p_noise.add_argument("--sigma", type=float, default=0.0)
-    p_noise.add_argument("--epsilon", type=float, default=None)
-    p_noise.add_argument("--contamination", type=float, default=0.1)
-    p_noise.add_argument("--amplitude", type=float, default=None)
-    p_noise.add_argument("--frequency", type=float, default=5.0)
-    p_noise.add_argument("--seed", type=int, default=0)
-    p_noise.set_defaults(func=_cmd_inject_noise)
+    p_noise.add_argument("--kind", required=True, choices=NOISE_KINDS)
+    for flag in ("--sigma", "--epsilon", "--contamination", "--amplitude", "--frequency"):
+        p_noise.add_argument(flag, type=float)
+    p_noise.add_argument("--seed", type=int)
 
-    p_filter = sub.add_parser("filter", help="smooth a CSV series")
+    p_filter = command("filter", _cmd_filter, "smooth a CSV series")
     _add_io_args(p_filter)
-    p_filter.add_argument("--kind", required=True, choices=("gaussian_kernel", "ema"))
-    p_filter.add_argument("--kernel-sigma", dest="kernel_sigma", type=float, default=1.0)
-    p_filter.add_argument("--alpha", type=float, default=0.3)
-    p_filter.set_defaults(func=_cmd_filter)
+    p_filter.add_argument("--kind", required=True, choices=FILTER_KINDS)
+    p_filter.add_argument("--kernel-sigma", dest="kernel_sigma", type=float)
+    p_filter.add_argument("--alpha", type=float)
 
-    p_fit = sub.add_parser("fit-linear", help="fit a single-shot linear model")
-    p_fit.add_argument("--input", required=True)
-    p_fit.add_argument("--layout", default="plain", choices=("plain", "informer"))
-    p_fit.add_argument("--input-length", dest="input_length", type=int, required=True)
-    p_fit.add_argument("--output-length", dest="output_length", type=int, required=True)
-    p_fit.add_argument("--variant", default="dlinear", choices=("dlinear", "rlinear"))
-    p_fit.add_argument("--loss", default="l2", choices=("l1", "l2"))
-    p_fit.add_argument("--learning-rate", dest="learning_rate", type=float, default=1e-2)
-    p_fit.add_argument("--max-epochs", dest="max_epochs", type=int, default=500)
-    p_fit.add_argument("--patience", type=int, default=20)
-    p_fit.add_argument("--kernel", type=int, default=25)
-    p_fit.add_argument("--seed", type=int, default=0)
+    p_fit = command("fit-linear", _cmd_fit_linear, "fit a single-shot linear model")
+    _add_task_args(p_fit)
+    p_fit.add_argument("--variant", choices=VARIANTS)
+    p_fit.add_argument("--loss", choices=LOSSES)
+    p_fit.add_argument("--learning-rate", dest="learning_rate", type=float)
+    p_fit.add_argument("--max-epochs", dest="max_epochs", type=int)
+    p_fit.add_argument("--patience", type=int)
+    p_fit.add_argument("--kernel", dest="decomposition_kernel", type=int)
+    p_fit.add_argument("--seed", type=int)
     p_fit.add_argument("--save", required=True, help="where to write the model JSON")
-    p_fit.set_defaults(func=_cmd_fit_linear)
 
-    p_eval = sub.add_parser("eval", help="evaluate one forecaster on one CSV")
-    p_eval.add_argument("--input", required=True)
-    p_eval.add_argument("--layout", default="plain", choices=("plain", "informer"))
-    p_eval.add_argument("--input-length", dest="input_length", type=int, required=True)
-    p_eval.add_argument("--output-length", dest="output_length", type=int, required=True)
-    p_eval.add_argument(
-        "--forecaster",
-        default="dlinear",
-        choices=("dlinear", "rlinear", "last_value", "seasonal_repeat", "polynomial"),
-    )
-    p_eval.add_argument("--degree", type=int, default=12)
-    p_eval.add_argument("--period", type=int, default=24)
-    p_eval.add_argument("--protocol", default="last_sample", choices=("last_sample", "sliding"))
-    p_eval.add_argument("--metric-space", dest="metric_space", default="standardized",
-                        choices=("standardized", "raw"))
-    p_eval.add_argument("--test-fraction", dest="test_fraction", type=float, default=0.2)
-    p_eval.add_argument("--val-fraction", dest="val_fraction", type=float, default=0.0)
-    p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.set_defaults(func=_cmd_eval)
+    p_eval = command("eval", _cmd_eval, "evaluate one forecaster on one CSV")
+    _add_task_args(p_eval)
+    p_eval.add_argument("--forecaster", default=VARIANTS[0], choices=VARIANTS + BASELINE_TYPES)
+    p_eval.add_argument("--degree", type=int)
+    p_eval.add_argument("--period", type=int)
+    p_eval.add_argument("--protocol", choices=PROTOCOLS)
+    p_eval.add_argument("--metric-space", dest="metric_space", choices=METRIC_SPACES)
+    p_eval.add_argument("--test-fraction", dest="test_fraction", type=float)
+    p_eval.add_argument("--val-fraction", dest="val_fraction", type=float)
+    p_eval.add_argument("--seed", type=int)
 
     return parser
 

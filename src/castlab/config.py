@@ -35,14 +35,20 @@ environment variable (``api_key_env``) instead. Grid cells run one after
 another, in dataset x forecaster x sweep value x replicate order. Keys the
 schema does not name are ignored, except inside the sections parsed into
 spec classes (function, linear, baseline, decoding, task, split, noise,
-filter). Malformed values raise ConfigError; ``build_forecaster``, the one
-forecaster builder, builds each entry once at load time, so a value a
-constructor rejects fails the config rather than its cells. Names are
-non-empty strings, and no two cells may share a ``report_stem``.
+filter). Every section is built by :func:`build_spec` from the keys it
+gives, so each default and each value rule lives with the class or
+constructor that uses it, not here. Numeric fields take numbers only: a
+bool or a quoted number (``"30"``) is rejected by key, and an int field
+takes an integral float as an int. Malformed values raise ConfigError;
+``build_forecaster``, the one forecaster builder, builds each entry once at
+load time, so a value a constructor rejects (a prompt style, an http
+endpoint) fails the config rather than its cells. Names are non-empty
+strings, and no two cells may share a ``report_stem``.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Any
@@ -59,6 +65,7 @@ from .forecasters import (
 )
 from .linear import LinearModelConfig
 from .llm.adapters import (
+    DEFAULT_TIMEOUT_SECONDS,
     HttpChatAdapter,
     LlmAdapter,
     MockAdapter,
@@ -67,7 +74,6 @@ from .llm.adapters import (
     read_responses,
 )
 from .llm.decode import DecodingConfig
-from .llm.prompts import PROMPT_STYLES
 from .noise import FilterSpec, NoiseSpec
 from .series import ForecastTask, SplitSpec
 
@@ -87,25 +93,31 @@ SWEEPABLE_PARAMETERS = (
 class DatasetConfig:
     name: str
     csv_path: Path | None = None
-    csv_layout: str = "plain"
+    csv_layout: str = "plain"  # load_csv's default
     function: FunctionSpec | None = None
+
+    def __post_init__(self):
+        if self.csv_layout not in CSV_LAYOUTS:
+            raise ValueError(f"csv layout must be one of {CSV_LAYOUTS}")
 
 
 @dataclass(frozen=True)
 class AdapterConfig:
     type: str
     responses: tuple[str, ...] | None = None  # mock script, read from the fixture at load time
-    endpoint: str = ""
+    endpoint: str = ""  # HttpChatAdapter checks the http fields
     model: str = ""
-    api_key_env: str = "OPENAI_API_KEY"
-    timeout_seconds: float = 120.0
+    api_key_env: str = "OPENAI_API_KEY"  # HttpChatAdapter's default
+    timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS
 
 
 @dataclass(frozen=True)
 class LlmForecasterConfig:
-    style: str
-    decoding: DecodingConfig
+    """An LLM forecaster's arguments; the defaults are LlmPromptForecaster's."""
+
     adapter: AdapterConfig
+    decoding: DecodingConfig = DecodingConfig()
+    style: str = "llmtime_chat"
     decimals: int = 0
     shots: int = 3
     channel_concurrency: int = 1
@@ -114,7 +126,7 @@ class LlmForecasterConfig:
 @dataclass(frozen=True)
 class BaselineConfig:
     type: str
-    degree: int = 12
+    degree: int = 12  # PolynomialExtrapolator's default
     fit_span: int | None = None
     period: int = 24
 
@@ -136,9 +148,20 @@ class ForecasterConfig:
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """A noise parameter, the values it takes and the replicates run at each."""
+
     parameter: str
     values: tuple[float, ...]
     replicates: int = 1
+
+    def __post_init__(self):
+        if self.parameter not in SWEEPABLE_PARAMETERS:
+            raise ValueError(f"parameter must be one of {SWEEPABLE_PARAMETERS}")
+        if not (isinstance(self.values, (list, tuple)) and self.values):
+            raise ValueError("values must be a non-empty list")
+        object.__setattr__(self, "values", tuple(build_spec(float, v, "sweep value") for v in self.values))
+        if self.replicates < 1:
+            raise ValueError("replicates must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -153,6 +176,12 @@ class ExperimentConfig:
     noise: NoiseSpec | None = None
     noise_filter: FilterSpec | None = None
     sweep: SweepConfig | None = None
+
+    def __post_init__(self):
+        if self.protocol not in PROTOCOLS:
+            raise ValueError(f"protocol must be one of {PROTOCOLS}")
+        if self.metric_space not in METRIC_SPACES:
+            raise ValueError(f"metric_space must be one of {METRIC_SPACES}")
 
     def sweep_points(self) -> list[tuple[float | None, int]]:
         """``(sweep value, replicate)`` of each cell of one dataset and forecaster, in run order."""
@@ -184,36 +213,49 @@ def _checked(value: Any, kind: type, context: str) -> Any:
     return value
 
 
-def _text(mapping: dict, key: str, context: str, default: str | None = None) -> str:
-    """``mapping[key]``, or ``default`` if given and the key is absent; a ConfigError
-    unless it is a non-empty string."""
-    value = _require(mapping, key, context) if default is None else mapping.get(key, default)
+def _text(mapping: dict, key: str, context: str) -> str:
+    """``mapping[key]``; a ConfigError unless it is a non-empty string."""
+    value = _require(mapping, key, context)
     if not (isinstance(value, str) and value):
         raise ConfigError(f"{context} {key} must be a non-empty string, got {value!r}")
     return value
 
 
-def _integral(value: Any, context: str) -> Any:
-    """An integral float as an int; a bool or a fractional float raises ConfigError."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"bad {context}: must be an integer, got {value!r}")
-    return int(value) if isinstance(value, float) else value
+def _number(value: Any, annotation: str, context: str) -> Any:
+    """``value`` checked for a field annotated ``annotation`` (``int`` or ``float``, maybe
+    ``| None``). A bool, a string or another non-number raises ConfigError naming
+    ``context``, as does a fractional float for ``int``; an integral float becomes an int."""
+    if value is None and annotation.endswith("| None"):
+        return value
+    integral = annotation.startswith("int")
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (integral and isinstance(value, float) and not value.is_integer())):
+        raise ConfigError(f"bad {context}: must be {'an integer' if integral else 'a number'}, "
+                          f"got {value!r}")
+    return int(value) if integral else value
+
+
+def keys_for(make, mapping: dict) -> dict:
+    """The items of ``mapping`` whose keys name a parameter of ``make``."""
+    parameters = inspect.signature(make).parameters
+    return {k: v for k, v in mapping.items() if k in parameters}
 
 
 def build_spec(make, payload: Any, context: str):
     """``make(**payload)`` for a spec dataclass, else ``make(payload)``.
 
     A payload the maker rejects raises ConfigError naming ``context``; so does
-    a bool or a fractional number given for an ``int`` (or ``int | None``) field.
+    a value of an ``int`` or ``float`` field (or ``make``) that ``_number`` rejects.
     """
     spec = is_dataclass(make)
     if spec:
         _checked(payload, dict, context)
         # annotations are strings here (postponed evaluation in every module)
-        ints = {f.name for f in fields(make) if f.type in ("int", "int | None")}
-        payload = {k: _integral(v, f"{context} {k}") if k in ints else v for k, v in payload.items()}
-    elif make is int:
-        payload = _integral(payload, context)
+        numeric = {f.name: f.type for f in fields(make) if f.type.split(" |")[0] in ("int", "float")}
+        payload = {k: _number(v, numeric[k], f"{context} {k}") if k in numeric else v
+                   for k, v in payload.items()}
+    elif make in (int, float):
+        payload = _number(payload, make.__name__, context)
     try:
         return make(**payload) if spec else make(payload)
     except (TypeError, ValueError, CastlabError) as exc:
@@ -265,12 +307,10 @@ def _dataset_from_dict(d: dict, base_dir: Path) -> DatasetConfig:
         path = build_spec(Path, _require(csv, "path", where), f"{where} path")
         if not path.is_absolute():
             path = base_dir / path
-        layout = csv.get("layout", "plain")
-        if layout not in CSV_LAYOUTS:
-            raise ConfigError(f"dataset {name!r}: layout must be one of {CSV_LAYOUTS}")
         if not path.exists():
             raise ConfigError(f"dataset {name!r}: file not found: {path}")
-        return DatasetConfig(name=name, csv_path=path, csv_layout=layout)
+        layout = {"csv_layout": csv["layout"]} if "layout" in csv else {}
+        return build_spec(DatasetConfig, {"name": name, "csv_path": path, **layout}, f"dataset {name!r}")
     if "function" in d:
         spec = build_spec(FunctionSpec, d["function"], f"dataset {name!r} function spec")
         return DatasetConfig(name=name, function=spec)
@@ -302,17 +342,7 @@ def _adapter_from_dict(d: dict, base_dir: Path) -> AdapterConfig:
         return AdapterConfig(type="mock", responses=tuple(responses))
     if "api_key" in d:
         raise ConfigError("API keys belong in the environment, not in config files; use api_key_env")
-    endpoint = _text(d, "endpoint", "http adapter")
-    if not endpoint.startswith(("http://", "https://")):
-        raise ConfigError(f"http adapter endpoint must start with http:// or https://, got {endpoint!r}")
-    return AdapterConfig(
-        type="http",
-        endpoint=endpoint,
-        model=_text(d, "model", "http adapter"),
-        api_key_env=_text(d, "api_key_env", "http adapter", default="OPENAI_API_KEY"),
-        timeout_seconds=build_spec(float, d.get("timeout_seconds", 120.0),
-                                   "http adapter timeout_seconds"),
-    )
+    return build_spec(AdapterConfig, keys_for(AdapterConfig, d), "http adapter")
 
 
 def forecaster_from_dict(d: dict, base_dir: Path) -> ForecasterConfig:
@@ -334,19 +364,11 @@ def forecaster_from_dict(d: dict, base_dir: Path) -> ForecasterConfig:
         llm = _checked(d["llm"], dict, f"{where} llm")
         if llm.get("multi_turn"):
             raise ConfigError(f"{where}: 'multi_turn' is no longer supported; remove the key")
-        style = llm.get("style", "llmtime_chat")
-        if style not in PROMPT_STYLES:
-            raise ConfigError(f"{where}: style must be one of {PROMPT_STYLES}")
         adapter = _checked(_require(llm, "adapter", where), dict, f"{where} adapter")
-        cfg = ForecasterConfig(name=name, llm=LlmForecasterConfig(
-            style=style,
-            decoding=build_spec(DecodingConfig, llm.get("decoding", {}), f"{where} decoding"),
-            adapter=_adapter_from_dict(adapter, base_dir),
-            decimals=build_spec(int, llm.get("decimals", 0), f"{where} decimals"),
-            shots=build_spec(int, llm.get("shots", 3), f"{where} shots"),
-            channel_concurrency=build_spec(int, llm.get("channel_concurrency", 1),
-                                           f"{where} channel_concurrency"),
-        ))
+        given = {**keys_for(LlmForecasterConfig, llm), "adapter": _adapter_from_dict(adapter, base_dir)}
+        if "decoding" in llm:
+            given["decoding"] = build_spec(DecodingConfig, llm["decoding"], f"{where} decoding")
+        cfg = ForecasterConfig(name=name, llm=build_spec(LlmForecasterConfig, given, where))
     build_spec(build_forecaster, cfg, where).close()
     return cfg
 
@@ -375,13 +397,6 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     task = build_spec(ForecastTask, _require(raw, "task", "config"), "task")
     split = build_spec(SplitSpec, raw.get("split", {}), "split")
 
-    protocol = raw.get("protocol", "last_sample")
-    if protocol not in PROTOCOLS:
-        raise ConfigError(f"protocol must be one of {PROTOCOLS}")
-    metric_space = raw.get("metric_space", "standardized")
-    if metric_space not in METRIC_SPACES:
-        raise ConfigError(f"metric_space must be one of {METRIC_SPACES}")
-
     noise = None
     if raw.get("noise") is not None:
         noise = build_spec(NoiseSpec, raw["noise"], "noise spec")
@@ -391,37 +406,18 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> ExperimentConfig:
 
     sweep = None
     if raw.get("sweep") is not None:
-        s = _checked(raw["sweep"], dict, "sweep")
-        parameter = _require(s, "parameter", "sweep")
-        if parameter not in SWEEPABLE_PARAMETERS:
-            raise ConfigError(f"sweep parameter must be one of {SWEEPABLE_PARAMETERS}")
+        sweep = build_spec(SweepConfig, keys_for(SweepConfig, _checked(raw["sweep"], dict, "sweep")), "sweep")
         if noise is None:
             raise ConfigError("a sweep over noise parameters requires a 'noise' section")
-        values = tuple(build_spec(float, v, "sweep value")
-                       for v in _checked(_require(s, "values", "sweep"), list, "sweep values"))
-        if not values:
-            raise ConfigError("sweep values must be non-empty")
-        replicates = build_spec(int, s.get("replicates", 1), "sweep replicates")
-        if replicates < 1:
-            raise ConfigError("sweep replicates must be >= 1")
-        sweep = SweepConfig(parameter=parameter, values=values, replicates=replicates)
 
-    # dataset/fixture paths resolve against the config file; outputs against the
-    # working directory, so a config bundle stays relocatable
-    output_dir = build_spec(Path, raw.get("output_dir", "results"), "output_dir")
-
-    config = ExperimentConfig(
-        datasets=tuple(datasets),
-        forecasters=tuple(forecasters),
-        task=task,
-        split=split,
-        protocol=protocol,
-        metric_space=metric_space,
-        output_dir=output_dir,
-        noise=noise,
-        noise_filter=noise_filter,
-        sweep=sweep,
-    )
+    root = {k: raw[k] for k in ("protocol", "metric_space") if k in raw}
+    if "output_dir" in raw:
+        # dataset/fixture paths resolve against the config file; outputs against the
+        # working directory, so a config bundle stays relocatable
+        root["output_dir"] = build_spec(Path, raw["output_dir"], "output_dir")
+    config = build_spec(ExperimentConfig, {
+        **root, "datasets": tuple(datasets), "forecasters": tuple(forecasters), "task": task,
+        "split": split, "noise": noise, "noise_filter": noise_filter, "sweep": sweep}, "config")
     _check_report_stems(config)
     return config
 
@@ -463,5 +459,5 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
     p = Path(path)
     raw = read_yaml(p)
     if overrides and isinstance(raw, dict):
-        raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
+        raw = {**raw, **overrides}
     return config_from_dict(raw, base_dir=p.parent)

@@ -22,7 +22,7 @@ from .linear import FittedLinearModel, LinearModelConfig, fit_single_shot
 from .linear import predict as linear_predict
 from .llm.adapters import LlmAdapter, TranscriptWriter
 from .llm.decode import DecodingConfig, aggregate_median
-from .llm.prompts import ScalingConfig, build_prompt
+from .llm.prompts import PROMPT_STYLES, ScalingConfig, build_prompt
 from .llm.sampling import sample_forecasts
 from .series import ForecastTask, validate_series
 
@@ -190,6 +190,8 @@ class LlmPromptForecaster(Forecaster):
         channel_concurrency: int = 1,
         name: str | None = None,
     ):
+        if style not in PROMPT_STYLES:
+            raise ValueError(f"style must be one of {PROMPT_STYLES}, got {style!r}")
         if channel_concurrency < 1:
             raise ValueError("channel_concurrency must be >= 1")
         if decimals < 0:

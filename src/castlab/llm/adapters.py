@@ -96,7 +96,9 @@ class HttpChatAdapter(LlmAdapter):
 
     Transport errors, throttling (429) and server errors (5xx) are retried
     up to ``TRANSPORT_RETRIES`` times, waiting 1 s, 2 s, ... between tries;
-    any other non-200 status raises at once. Each calling thread posts
+    any other non-200 status raises at once. The endpoint must be an http(s)
+    URL, and ``model`` and ``api_key_env`` non-empty strings; anything else
+    raises ValueError here, before any call is made. Each calling thread posts
     through its own ``requests.Session`` (kept for the thread's lifetime, so
     its keep-alive connection is reused), unless a ``session`` is given,
     which every thread then shares.
@@ -110,6 +112,11 @@ class HttpChatAdapter(LlmAdapter):
         timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS,
         session: requests.Session | None = None,
     ):
+        if not (isinstance(endpoint, str) and endpoint.startswith(("http://", "https://"))):
+            raise ValueError(f"endpoint must start with http:// or https://, got {endpoint!r}")
+        for key, value in (("model", model), ("api_key_env", api_key_env)):
+            if not (isinstance(value, str) and value):
+                raise ValueError(f"{key} must be a non-empty string, got {value!r}")
         import requests  # noqa: F401  (loaded with the adapter, not in its first timed call)
 
         self.endpoint = endpoint

@@ -53,6 +53,9 @@ SUMMARY_COLUMNS = (
 )
 
 TIMING_COLUMNS = ("train_seconds", "infer_seconds")
+PLOT_COLUMNS = ("total_seconds", "infer_seconds", "mae", "dataset", "forecaster", "family")
+SWEEP_COLUMNS = ("parameter", "value", "forecaster", "dataset", "replicate", "mae", "mse")
+SWEEP_MEAN_COLUMNS = ("parameter", "value", "forecaster", "mean_mae", "mean_mse", "runs")
 
 
 @dataclass(frozen=True)
@@ -157,91 +160,60 @@ def _run_dataset(
     return [_run_cell(config, c, series, transcript) for c in cells]
 
 
-def _summary_row(config: ExperimentConfig, res: CellResult) -> dict:
+def _cell_row(config: ExperimentConfig, res: CellResult) -> dict:
+    """Every column a cell fills in summary.csv and the plot CSVs, formatted once."""
+    c, report = res.cell, res.report
+    parameter = config.sweep.parameter if config.sweep else ""
+    value = "" if c.sweep_value is None else repr(c.sweep_value)
     row = {
-        "dataset": res.cell.dataset.name,
-        "forecaster": res.cell.forecaster.name,
+        "dataset": c.dataset.name,
+        "forecaster": c.forecaster.name,
         "family": res.family,
         "protocol": config.protocol,
         "metric_space": config.metric_space,
-        "sweep_parameter": config.sweep.parameter if config.sweep else "",
-        "sweep_value": "" if res.cell.sweep_value is None else repr(res.cell.sweep_value),
-        "replicate": res.cell.replicate,
-        "window_count": res.report.window_count if res.report else "",
-        "mae": repr(res.report.mae) if res.report else "",
-        "mse": repr(res.report.mse) if res.report else "",
-        "train_seconds": f"{res.report.cost.train_seconds:.6f}" if res.report else "",
-        "infer_seconds": f"{res.report.cost.infer_seconds:.6f}" if res.report else "",
+        "sweep_parameter": parameter,
+        "sweep_value": value,
+        "parameter": parameter,  # noise_sweep.csv's names
+        "value": value,
+        "replicate": c.replicate,
     }
+    if report is not None:
+        row.update(window_count=report.window_count, mae=repr(report.mae), mse=repr(report.mse),
+                   train_seconds=f"{report.cost.train_seconds:.6f}",
+                   infer_seconds=f"{report.cost.infer_seconds:.6f}",
+                   total_seconds=f"{report.cost.total_seconds:.6f}")
     return row
 
 
-def _write_summary(path: Path, rows: list[dict]) -> None:
+def _write_rows(path: Path, columns: tuple[str, ...], rows: list[dict]) -> None:
+    """``rows`` projected on ``columns``; a row's missing columns are left empty."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
 
 
-def _write_plots(config: ExperimentConfig, results: list[CellResult], plots_dir: Path) -> None:
+def _write_plots(config: ExperimentConfig, results: list[CellResult], rows: list[dict],
+                 plots_dir: Path) -> None:
     plots_dir.mkdir(parents=True, exist_ok=True)
-    ok = [r for r in results if r.report is not None]
-
-    with open(plots_dir / "time_vs_mae.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["total_seconds", "infer_seconds", "mae", "dataset", "forecaster", "family"])
-        for r in ok:
-            writer.writerow(
-                [
-                    f"{r.report.cost.total_seconds:.6f}",
-                    f"{r.report.cost.infer_seconds:.6f}",
-                    repr(r.report.mae),
-                    r.cell.dataset.name,
-                    r.cell.forecaster.name,
-                    r.family,
-                ]
-            )
-
+    ok = [row for row, r in zip(rows, results) if r.report is not None]
+    _write_rows(plots_dir / "time_vs_mae.csv", PLOT_COLUMNS, ok)
     if config.sweep is None:
         return
-    with open(plots_dir / "noise_sweep.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "value", "forecaster", "dataset", "replicate", "mae", "mse"])
-        for r in ok:
-            writer.writerow(
-                [
-                    config.sweep.parameter,
-                    repr(r.cell.sweep_value),
-                    r.cell.forecaster.name,
-                    r.cell.dataset.name,
-                    r.cell.replicate,
-                    repr(r.report.mae),
-                    repr(r.report.mse),
-                ]
-            )
+    _write_rows(plots_dir / "noise_sweep.csv", SWEEP_COLUMNS, ok)
     # Replicate- and dataset-averaged curve per forecaster, one row per value.
-    with open(plots_dir / "noise_sweep_mean.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "value", "forecaster", "mean_mae", "mean_mse", "runs"])
-        for fc in config.forecasters:
-            for value in config.sweep.values:
-                cell_reports = [
-                    r.report
-                    for r in ok
-                    if r.cell.forecaster.name == fc.name and r.cell.sweep_value == value
-                ]
-                if not cell_reports:
-                    continue
-                writer.writerow(
-                    [
-                        config.sweep.parameter,
-                        repr(value),
-                        fc.name,
-                        repr(float(np.mean([rep.mae for rep in cell_reports]))),
-                        repr(float(np.mean([rep.mse for rep in cell_reports]))),
-                        len(cell_reports),
-                    ]
-                )
+    means = []
+    for fc in config.forecasters:
+        for value in config.sweep.values:
+            reports = [r.report for r in results if r.report is not None
+                       and r.cell.forecaster.name == fc.name and r.cell.sweep_value == value]
+            if reports:
+                means.append({"parameter": config.sweep.parameter, "value": repr(value),
+                              "forecaster": fc.name,
+                              "mean_mae": repr(float(np.mean([rep.mae for rep in reports]))),
+                              "mean_mse": repr(float(np.mean([rep.mse for rep in reports]))),
+                              "runs": len(reports)})
+    _write_rows(plots_dir / "noise_sweep_mean.csv", SWEEP_MEAN_COLUMNS, means)
 
 
 def _cost_comparison_lines(results: list[CellResult]) -> list[str]:
@@ -292,9 +264,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if transcript is not None:
             transcript.close()
 
-    rows = [_summary_row(config, r) for r in results]
+    rows = [_cell_row(config, r) for r in results]
     summary_path = out / "summary.csv"
-    _write_summary(summary_path, rows)
+    _write_rows(summary_path, SUMMARY_COLUMNS, rows)
 
     for r in results:
         if r.report is not None:
@@ -304,7 +276,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 json.dumps(r.report.to_dict(), indent=2), encoding="utf-8"
             )
 
-    _write_plots(config, results, out / "plots")
+    _write_plots(config, results, rows, out / "plots")
 
     cost_lines = _cost_comparison_lines(results)
     if cost_lines:

@@ -1,11 +1,33 @@
+import argparse
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from castlab import load_csv, load_model, validate_series, write_csv
-from castlab.cli import main
+from castlab import (
+    FilterSpec,
+    ForecastTask,
+    LinearModelConfig,
+    NoiseSpec,
+    apply_filter,
+    fit_single_shot,
+    inject_noise,
+    load_csv,
+    load_model,
+    save_model,
+    validate_series,
+    write_csv,
+)
+from castlab.cli import build_parser, main
+from castlab.config import BASELINE_TYPES
+from castlab.data_io import CSV_LAYOUTS
+from castlab.eval import METRIC_SPACES, PROTOCOLS
+from castlab.linear import LOSSES, VARIANTS
+from castlab.noise import FILTER_KINDS, NOISE_KINDS
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _write_series(tmp_path, name="series.csv", n=120):
@@ -61,6 +83,58 @@ def test_fit_linear_saves_model(tmp_path):
     model = load_model(model_path)
     assert model.variant == "dlinear"
     assert model.inner_input == 8
+
+
+@pytest.mark.parametrize("command,kind", [("inject-noise", k) for k in NOISE_KINDS]
+                         + [("filter", k) for k in FILTER_KINDS])
+def test_noise_and_filter_flags_left_out_are_the_library_defaults(tmp_path, command, kind):
+    src = _write_series(tmp_path)
+    assert main([command, "--input", str(src), "--output", str(tmp_path / "cli.csv"), "--kind", kind]) == 0
+    change = inject_noise if command == "inject-noise" else apply_filter
+    spec = NoiseSpec(kind=kind) if command == "inject-noise" else FilterSpec(kind=kind)
+    write_csv(change(load_csv(src), spec), tmp_path / "library.csv")
+    assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+
+
+def test_fit_linear_flags_left_out_are_the_library_defaults(tmp_path):
+    src = _write_series(tmp_path, n=240)
+    assert main(["fit-linear", "--input", str(src), "--input-length", "192", "--output-length", "48",
+                 "--save", str(tmp_path / "cli.json")]) == 0
+    series = load_csv(src)
+    model = fit_single_shot(series.segment(240 - 192, 240), ForecastTask(192, 48), LinearModelConfig())
+    save_model(model, tmp_path / "library.json")
+    assert (tmp_path / "cli.json").read_bytes() == (tmp_path / "library.json").read_bytes()
+
+
+# (command, flag dest) -> the module constant its choices must be
+_CHOICES = {
+    ("run", "protocol"): PROTOCOLS,
+    ("run", "metric_space"): METRIC_SPACES,
+    **{(command, "layout"): CSV_LAYOUTS for command in ("inject-noise", "filter", "fit-linear", "eval")},
+    ("inject-noise", "kind"): NOISE_KINDS,
+    ("filter", "kind"): FILTER_KINDS,
+    ("fit-linear", "variant"): VARIANTS,
+    ("fit-linear", "loss"): LOSSES,
+    ("eval", "forecaster"): VARIANTS + BASELINE_TYPES,
+    ("eval", "protocol"): PROTOCOLS,
+    ("eval", "metric_space"): METRIC_SPACES,
+}
+
+
+def test_cli_restates_no_choice_list_and_no_default():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {(name, a.dest): a for name, p in sub.choices.items() for a in p._actions}
+    assert {key: a.choices for key, a in flags.items() if a.choices is not None} == _CHOICES
+    defaults = {key: a.default for key, a in flags.items() if a.default is not argparse.SUPPRESS}
+    assert defaults == {("eval", "forecaster"): VARIANTS[0]}
+
+
+def test_shipped_configs_load(tmp_path, capsys):
+    assert main(["run", str(CONFIGS / "offline-demo.yaml"), "--dry-run"]) == 0
+    assert "config OK" in capsys.readouterr().out
+    assert main(["generate-functions", str(CONFIGS / "function-specs.yaml"), str(tmp_path)]) == 0
+    names = {"sine", "sine-noisy", "linear", "quadratic", "exponential", "sigmoid", "beat"}
+    assert {p.name for p in tmp_path.glob("*.csv")} == {f"{n}.csv" for n in names}
 
 
 def test_eval_prints_report(tmp_path, capsys):
@@ -183,6 +257,16 @@ _BAD_CONFIGS = {
                         "sweep": {"parameter": "noise.sigma", "values": [0.1], "replicates": 2.5}},
                        ["sweep replicates", "2.5"]),
     "shots-true": ({"forecasters": [_llm_entry(shots=True)]}, ["'llm' shots"]),
+    # numeric fields take numbers, not strings
+    "linear-seed-abc": ({"forecasters": [{"name": "lin", "linear": {"seed": "abc"}}]},
+                        ["'lin'", "seed", "'abc'"]),
+    "noise-seed-x": ({"noise": {"kind": "gaussian", "seed": "x"}}, ["noise spec seed", "'x'"]),
+    "function-seed-x": ({"datasets": [{"name": "sine", "function": {"kind": "sine", "length": 80,
+                                                                    "seed": "x"}}]},
+                        ["'sine'", "function spec seed", "'x'"]),
+    "noise-sigma-quoted": ({"noise": {"kind": "gaussian", "sigma": "0.1"}}, ["noise spec sigma", "'0.1'"]),
+    "input-length-quoted": ({"task": {"input_length": "40", "output_length": 5}},
+                            ["task input_length", "'40'"]),
     # two cells that would write one report file
     "sweep-values-repeat": ({"noise": {"kind": "gaussian", "sigma": 0.0},
                              "sweep": {"parameter": "noise.sigma", "values": [0.1, 0.1]}},

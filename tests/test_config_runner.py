@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import inspect
 import json
 import sys
 import threading
@@ -6,7 +8,15 @@ import threading
 import pytest
 import yaml
 
-from castlab.config import config_from_dict, load_config
+from castlab import HttpChatAdapter, LlmPromptForecaster, PolynomialExtrapolator, load_csv
+from castlab.config import (
+    AdapterConfig,
+    BaselineConfig,
+    DatasetConfig,
+    LlmForecasterConfig,
+    config_from_dict,
+    load_config,
+)
 from castlab.errors import ConfigError
 from castlab import runner
 from castlab.runner import TIMING_COLUMNS, run_experiment
@@ -89,6 +99,24 @@ def test_integral_floats_load_as_ints(tmp_path):
     ints = (cfg.task.input_length, cfg.noise.seed, cfg.sweep.replicates,
             cfg.forecasters[0].linear.max_epochs, cfg.forecasters[0].linear.seed)
     assert ints == (40, 3, 2, 3, 1) and all(type(v) is int for v in ints)
+
+
+# config dataclass -> the constructor it feeds, with {config field: constructor parameter}
+_MIRRORED_DEFAULTS = {
+    "llm": (LlmForecasterConfig, LlmPromptForecaster,
+            {k: k for k in ("style", "decimals", "shots", "channel_concurrency")}),
+    "baseline": (BaselineConfig, PolynomialExtrapolator, {"degree": "degree", "fit_span": "fit_span"}),
+    "http": (AdapterConfig, HttpChatAdapter, {"api_key_env": "api_key_env",
+                                              "timeout_seconds": "timeout_seconds"}),
+    "dataset": (DatasetConfig, load_csv, {"csv_layout": "layout"}),
+}
+
+
+@pytest.mark.parametrize("config,make,pairs", _MIRRORED_DEFAULTS.values(), ids=_MIRRORED_DEFAULTS.keys())
+def test_config_defaults_are_the_constructor_defaults(config, make, pairs):
+    defaults = {f.name: f.default for f in dataclasses.fields(config)}
+    parameters = inspect.signature(make).parameters
+    assert {k: defaults[k] for k in pairs} == {k: parameters[p].default for k, p in pairs.items()}
 
 
 def test_load_config_yaml_and_overrides(tmp_path):

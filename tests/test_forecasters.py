@@ -144,6 +144,11 @@ def test_llm_forecaster_channel_independent():
     assert adapter.calls == 6  # num_samples per channel
 
 
+def test_llm_forecaster_rejects_an_unknown_style_when_built():
+    with pytest.raises(ValueError, match="style"):
+        LlmPromptForecaster(MockAdapter(["1"]), style="nope")
+
+
 def test_llm_forecaster_median_aggregation():
     adapter = MockAdapter(["1, 1, 1", "3, 3, 3", "100, 100, 100"])
     f = LlmPromptForecaster(

@@ -250,6 +250,13 @@ def test_http_adapter_wire_format():
     assert captured["timeout"] == 120.0
 
 
+@pytest.mark.parametrize("field,value", [("endpoint", "localhost:8000"), ("endpoint", 5),
+                                         ("model", ""), ("api_key_env", 5)])
+def test_http_adapter_rejects_a_bad_field_when_built(field, value):
+    with pytest.raises(ValueError, match=field):
+        HttpChatAdapter(**{"endpoint": "http://x.invalid", "model": "m", field: value})
+
+
 def test_http_adapter_keeps_one_session_per_thread(monkeypatch):
     class CountingSession:
         made = []
