@@ -25,7 +25,6 @@ from pathlib import Path
 
 from .config import (
     BASELINE_TYPES,
-    BaselineConfig,
     ExperimentConfig,
     build_forecaster,
     build_spec,
@@ -88,15 +87,19 @@ def _cmd_generate_functions(args: argparse.Namespace) -> int:
     raw = read_yaml(Path(args.specs))
     if not (isinstance(raw, list) and raw and all(isinstance(entry, dict) for entry in raw)):
         raise ConfigError("specs file must contain a non-empty list of function-spec mappings")
+    specs: dict[str, FunctionSpec] = {}  # output stem -> spec, all checked before any write
+    for entry in raw:
+        spec = build_spec(FunctionSpec, {k: v for k, v in entry.items() if k != "name"}, "function spec")
+        stem = entry.get("name", spec.kind)
+        if not (isinstance(stem, str) and stem and Path(stem).name == stem):
+            raise ConfigError(f"function spec name must be a file name without a path, got {stem!r}")
+        if stem in specs:
+            raise ConfigError(f"two function specs would write {stem}.csv")
+        specs[stem] = spec
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for entry in raw:
-        fields = dict(entry)
-        name = fields.pop("name", None)
-        spec = build_spec(FunctionSpec, fields, "function spec")
-        series = generate_function_series(spec)
-        path = write_csv(series, out_dir / f"{name or spec.kind}.csv")
-        print(f"wrote {path}")
+    for stem, spec in specs.items():
+        print(f"wrote {write_csv(generate_function_series(spec), out_dir / f'{stem}.csv')}")
     return 0
 
 
@@ -131,10 +134,12 @@ def _cmd_fit_linear(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     given = vars(args)
+    # the model flags go to the entry as given, so one the forecaster does not take is an error
+    model = {k: given[k] for k in ("degree", "period", "seed") if k in given}
     if args.forecaster in VARIANTS:
-        body = {"linear": {**keys_for(LinearModelConfig, given), "variant": args.forecaster}}
+        body = {"linear": {**model, "variant": args.forecaster}}
     else:
-        body = {"baseline": {**keys_for(BaselineConfig, given), "type": args.forecaster}}
+        body = {"baseline": {**model, "type": args.forecaster}}
     entry = forecaster_from_dict({"name": args.forecaster, **body}, Path("."))
     task = _spec(ForecastTask, args, "task")
     split = _spec(SplitSpec, args, "split")

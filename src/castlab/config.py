@@ -33,25 +33,30 @@ Schema (see README for a complete annotated example)::
 API keys are never read from the config file; HTTP adapters name an
 environment variable (``api_key_env``) instead. Grid cells run one after
 another, in dataset x forecaster x sweep value x replicate order. Keys the
-schema does not name are ignored, except inside the sections parsed into
-spec classes (function, linear, baseline, decoding, task, split, noise,
-filter). Every section is built by :func:`build_spec` from the keys it
-gives, so each default and each value rule lives with the class or
-constructor that uses it, not here. Numeric fields take numbers only: a
-bool or a quoted number (``"30"``) is rejected by key, and an int field
-takes an integral float as an int. Malformed values raise ConfigError;
-``build_forecaster``, the one forecaster builder, builds each entry once at
-load time, so a value a constructor rejects (a prompt style, an http
-endpoint) fails the config rather than its cells. Names are non-empty
-strings, and no two cells may share a ``report_stem``.
+schema does not name are ignored, except inside the strict sections
+(function, linear, baseline, adapter, decoding, task, split, noise, filter):
+there a key that the section's class or constructor does not take is a
+ConfigError, as are ``name`` in a baseline and ``session`` in an adapter. A
+baseline or adapter entry becomes the constructor its ``type`` names in
+``BASELINES`` or ``ADAPTERS``, with the entry's other keys bound. Every
+section is built from the keys it gives, so each default and each value
+rule lives with the class or constructor that uses it, not here. Numeric
+parameters take numbers only: a bool or a quoted number (``"30"``) is
+rejected by key, and an int parameter takes an integral float as an int.
+Malformed values raise ConfigError; ``build_forecaster``, the one
+forecaster builder, builds each entry once at load time, so a value a
+constructor rejects (a prompt style, an http endpoint) fails the config
+rather than its cells. Names are non-empty strings, and no two cells may
+share a ``report_stem``.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .data_io import CSV_LAYOUTS, FunctionSpec
 from .errors import CastlabError, ConfigError
@@ -65,7 +70,6 @@ from .forecasters import (
 )
 from .linear import LinearModelConfig
 from .llm.adapters import (
-    DEFAULT_TIMEOUT_SECONDS,
     HttpChatAdapter,
     LlmAdapter,
     MockAdapter,
@@ -77,8 +81,10 @@ from .llm.decode import DecodingConfig
 from .noise import FilterSpec, NoiseSpec
 from .series import ForecastTask, SplitSpec
 
-BASELINE_TYPES = ("last_value", "seasonal_repeat", "polynomial")
-ADAPTER_TYPES = ("mock", "http")
+BASELINES = {"last_value": LastValueForecaster, "seasonal_repeat": SeasonalRepeatForecaster,
+             "polynomial": PolynomialExtrapolator}
+ADAPTERS = {"mock": MockAdapter, "http": HttpChatAdapter}
+BASELINE_TYPES = tuple(BASELINES)
 
 SWEEPABLE_PARAMETERS = (
     "noise.sigma",
@@ -102,20 +108,10 @@ class DatasetConfig:
 
 
 @dataclass(frozen=True)
-class AdapterConfig:
-    type: str
-    responses: tuple[str, ...] | None = None  # mock script, read from the fixture at load time
-    endpoint: str = ""  # HttpChatAdapter checks the http fields
-    model: str = ""
-    api_key_env: str = "OPENAI_API_KEY"  # HttpChatAdapter's default
-    timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS
-
-
-@dataclass(frozen=True)
 class LlmForecasterConfig:
     """An LLM forecaster's arguments; the defaults are LlmPromptForecaster's."""
 
-    adapter: AdapterConfig
+    adapter: Callable[[], LlmAdapter]  # an ADAPTERS constructor, the entry's keys bound
     decoding: DecodingConfig = DecodingConfig()
     style: str = "llmtime_chat"
     decimals: int = 0
@@ -124,19 +120,11 @@ class LlmForecasterConfig:
 
 
 @dataclass(frozen=True)
-class BaselineConfig:
-    type: str
-    degree: int = 12  # PolynomialExtrapolator's default
-    fit_span: int | None = None
-    period: int = 24
-
-
-@dataclass(frozen=True)
 class ForecasterConfig:
     name: str
     linear: LinearModelConfig | None = None
     llm: LlmForecasterConfig | None = None
-    baseline: BaselineConfig | None = None
+    baseline: Callable[..., Forecaster] | None = None  # a BASELINES constructor, keys bound
 
     @property
     def family(self) -> str:
@@ -159,7 +147,7 @@ class SweepConfig:
             raise ValueError(f"parameter must be one of {SWEEPABLE_PARAMETERS}")
         if not (isinstance(self.values, (list, tuple)) and self.values):
             raise ValueError("values must be a non-empty list")
-        object.__setattr__(self, "values", tuple(build_spec(float, v, "sweep value") for v in self.values))
+        object.__setattr__(self, "values", tuple(float(_number(v, "float", "sweep value")) for v in self.values))
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
 
@@ -241,36 +229,37 @@ def keys_for(make, mapping: dict) -> dict:
     return {k: v for k, v in mapping.items() if k in parameters}
 
 
-def build_spec(make, payload: Any, context: str):
-    """``make(**payload)`` for a spec dataclass, else ``make(payload)``.
+def _keywords(make, payload: Any, context: str, barred: str | None = None) -> dict:
+    """``payload``, a mapping of parameters of ``make`` other than ``barred``, with each
+    value of an ``int`` or ``float`` parameter checked by ``_number``. Anything else
+    raises ConfigError naming ``context`` (and the key)."""
+    parameters = inspect.signature(make).parameters
+    for key in _checked(payload, dict, context):
+        if key not in parameters or key == barred:
+            raise ConfigError(f"{context} takes no key {key!r}")
+    # annotations are strings here (postponed evaluation in every module)
+    numeric = {k for k, p in parameters.items() if str(p.annotation).split(" |")[0] in ("int", "float")}
+    return {k: _number(v, parameters[k].annotation, f"{context} {k}") if k in numeric else v
+            for k, v in payload.items()}
 
-    A payload the maker rejects raises ConfigError naming ``context``; so does
-    a value of an ``int`` or ``float`` field (or ``make``) that ``_number`` rejects.
-    """
-    spec = is_dataclass(make)
-    if spec:
-        _checked(payload, dict, context)
-        # annotations are strings here (postponed evaluation in every module)
-        numeric = {f.name: f.type for f in fields(make) if f.type.split(" |")[0] in ("int", "float")}
-        payload = {k: _number(v, numeric[k], f"{context} {k}") if k in numeric else v
-                   for k, v in payload.items()}
-    elif make in (int, float):
-        payload = _number(payload, make.__name__, context)
+
+def build_spec(make, payload: Any, context: str):
+    """``make(**payload)``, the payload checked by ``_keywords``; a payload ``make``
+    rejects raises ConfigError naming ``context``."""
+    payload = _keywords(make, payload, context)
     try:
-        return make(**payload) if spec else make(payload)
+        return make(**payload)
     except (TypeError, ValueError, CastlabError) as exc:
         raise ConfigError(f"bad {context}: {exc}") from None
 
 
-def _build_adapter(cfg: AdapterConfig) -> LlmAdapter:
-    if cfg.type == "mock":
-        return MockAdapter(cfg.responses)
-    return HttpChatAdapter(
-        endpoint=cfg.endpoint,
-        model=cfg.model,
-        api_key_env=cfg.api_key_env,
-        timeout_seconds=cfg.timeout_seconds,
-    )
+def _constructor(table: dict, entry: Any, context: str, barred: str) -> functools.partial:
+    """``table[entry["type"]]`` with the entry's other keys bound, checked by ``_keywords``."""
+    keys = dict(_checked(entry, dict, context))
+    kind = keys.pop("type", None)
+    if kind not in tuple(table):  # by equality, as a list-valued type is unhashable
+        raise ConfigError(f"{context} type must be one of {tuple(table)}, got {kind!r}")
+    return functools.partial(table[kind], **_keywords(table[kind], keys, f"{context} {kind}", barred))
 
 
 def build_forecaster(
@@ -280,15 +269,10 @@ def build_forecaster(
     if cfg.linear is not None:
         return LinearSingleShotForecaster(cfg.linear, name=cfg.name)
     if cfg.baseline is not None:
-        b = cfg.baseline
-        if b.type == "last_value":
-            return LastValueForecaster(name=cfg.name)
-        if b.type == "seasonal_repeat":
-            return SeasonalRepeatForecaster(period=b.period, name=cfg.name)
-        return PolynomialExtrapolator(degree=b.degree, fit_span=b.fit_span, name=cfg.name)
+        return cfg.baseline(name=cfg.name)
     assert cfg.llm is not None
     return LlmPromptForecaster(
-        adapter=_build_adapter(cfg.llm.adapter),
+        adapter=cfg.llm.adapter(),
         style=cfg.llm.style,
         decoding=cfg.llm.decoding,
         decimals=cfg.llm.decimals,
@@ -304,9 +288,7 @@ def _dataset_from_dict(d: dict, base_dir: Path) -> DatasetConfig:
     if "csv" in d:
         where = f"dataset {name!r} csv"
         csv = _checked(d["csv"], dict, where)
-        path = build_spec(Path, _require(csv, "path", where), f"{where} path")
-        if not path.is_absolute():
-            path = base_dir / path
+        path = base_dir / Path(_checked(_require(csv, "path", where), str, f"{where} path"))
         if not path.exists():
             raise ConfigError(f"dataset {name!r}: file not found: {path}")
         layout = {"csv_layout": csv["layout"]} if "layout" in csv else {}
@@ -317,32 +299,19 @@ def _dataset_from_dict(d: dict, base_dir: Path) -> DatasetConfig:
     raise ConfigError(f"dataset {name!r} needs either a 'csv' or 'function' source")
 
 
-def _adapter_from_dict(d: dict, base_dir: Path) -> AdapterConfig:
-    kind = _require(d, "type", "adapter")
-    if kind not in ADAPTER_TYPES:
-        raise ConfigError(f"adapter type must be one of {ADAPTER_TYPES}")
-    if kind == "mock":
-        fixture = d.get("fixture")
-        responses = d.get("responses")
-        if fixture is None and responses is None:
-            raise ConfigError("mock adapter needs 'fixture' or inline 'responses'")
-        # the script is parsed here, once, so a bad fixture fails the config, not a cell
-        try:
-            if fixture is None:
-                responses = _check_responses(responses, "inline mock 'responses'")
-            else:
-                path = build_spec(Path, fixture, "mock fixture")
-                if not path.is_absolute():
-                    path = base_dir / path
-                if not path.exists():
-                    raise ConfigError(f"mock fixture not found: {path}")
-                responses = read_responses(path)
-        except ValueError as exc:
-            raise ConfigError(f"bad mock script: {exc}") from None
-        return AdapterConfig(type="mock", responses=tuple(responses))
-    if "api_key" in d:
-        raise ConfigError("API keys belong in the environment, not in config files; use api_key_env")
-    return build_spec(AdapterConfig, keys_for(AdapterConfig, d), "http adapter")
+def _mock_script(d: dict, base_dir: Path, context: str) -> tuple[str, ...]:
+    """A mock adapter's replies, parsed here, once, so a bad fixture fails the config, not a cell."""
+    if ("fixture" in d) == ("responses" in d):
+        raise ConfigError(f"{context} needs one of 'fixture' or inline 'responses'")
+    try:
+        if "responses" in d:
+            return tuple(_check_responses(d["responses"], "inline mock 'responses'"))
+        path = base_dir / Path(_checked(d["fixture"], str, "mock fixture"))
+        if not path.exists():
+            raise ConfigError(f"mock fixture not found: {path}")
+        return tuple(read_responses(path))
+    except ValueError as exc:
+        raise ConfigError(f"bad mock script: {exc}") from None
 
 
 def forecaster_from_dict(d: dict, base_dir: Path) -> ForecasterConfig:
@@ -356,20 +325,24 @@ def forecaster_from_dict(d: dict, base_dir: Path) -> ForecasterConfig:
         cfg = ForecasterConfig(name=name, linear=build_spec(
             LinearModelConfig, d["linear"], f"{where} linear config"))
     elif "baseline" in d:
-        baseline = build_spec(BaselineConfig, d["baseline"], f"{where} baseline")
-        if baseline.type not in BASELINE_TYPES:
-            raise ConfigError(f"baseline type must be one of {BASELINE_TYPES}")
-        cfg = ForecasterConfig(name=name, baseline=baseline)
+        cfg = ForecasterConfig(name=name, baseline=_constructor(
+            BASELINES, d["baseline"], f"{where} baseline", barred="name"))
     else:
         llm = _checked(d["llm"], dict, f"{where} llm")
         if llm.get("multi_turn"):
             raise ConfigError(f"{where}: 'multi_turn' is no longer supported; remove the key")
         adapter = _checked(_require(llm, "adapter", where), dict, f"{where} adapter")
-        given = {**keys_for(LlmForecasterConfig, llm), "adapter": _adapter_from_dict(adapter, base_dir)}
+        if "api_key" in adapter:
+            raise ConfigError("API keys belong in the environment, not in config files; use api_key_env")
+        if adapter.get("type") == "mock":  # the script replaces its fixture
+            adapter = {**{k: v for k, v in adapter.items() if k != "fixture"},
+                       "responses": _mock_script(adapter, base_dir, f"{where} adapter")}
+        given = {**keys_for(LlmForecasterConfig, llm),
+                 "adapter": _constructor(ADAPTERS, adapter, f"{where} adapter", barred="session")}
         if "decoding" in llm:
             given["decoding"] = build_spec(DecodingConfig, llm["decoding"], f"{where} decoding")
         cfg = ForecasterConfig(name=name, llm=build_spec(LlmForecasterConfig, given, where))
-    build_spec(build_forecaster, cfg, where).close()
+    build_spec(build_forecaster, {"cfg": cfg}, where).close()
     return cfg
 
 
@@ -414,7 +387,7 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     if "output_dir" in raw:
         # dataset/fixture paths resolve against the config file; outputs against the
         # working directory, so a config bundle stays relocatable
-        root["output_dir"] = build_spec(Path, raw["output_dir"], "output_dir")
+        root["output_dir"] = Path(_checked(raw["output_dir"], str, "output_dir"))
     config = build_spec(ExperimentConfig, {
         **root, "datasets": tuple(datasets), "forecasters": tuple(forecasters), "task": task,
         "split": split, "noise": noise, "noise_filter": noise_filter, "sweep": sweep}, "config")

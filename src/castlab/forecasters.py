@@ -54,7 +54,7 @@ class SeasonalRepeatForecaster(Forecaster):
 
     family = "domain"
 
-    def __init__(self, period: int, name: str = "seasonal-repeat"):
+    def __init__(self, period: int = 24, name: str = "seasonal-repeat"):
         if period < 1:
             raise ValueError("period must be >= 1")
         self.period = period

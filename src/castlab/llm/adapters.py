@@ -96,12 +96,14 @@ class HttpChatAdapter(LlmAdapter):
 
     Transport errors, throttling (429) and server errors (5xx) are retried
     up to ``TRANSPORT_RETRIES`` times, waiting 1 s, 2 s, ... between tries;
-    any other non-200 status raises at once. The endpoint must be an http(s)
-    URL, and ``model`` and ``api_key_env`` non-empty strings; anything else
-    raises ValueError here, before any call is made. Each calling thread posts
-    through its own ``requests.Session`` (kept for the thread's lifetime, so
-    its keep-alive connection is reused), unless a ``session`` is given,
-    which every thread then shares.
+    any other non-200 status raises at once, as does a reply whose ``content``
+    is not a string (a refusal or tool call sends ``null``). The endpoint
+    must be an http(s) URL, ``model`` and ``api_key_env`` non-empty strings
+    and ``timeout_seconds`` above 0; anything else raises ValueError here,
+    before any call is made. Each calling thread posts through its own
+    ``requests.Session`` (kept for the thread's lifetime, so its keep-alive
+    connection is reused), unless a ``session`` is given, which every thread
+    then shares.
     """
 
     def __init__(
@@ -117,6 +119,8 @@ class HttpChatAdapter(LlmAdapter):
         for key, value in (("model", model), ("api_key_env", api_key_env)):
             if not (isinstance(value, str) and value):
                 raise ValueError(f"{key} must be a non-empty string, got {value!r}")
+        if not timeout_seconds > 0:
+            raise ValueError(f"timeout_seconds must be > 0, got {timeout_seconds!r}")
         import requests  # noqa: F401  (loaded with the adapter, not in its first timed call)
 
         self.endpoint = endpoint
@@ -173,8 +177,10 @@ class HttpChatAdapter(LlmAdapter):
             if response.status_code != 200:
                 raise AdapterError(response.status_code, response.text[:500])
             try:
-                body = response.json()
-                return body["choices"][0]["message"]["content"]
+                content = response.json()["choices"][0]["message"]["content"]
+                if not isinstance(content, str):
+                    raise TypeError(f"content is {content!r}, not a string")
+                return content
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise AdapterError(response.status_code, f"malformed response body: {exc}") from exc
         if isinstance(last_error, AdapterError):

@@ -21,7 +21,7 @@ from castlab import (
     write_csv,
 )
 from castlab.cli import build_parser, main
-from castlab.config import BASELINE_TYPES
+from castlab.config import BASELINE_TYPES, build_forecaster, config_from_dict
 from castlab.data_io import CSV_LAYOUTS
 from castlab.eval import METRIC_SPACES, PROTOCOLS
 from castlab.linear import LOSSES, VARIANTS
@@ -151,6 +151,21 @@ def test_eval_prints_report(tmp_path, capsys):
     assert report["mae"] >= 0.0
 
 
+def test_seasonal_repeat_without_a_period_runs_at_period_24(tmp_path, capsys):
+    config = config_from_dict({
+        "task": {"input_length": 48, "output_length": 6},
+        "datasets": [{"name": "sine", "function": {"kind": "sine", "length": 80}}],
+        "forecasters": [{"name": "season", "baseline": {"type": "seasonal_repeat"}}]})
+    assert build_forecaster(config.forecasters[0]).period == 24
+    src = _write_series(tmp_path)
+    reports = []
+    for period in ([], ["--period", "24"], ["--period", "12"]):
+        assert main(["eval", "--input", str(src), "--input-length", "48", "--output-length", "6",
+                     "--test-fraction", "0.5", "--forecaster", "seasonal_repeat", *period]) == 0
+        reports.append({k: v for k, v in json.loads(capsys.readouterr().out).items() if k != "cost"})
+    assert reports[0] == reports[1] != reports[2]
+
+
 def test_run_dry_run_and_errors(tmp_path, capsys):
     config = {
         "output_dir": str(tmp_path / "out"),
@@ -238,6 +253,28 @@ _BAD_CONFIGS = {
                                 ["endpoint", "localhost:8000"]),
     "model-empty": ({"forecasters": [_llm_entry(adapter={**_HTTP_OK, "model": ""})]}, ["model"]),
     "api-key-env-5": ({"forecasters": [_llm_entry(adapter={**_HTTP_OK, "api_key_env": 5})]}, ["api_key_env"]),
+    "timeout-0": ({"forecasters": [_llm_entry(adapter={**_HTTP_OK, "timeout_seconds": 0})]},
+                  ["'llm'", "timeout_seconds"]),
+    "timeout-negative": ({"forecasters": [_llm_entry(adapter={**_HTTP_OK, "timeout_seconds": -1.5})]},
+                         ["'llm'", "timeout_seconds", "-1.5"]),
+    # a key the entry's type does not take
+    "last-value-degree": ({"forecasters": [{"name": "naive", "baseline": {"type": "last_value", "degree": 3}}]},
+                          ["'naive'", "'degree'"]),
+    "seasonal-fit-span": ({"forecasters": [{"name": "season", "baseline": {"type": "seasonal_repeat",
+                                                                            "fit_span": 2}}]},
+                          ["'season'", "'fit_span'"]),
+    "baseline-name": ({"forecasters": [{"name": "naive", "baseline": {"type": "last_value", "name": "x"}}]},
+                      ["'naive'", "takes no key 'name'"]),
+    "http-responses": ({"forecasters": [_llm_entry(adapter={**_HTTP_OK, "responses": ["1"]})]},
+                       ["'llm'", "'responses'"]),
+    "mock-endpoint": ({"forecasters": [_llm_entry(adapter={"type": "mock", "responses": ["1"],
+                                                           "endpoint": "http://localhost:9/v1"})]},
+                      ["'llm'", "'endpoint'"]),
+    "mock-fixture-and-responses": ({"forecasters": [_llm_entry(adapter={"type": "mock", "responses": ["1"],
+                                                                        "fixture": "replies.json"})]},
+                                   ["'llm'", "'fixture'", "'responses'"]),
+    "http-session": ({"forecasters": [_llm_entry(adapter={**_HTTP_OK, "session": None})]},
+                     ["'llm'", "'session'"]),
     # names must be non-empty strings
     "dataset-name-1": ({"datasets": [{"name": 1, "function": {"kind": "sine", "length": 80}}]},
                        ["dataset entry name", "1"]),
@@ -305,6 +342,13 @@ _BAD_ARGS = {
                                "--period", "0"], None),
     "eval-degree-0": (_EVAL + ["--input-length", "24", "--forecaster", "polynomial",
                                "--degree", "0"], None),
+    # a model flag the chosen forecaster does not take
+    "eval-last-value-degree": (_EVAL + ["--input-length", "24", "--test-fraction", "0.5",
+                                        "--forecaster", "last_value", "--degree", "3"], None),
+    "eval-baseline-seed": (_EVAL + ["--input-length", "24", "--test-fraction", "0.5",
+                                    "--forecaster", "seasonal_repeat", "--seed", "7"], None),
+    "eval-dlinear-period": (["eval", "--input", "{csv}", "--input-length", "30", "--output-length", "26",
+                             "--test-fraction", "0.5", "--forecaster", "dlinear", "--period", "12"], None),
     "eval-test-fraction-1.5": (_EVAL + ["--input-length", "24", "--test-fraction", "1.5"], None),
     "eval-input-length-0": (_EVAL + ["--input-length", "0"], None),
     "fit-linear-kernel-4": (["fit-linear", "--input", "{csv}", "--input-length", "64",
@@ -313,6 +357,10 @@ _BAD_ARGS = {
     "function-unknown-key": (_GENERATE, [{"kind": "sine", "wavelength": 3}]),
     "function-bare-string": (_GENERATE, ["sine"]),
     "specs-not-yaml": (_GENERATE, "- {kind: sine"),
+    "function-name-escapes": (_GENERATE, [{"name": "../escaped", "kind": "sine", "length": 64}]),
+    "function-name-5": (_GENERATE, [{"name": 5, "kind": "sine", "length": 64}]),
+    "function-stems-repeat": (_GENERATE, [{"kind": "sine", "length": 64},
+                                          {"name": "sine", "kind": "sine", "length": 64, "seed": 2}]),
 }
 
 
@@ -323,3 +371,4 @@ def test_bad_cli_input_is_an_error_not_a_traceback(tmp_path, capsys, argv, specs
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err, err
+    assert not (tmp_path / "fns").exists() and not (tmp_path / "escaped.csv").exists()

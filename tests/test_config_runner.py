@@ -8,10 +8,8 @@ import threading
 import pytest
 import yaml
 
-from castlab import HttpChatAdapter, LlmPromptForecaster, PolynomialExtrapolator, load_csv
+from castlab import LlmPromptForecaster, load_csv
 from castlab.config import (
-    AdapterConfig,
-    BaselineConfig,
     DatasetConfig,
     LlmForecasterConfig,
     config_from_dict,
@@ -105,9 +103,6 @@ def test_integral_floats_load_as_ints(tmp_path):
 _MIRRORED_DEFAULTS = {
     "llm": (LlmForecasterConfig, LlmPromptForecaster,
             {k: k for k in ("style", "decimals", "shots", "channel_concurrency")}),
-    "baseline": (BaselineConfig, PolynomialExtrapolator, {"degree": "degree", "fit_span": "fit_span"}),
-    "http": (AdapterConfig, HttpChatAdapter, {"api_key_env": "api_key_env",
-                                              "timeout_seconds": "timeout_seconds"}),
     "dataset": (DatasetConfig, load_csv, {"csv_layout": "layout"}),
 }
 

@@ -251,10 +251,25 @@ def test_http_adapter_wire_format():
 
 
 @pytest.mark.parametrize("field,value", [("endpoint", "localhost:8000"), ("endpoint", 5),
-                                         ("model", ""), ("api_key_env", 5)])
+                                         ("model", ""), ("api_key_env", 5), ("timeout_seconds", 0),
+                                         ("timeout_seconds", -1.0), ("timeout_seconds", float("nan"))])
 def test_http_adapter_rejects_a_bad_field_when_built(field, value):
     with pytest.raises(ValueError, match=field):
         HttpChatAdapter(**{"endpoint": "http://x.invalid", "model": "m", field: value})
+
+
+def test_null_reply_content_is_an_adapter_error_and_the_attempt_is_retried():
+    class NullThenNumbersSession:
+        contents = [None, "1, 2, 3"]
+
+        def post(self, url, json=None, headers=None, timeout=None):
+            body = {"choices": [{"message": {"content": self.contents.pop(0)}}]}
+            return type("Response", (), {"status_code": 200, "text": "", "json": lambda self: body})()
+
+    adapter = HttpChatAdapter(endpoint="http://x.invalid", model="m", session=NullThenNumbersSession())
+    cfg = DecodingConfig(num_samples=1, max_attempts_per_sample=2)
+    [[sample]] = sample_forecasts(adapter, [BUNDLE], cfg)
+    assert sample.attempts == 2 and sample.values.tolist() == [1.0, 2.0, 3.0]
 
 
 def test_http_adapter_keeps_one_session_per_thread(monkeypatch):
