@@ -19,6 +19,7 @@ from the flags given, so every default is the library's own.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -29,7 +30,6 @@ from .config import (
     build_forecaster,
     build_spec,
     forecaster_from_dict,
-    keys_for,
     load_config,
     read_yaml,
 )
@@ -40,6 +40,12 @@ from .linear import LOSSES, VARIANTS, LinearModelConfig, fit_single_shot, save_m
 from .noise import FILTER_KINDS, NOISE_KINDS, FilterSpec, NoiseSpec, apply_filter, inject_noise
 from .runner import run_experiment
 from .series import ForecastTask, SplitSpec, TimeSeries
+
+
+def keys_for(make, mapping: dict) -> dict:
+    """The items of ``mapping`` whose keys name a parameter of ``make``."""
+    parameters = inspect.signature(make).parameters
+    return {k: v for k, v in mapping.items() if k in parameters}
 
 
 def _spec(make, args: argparse.Namespace, context: str):

@@ -32,22 +32,23 @@ Schema (see README for a complete annotated example)::
 
 API keys are never read from the config file; HTTP adapters name an
 environment variable (``api_key_env``) instead. Grid cells run one after
-another, in dataset x forecaster x sweep value x replicate order. Keys the
-schema does not name are ignored, except inside the strict sections
-(function, linear, baseline, adapter, decoding, task, split, noise, filter):
-there a key that the section's class or constructor does not take is a
-ConfigError, as are ``name`` in a baseline and ``session`` in an adapter. A
-baseline or adapter entry becomes the constructor its ``type`` names in
-``BASELINES`` or ``ADAPTERS``, with the entry's other keys bound. Every
-section is built from the keys it gives, so each default and each value
-rule lives with the class or constructor that uses it, not here. Numeric
-parameters take numbers only: a bool or a quoted number (``"30"``) is
-rejected by key, and an int parameter takes an integral float as an int.
-Malformed values raise ConfigError; ``build_forecaster``, the one
-forecaster builder, builds each entry once at load time, so a value a
-constructor rejects (a prompt style, an http endpoint) fails the config
-rather than its cells. Names are non-empty strings, and no two cells may
-share a ``report_stem``.
+another, in the order of ``ExperimentConfig.cells()``. One key rule holds
+below the root: each section and entry takes the parameters of what it
+builds, and any other key is a ConfigError naming the entry, the section and
+the key, as are ``name`` in a baseline and ``session`` in an adapter. A
+dataset or forecaster entry gives its ``name`` and exactly one source. The
+root alone ignores keys it does not name, because the benchmark's configs
+(``perfbench/workloads.py``) carry a root ``seed``. A baseline or adapter
+entry becomes the constructor its ``type`` names in ``BASELINES`` or
+``ADAPTERS``, with the entry's other keys bound. Every section is built from
+the keys it gives, so each default and each value rule lives with the class
+or constructor that uses it, not here. Numeric parameters take numbers only:
+a bool or a quoted number (``"30"``) is rejected by key, and an int
+parameter takes an integral float as an int. Malformed values raise
+ConfigError; ``build_forecaster``, the one forecaster builder, builds each
+entry once at load time, so a value a constructor rejects (a prompt style,
+an http endpoint) fails the config rather than its cells. Names are
+non-empty strings, and no two cells may share a report stem.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
-from .data_io import CSV_LAYOUTS, FunctionSpec
+from .data_io import CSV_LAYOUTS, FunctionSpec, load_csv
 from .errors import CastlabError, ConfigError
 from .eval import METRIC_SPACES, PROTOCOLS, Forecaster
 from .forecasters import (
@@ -98,13 +99,8 @@ SWEEPABLE_PARAMETERS = (
 @dataclass(frozen=True)
 class DatasetConfig:
     name: str
-    csv_path: Path | None = None
-    csv_layout: str = "plain"  # load_csv's default
+    csv: dict[str, Any] | None = None  # load_csv's keywords: the resolved path, and layout if given
     function: FunctionSpec | None = None
-
-    def __post_init__(self):
-        if self.csv_layout not in CSV_LAYOUTS:
-            raise ValueError(f"csv layout must be one of {CSV_LAYOUTS}")
 
 
 @dataclass(frozen=True)
@@ -153,6 +149,26 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
+class Cell:
+    """One run of the grid: a forecaster on a dataset at one sweep value and replicate."""
+
+    dataset: DatasetConfig
+    forecaster: ForecasterConfig
+    sweep_value: float | None = None
+    replicate: int = 0
+
+    @property
+    def report_stem(self) -> str:
+        """File stem of the cell's report; a config whose cells share a stem is rejected."""
+        parts = [self.dataset.name, self.forecaster.name]
+        if self.sweep_value is not None:
+            parts.append(f"v{self.sweep_value}")
+        if self.replicate:
+            parts.append(f"r{self.replicate}")
+        return "_".join(p.replace("/", "-").replace(" ", "-") for p in parts)
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     datasets: tuple[DatasetConfig, ...]
     forecasters: tuple[ForecasterConfig, ...]
@@ -171,21 +187,12 @@ class ExperimentConfig:
         if self.metric_space not in METRIC_SPACES:
             raise ValueError(f"metric_space must be one of {METRIC_SPACES}")
 
-    def sweep_points(self) -> list[tuple[float | None, int]]:
-        """``(sweep value, replicate)`` of each cell of one dataset and forecaster, in run order."""
-        if self.sweep is None:
-            return [(None, 0)]
-        return [(v, rep) for v in self.sweep.values for rep in range(self.sweep.replicates)]
-
-
-def report_stem(dataset: str, forecaster: str, sweep_value: float | None, replicate: int) -> str:
-    """File stem of one cell's report; a config whose cells share a stem is rejected."""
-    parts = [dataset, forecaster]
-    if sweep_value is not None:
-        parts.append(f"v{sweep_value}")
-    if replicate:
-        parts.append(f"r{replicate}")
-    return "_".join(p.replace("/", "-").replace(" ", "-") for p in parts)
+    def cells(self) -> list[Cell]:
+        """The grid, in run order: dataset x forecaster x sweep value x replicate."""
+        points = ([(v, rep) for v in self.sweep.values for rep in range(self.sweep.replicates)]
+                  if self.sweep is not None else [(None, 0)])
+        return [Cell(ds, fc, value, rep) for ds in self.datasets for fc in self.forecasters
+                for value, rep in points]
 
 
 def _require(mapping: dict, key: str, context: str) -> Any:
@@ -221,12 +228,6 @@ def _number(value: Any, annotation: str, context: str) -> Any:
         raise ConfigError(f"bad {context}: must be {'an integer' if integral else 'a number'}, "
                           f"got {value!r}")
     return int(value) if integral else value
-
-
-def keys_for(make, mapping: dict) -> dict:
-    """The items of ``mapping`` whose keys name a parameter of ``make``."""
-    parameters = inspect.signature(make).parameters
-    return {k: v for k, v in mapping.items() if k in parameters}
 
 
 def _keywords(make, payload: Any, context: str, barred: str | None = None) -> dict:
@@ -283,20 +284,30 @@ def build_forecaster(
     )
 
 
-def _dataset_from_dict(d: dict, base_dir: Path) -> DatasetConfig:
-    name = _text(d, "name", "dataset entry")
-    if "csv" in d:
-        where = f"dataset {name!r} csv"
-        csv = _checked(d["csv"], dict, where)
-        path = base_dir / Path(_checked(_require(csv, "path", where), str, f"{where} path"))
-        if not path.exists():
-            raise ConfigError(f"dataset {name!r}: file not found: {path}")
-        layout = {"csv_layout": csv["layout"]} if "layout" in csv else {}
-        return build_spec(DatasetConfig, {"name": name, "csv_path": path, **layout}, f"dataset {name!r}")
-    if "function" in d:
-        spec = build_spec(FunctionSpec, d["function"], f"dataset {name!r} function spec")
+def _entry(make, entry: Any, kind: str) -> tuple[str, str, Any]:
+    """A dataset or forecaster entry's name, the one source key it gives and that key's
+    value. The entry's keys are ``make``'s parameters: ``name``, then the sources."""
+    name = _text(_checked(entry, dict, f"{kind} entry"), "name", f"{kind} entry")
+    where = f"{kind} {name!r}"
+    given = [k for k in _keywords(make, entry, where) if k != "name"]
+    if len(given) != 1:
+        raise ConfigError(f"{where} needs exactly one of {list(inspect.signature(make).parameters)[1:]}")
+    return name, given[0], entry[given[0]]
+
+
+def _dataset_from_dict(d: Any, base_dir: Path) -> DatasetConfig:
+    name, source, body = _entry(DatasetConfig, d, "dataset")
+    if source == "function":
+        spec = build_spec(FunctionSpec, body, f"dataset {name!r} function spec")
         return DatasetConfig(name=name, function=spec)
-    raise ConfigError(f"dataset {name!r} needs either a 'csv' or 'function' source")
+    where = f"dataset {name!r} csv"
+    csv = _keywords(load_csv, body, where)
+    path = base_dir / Path(_checked(_require(csv, "path", where), str, f"{where} path"))
+    if not path.exists():
+        raise ConfigError(f"dataset {name!r}: file not found: {path}")
+    if "layout" in csv and csv["layout"] not in CSV_LAYOUTS:
+        raise ConfigError(f"bad {where}: layout must be one of {CSV_LAYOUTS}")
+    return DatasetConfig(name=name, csv={**csv, "path": path})
 
 
 def _mock_script(d: dict, base_dir: Path, context: str) -> tuple[str, ...]:
@@ -314,34 +325,27 @@ def _mock_script(d: dict, base_dir: Path, context: str) -> tuple[str, ...]:
         raise ConfigError(f"bad mock script: {exc}") from None
 
 
-def forecaster_from_dict(d: dict, base_dir: Path) -> ForecasterConfig:
+def forecaster_from_dict(d: Any, base_dir: Path) -> ForecasterConfig:
     """Validate one forecaster entry, building the forecaster once to check its values."""
-    name = _text(d, "name", "forecaster entry")
+    name, source, body = _entry(ForecasterConfig, d, "forecaster")
     where = f"forecaster {name!r}"
-    kinds = [k for k in ("linear", "llm", "baseline") if k in d]
-    if len(kinds) != 1:
-        raise ConfigError(f"{where} needs exactly one of 'linear', 'llm', 'baseline'")
-    if "linear" in d:
-        cfg = ForecasterConfig(name=name, linear=build_spec(
-            LinearModelConfig, d["linear"], f"{where} linear config"))
-    elif "baseline" in d:
-        cfg = ForecasterConfig(name=name, baseline=_constructor(
-            BASELINES, d["baseline"], f"{where} baseline", barred="name"))
+    if source == "linear":
+        spec = build_spec(LinearModelConfig, body, f"{where} linear config")
+    elif source == "baseline":
+        spec = _constructor(BASELINES, body, f"{where} baseline", barred="name")
     else:
-        llm = _checked(d["llm"], dict, f"{where} llm")
-        if llm.get("multi_turn"):
-            raise ConfigError(f"{where}: 'multi_turn' is no longer supported; remove the key")
+        llm = _checked(body, dict, f"{where} llm")
         adapter = _checked(_require(llm, "adapter", where), dict, f"{where} adapter")
         if "api_key" in adapter:
             raise ConfigError("API keys belong in the environment, not in config files; use api_key_env")
         if adapter.get("type") == "mock":  # the script replaces its fixture
             adapter = {**{k: v for k, v in adapter.items() if k != "fixture"},
                        "responses": _mock_script(adapter, base_dir, f"{where} adapter")}
-        given = {**keys_for(LlmForecasterConfig, llm),
-                 "adapter": _constructor(ADAPTERS, adapter, f"{where} adapter", barred="session")}
+        given = {**llm, "adapter": _constructor(ADAPTERS, adapter, f"{where} adapter", barred="session")}
         if "decoding" in llm:
             given["decoding"] = build_spec(DecodingConfig, llm["decoding"], f"{where} decoding")
-        cfg = ForecasterConfig(name=name, llm=build_spec(LlmForecasterConfig, given, where))
+        spec = build_spec(LlmForecasterConfig, given, where)
+    cfg = ForecasterConfig(name=name, **{source: spec})
     build_spec(build_forecaster, {"cfg": cfg}, where).close()
     return cfg
 
@@ -351,7 +355,7 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     _checked(raw, dict, "config root")
     base_dir = Path(base_dir)
 
-    datasets = [_dataset_from_dict(_checked(d, dict, "dataset entry"), base_dir)
+    datasets = [_dataset_from_dict(d, base_dir)
                 for d in _checked(_require(raw, "datasets", "config"), list, "datasets")]
     if not datasets:
         raise ConfigError("at least one dataset is required")
@@ -359,7 +363,7 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate dataset names: {names}")
 
-    forecasters = [forecaster_from_dict(_checked(f, dict, "forecaster entry"), base_dir)
+    forecasters = [forecaster_from_dict(f, base_dir)
                    for f in _checked(_require(raw, "forecasters", "config"), list, "forecasters")]
     if not forecasters:
         raise ConfigError("at least one forecaster is required")
@@ -379,7 +383,7 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> ExperimentConfig:
 
     sweep = None
     if raw.get("sweep") is not None:
-        sweep = build_spec(SweepConfig, keys_for(SweepConfig, _checked(raw["sweep"], dict, "sweep")), "sweep")
+        sweep = build_spec(SweepConfig, raw["sweep"], "sweep")
         if noise is None:
             raise ConfigError("a sweep over noise parameters requires a 'noise' section")
 
@@ -398,17 +402,15 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> ExperimentConfig:
 def _check_report_stems(config: ExperimentConfig) -> None:
     """Reject a grid in which two cells would write the same report file."""
     seen: dict[str, tuple] = {}
-    for ds in config.datasets:
-        for fc in config.forecasters:
-            for value, rep in config.sweep_points():
-                stem = report_stem(ds.name, fc.name, value, rep)
-                cell = (ds.name, fc.name, value, rep)
-                if stem in seen:
-                    raise ConfigError(
-                        f"cells (dataset, forecaster, sweep value, replicate) {seen[stem]!r} and "
-                        f"{cell!r} would both write reports/{stem}.json; make the names and "
-                        "sweep values distinct")
-                seen[stem] = cell
+    for cell in config.cells():
+        stem = cell.report_stem
+        ids = (cell.dataset.name, cell.forecaster.name, cell.sweep_value, cell.replicate)
+        if stem in seen:
+            raise ConfigError(
+                f"cells (dataset, forecaster, sweep value, replicate) {seen[stem]!r} and "
+                f"{ids!r} would both write reports/{stem}.json; make the names and "
+                "sweep values distinct")
+        seen[stem] = ids
 
 
 def read_yaml(path: Path) -> Any:

@@ -116,7 +116,7 @@ def _parse_rows(rows: list[tuple[int, list[str]]]) -> np.ndarray:
 
 def _read_rows(p: Path, layout: str) -> tuple[np.ndarray, list[str] | None]:
     """Values and channel names, token by token; raises on the first bad row."""
-    with open(p, newline="", encoding="utf-8") as fh:
+    with open(p, newline="", encoding="utf-8-sig") as fh:
         raw = [(i + 1, row) for i, row in enumerate(csv.reader(fh)) if row]
     if not raw:
         raise EmptyInputError(f"{p} has no rows")
@@ -156,7 +156,7 @@ def _read_numeric(p: Path, layout: str) -> tuple[np.ndarray, list[str] | None] |
     go to ``np.loadtxt`` without being split in Python. Lines are split on
     ``\\n``, ``\\r\\n`` and ``\\r`` only, like ``csv``.
     """
-    with open(p, newline="", encoding="utf-8") as fh:
+    with open(p, newline="", encoding="utf-8-sig") as fh:
         head: list[str] = []  # the lines csv reads up to the first row
         reader = csv.reader(head.append(line) or line for line in fh)
         try:
@@ -190,6 +190,7 @@ def load_csv(path: str | Path, layout: str = "plain") -> TimeSeries:
     as ``1_0``) and raises ``RaggedRowsError`` or ``ParseError``; errors keep
     the line (counted over the CSV rows, blank ones included) and the 1-based
     column of the data cell, after the dropped timestamp.
+    A UTF-8 byte-order mark at the start of the file is skipped.
     """
     if layout not in CSV_LAYOUTS:
         raise ValueError(f"layout must be one of {CSV_LAYOUTS}")

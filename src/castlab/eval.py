@@ -44,7 +44,6 @@ class Forecaster(ABC):
     """
 
     name: str = "forecaster"
-    family: str = "domain"
 
     def fit(self, window: np.ndarray, horizon: int) -> None:
         return None

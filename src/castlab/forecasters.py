@@ -39,8 +39,6 @@ def _as_window(window: np.ndarray) -> np.ndarray:
 class LastValueForecaster(Forecaster):
     """Repeats the final observation for the whole horizon."""
 
-    family = "domain"
-
     def __init__(self, name: str = "last-value"):
         self.name = name
 
@@ -51,8 +49,6 @@ class LastValueForecaster(Forecaster):
 
 class SeasonalRepeatForecaster(Forecaster):
     """Tiles the last ``period`` observations cyclically across the horizon."""
-
-    family = "domain"
 
     def __init__(self, period: int = 24, name: str = "seasonal-repeat"):
         if period < 1:
@@ -97,8 +93,6 @@ class PolynomialExtrapolator(Forecaster):
     (length, degree); one ``polyval`` evaluates every channel.
     """
 
-    family = "domain"
-
     def __init__(self, degree: int = 12, fit_span: int | None = None,
                  name: str = "poly-extrapolator"):
         if degree < 1:
@@ -138,8 +132,6 @@ class LinearSingleShotForecaster(Forecaster):
     on the same window and horizon; otherwise it fits first.
     """
 
-    family = "linear"
-
     def __init__(self, config: LinearModelConfig, name: str | None = None):
         self.config = config
         self.name = name or f"{config.variant}-s"
@@ -175,8 +167,6 @@ class LlmPromptForecaster(Forecaster):
     threads, which bounds the adapter calls in flight. The threads start on
     first use and serve every later prompt until ``close``.
     """
-
-    family = "llm"
 
     def __init__(
         self,

@@ -57,8 +57,9 @@ def read_responses(path: str | Path) -> list[str]:
     return _check_responses(responses, str(p))
 
 
-def _check_responses(responses: Any, source: str) -> list[str]:
-    if not (isinstance(responses, list) and responses and all(isinstance(r, str) for r in responses)):
+def _check_responses(responses: Any, source: str) -> Sequence[str]:
+    if not (isinstance(responses, (list, tuple)) and responses
+            and all(isinstance(r, str) for r in responses)):
         raise ValueError(f"{source} must contain a non-empty list of response strings")
     return responses
 
@@ -75,9 +76,7 @@ class MockAdapter(LlmAdapter):
     """
 
     def __init__(self, responses: Sequence[str]):
-        if not responses:
-            raise ValueError("MockAdapter needs at least one scripted response")
-        self._responses = list(responses)
+        self._responses = list(_check_responses(responses, "MockAdapter responses"))
         self._lock = threading.Lock()
         self._draws: dict[bytes, int] = {}
         self.calls = 0

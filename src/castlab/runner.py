@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DatasetConfig, ExperimentConfig, ForecasterConfig, build_forecaster, report_stem
+from .config import Cell, DatasetConfig, ExperimentConfig, build_forecaster
 from .data_io import generate_function_series, load_csv
 from .eval import EvalReport, compare_cost_families, run_last_sample, run_sliding
 from .llm.adapters import TranscriptWriter
@@ -58,19 +58,10 @@ SWEEP_COLUMNS = ("parameter", "value", "forecaster", "dataset", "replicate", "ma
 SWEEP_MEAN_COLUMNS = ("parameter", "value", "forecaster", "mean_mae", "mean_mse", "runs")
 
 
-@dataclass(frozen=True)
-class Cell:
-    dataset: DatasetConfig
-    forecaster: ForecasterConfig
-    sweep_value: float | None = None
-    replicate: int = 0
-
-
 @dataclass
 class CellResult:
     cell: Cell
     report: EvalReport | None = None
-    family: str = "domain"
     error: str | None = None
     traceback: str | None = None
 
@@ -86,8 +77,8 @@ class ExperimentResult:
 
 
 def _load_dataset(cfg: DatasetConfig) -> TimeSeries:
-    if cfg.csv_path is not None:
-        return load_csv(cfg.csv_path, layout=cfg.csv_layout)
+    if cfg.csv is not None:
+        return load_csv(**cfg.csv)
     assert cfg.function is not None
     return generate_function_series(cfg.function)
 
@@ -116,7 +107,7 @@ def _run_cell(
     transcript: TranscriptWriter | None,
 ) -> CellResult:
     """One cell on its dataset's shared series, or failed with the dataset's load failure."""
-    result = CellResult(cell=cell, family=cell.forecaster.family)
+    result = CellResult(cell=cell)
     forecaster = None
     try:
         # a forecaster that cannot be built is the cell's error, ahead of its dataset's
@@ -168,7 +159,7 @@ def _cell_row(config: ExperimentConfig, res: CellResult) -> dict:
     row = {
         "dataset": c.dataset.name,
         "forecaster": c.forecaster.name,
-        "family": res.family,
+        "family": c.forecaster.family,
         "protocol": config.protocol,
         "metric_space": config.metric_space,
         "sweep_parameter": parameter,
@@ -221,7 +212,7 @@ def _cost_comparison_lines(results: list[CellResult]) -> list[str]:
     by_family: dict[str, list] = {}
     for r in results:
         if r.report is not None:
-            by_family.setdefault(r.family, []).append(r.report.cost)
+            by_family.setdefault(r.cell.forecaster.family, []).append(r.report.cost)
     if "llm" not in by_family:
         return []
     comparison = compare_cost_families(
@@ -251,15 +242,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     uses_llm = any(f.llm is not None for f in config.forecasters)
     transcript = TranscriptWriter(out / "transcripts.jsonl") if uses_llm else None
 
+    cells = config.cells()
     results: list[CellResult] = []
     try:
         for ds in config.datasets:
-            cells = [
-                Cell(dataset=ds, forecaster=fc, sweep_value=value, replicate=rep)
-                for fc in config.forecasters
-                for value, rep in config.sweep_points()
-            ]
-            results += _run_dataset(config, ds, cells, transcript)
+            results += _run_dataset(config, ds, [c for c in cells if c.dataset is ds], transcript)
     finally:
         if transcript is not None:
             transcript.close()
@@ -270,9 +257,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     for r in results:
         if r.report is not None:
-            c = r.cell
-            stem = report_stem(c.dataset.name, c.forecaster.name, c.sweep_value, c.replicate)
-            (out / "reports" / f"{stem}.json").write_text(
+            (out / "reports" / f"{r.cell.report_stem}.json").write_text(
                 json.dumps(r.report.to_dict(), indent=2), encoding="utf-8"
             )
 

@@ -275,6 +275,31 @@ _BAD_CONFIGS = {
                                    ["'llm'", "'fixture'", "'responses'"]),
     "http-session": ({"forecasters": [_llm_entry(adapter={**_HTTP_OK, "session": None})]},
                      ["'llm'", "'session'"]),
+    # a key no section or entry takes, one case per section at least
+    "llm-key-typo": ({"forecasters": [_llm_entry(decimal=2)]}, ["'llm'", "'decimal'"]),
+    "multi-turn-false": ({"forecasters": [_llm_entry(multi_turn=False)]}, ["'llm'", "'multi_turn'"]),
+    "decoding-key-typo": ({"forecasters": [_llm_entry(decoding={"samples": 3})]},
+                          ["'llm'", "decoding", "'samples'"]),
+    "sweep-key-typo": ({"noise": {"kind": "gaussian", "sigma": 0.0},
+                        "sweep": {"parameter": "noise.sigma", "values": [0.1], "replicate": 3}},
+                       ["sweep", "'replicate'"]),
+    "csv-key-typo": ({"datasets": [{"name": "c", "csv": {"path": "c.csv", "layuot": "informer"}}]},
+                     ["'c'", "csv", "'layuot'"]),
+    "function-key-typo": ({"datasets": [{"name": "sine", "function": {"kind": "sine", "wavelength": 3}}]},
+                          ["'sine'", "function spec", "'wavelength'"]),
+    "linear-key-typo": ({"forecasters": [{"name": "lin", "linear": {"epochs": 3}}]},
+                        ["'lin'", "linear config", "'epochs'"]),
+    "task-key-typo": ({"task": {"input_length": 20, "output_length": 5, "horizon": 5}}, ["task", "'horizon'"]),
+    "split-key-typo": ({"split": {"test_fraction": 0.5, "val_frac": 0.1}}, ["split", "'val_frac'"]),
+    "noise-key-typo": ({"noise": {"kind": "gaussian", "sd": 0.1}}, ["noise spec", "'sd'"]),
+    "filter-key-typo": ({"filter": {"kind": "ema", "alfa": 0.3}}, ["filter spec", "'alfa'"]),
+    "dataset-csv-and-function": ({"datasets": [{"name": "both", "csv": {"path": "c.csv"},
+                                                "function": {"kind": "sine", "length": 80}}]},
+                                 ["'both'", "'csv'", "'function'"]),
+    "dataset-unknown-key": ({"datasets": [{"name": "sine", "function": {"kind": "sine", "length": 80},
+                                           "seasonality": 24}]}, ["'sine'", "'seasonality'"]),
+    "forecaster-unknown-key": ({"forecasters": [{"name": "naive", "baseline": {"type": "last_value"},
+                                                 "linaer": {"seed": 0}}]}, ["'naive'", "'linaer'"]),
     # names must be non-empty strings
     "dataset-name-1": ({"datasets": [{"name": 1, "function": {"kind": "sine", "length": 80}}]},
                        ["dataset entry name", "1"]),

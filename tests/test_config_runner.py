@@ -8,9 +8,8 @@ import threading
 import pytest
 import yaml
 
-from castlab import LlmPromptForecaster, load_csv
+from castlab import LlmPromptForecaster
 from castlab.config import (
-    DatasetConfig,
     LlmForecasterConfig,
     config_from_dict,
     load_config,
@@ -103,7 +102,6 @@ def test_integral_floats_load_as_ints(tmp_path):
 _MIRRORED_DEFAULTS = {
     "llm": (LlmForecasterConfig, LlmPromptForecaster,
             {k: k for k in ("style", "decimals", "shots", "channel_concurrency")}),
-    "dataset": (DatasetConfig, load_csv, {"csv_layout": "layout"}),
 }
 
 

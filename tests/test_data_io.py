@@ -67,6 +67,16 @@ def test_load_nan_cell_rejected(tmp_path):
         load_csv(p)
 
 
+@pytest.mark.parametrize("reader", [data_io._read_numeric, data_io._read_rows])
+@pytest.mark.parametrize("header,names", [("", None), ("a,b\n", ["a", "b"])])
+def test_a_utf8_byte_order_mark_is_neither_data_nor_name(tmp_path, reader, header, names):
+    # Excel and many Windows tools start a UTF-8 CSV with one
+    p = tmp_path / "bom.csv"
+    p.write_bytes(("\ufeff" + header + "1.0,2.0\n3.0,4.0\n5.0,6.0").encode("utf-8"))
+    values, got = reader(p, "plain")
+    assert values.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]] and got == names
+
+
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     ts = validate_series(rng.normal(scale=123.4, size=(17, 3)), names=["a", "b", "c"])

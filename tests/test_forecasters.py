@@ -107,7 +107,6 @@ def test_linear_single_shot_fit_and_predict():
     window = rng.normal(size=(48, 3))
     cfg = LinearModelConfig(variant="rlinear", max_epochs=50, seed=0)
     f = LinearSingleShotForecaster(cfg)
-    assert f.family == "linear"
     f.fit(window, 16)
     out = f.predict(window, 16)
     assert out.shape == (16, 3)

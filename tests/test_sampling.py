@@ -189,6 +189,12 @@ def test_mock_replays_json_and_jsonl_scripts(tmp_path):
     assert [r.values.tolist() for r in results2] == [[7, 8, 9], [10, 11, 12], [7, 8, 9]]
 
 
+@pytest.mark.parametrize("script", [[1, 2], "123", []])
+def test_mock_rejects_a_script_that_is_not_a_list_of_strings(script):
+    with pytest.raises(ValueError, match="MockAdapter responses"):
+        MockAdapter(script)
+
+
 def test_mock_serves_each_prompt_its_script_whatever_the_call_order():
     script = ["1", "2", "3"]
     prompts = [("sys", "a"), ("sys", "b"), ("", "a")]
