@@ -47,6 +47,7 @@ from .llm import (
     build_prompt,
     decode_response,
     sample_forecasts,
+    submit_samples,
 )
 from .noise import FilterSpec, NoiseSpec, apply_filter, inject_noise
 from .series import (
@@ -111,6 +112,7 @@ __all__ = [
     "HttpChatAdapter",
     "TranscriptWriter",
     "sample_forecasts",
+    "submit_samples",
     "Forecaster",
     "CostRecord",
     "EvalReport",

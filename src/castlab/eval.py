@@ -39,11 +39,17 @@ class Forecaster(ABC):
 
     ``fit`` is an optional per-call hook, timed separately from ``predict``
     by the protocol runners; the default is a no-op for training-free
-    forecasters. ``close`` releases what the forecaster holds between calls,
-    such as threads; the default holds nothing.
+    forecasters. ``prefetch`` is told every input window of a protocol run,
+    in order, before the first ``fit``, so a forecaster may start work on
+    them ahead; the default does nothing. ``close`` releases what the
+    forecaster holds between calls, such as threads; the default holds
+    nothing.
     """
 
     name: str = "forecaster"
+
+    def prefetch(self, windows: Sequence[np.ndarray], horizon: int) -> None:
+        return None
 
     def fit(self, window: np.ndarray, horizon: int) -> None:
         return None
@@ -58,7 +64,13 @@ class Forecaster(ABC):
 
 @dataclass(frozen=True)
 class CostRecord:
-    """Per-run training and inference wall-clock seconds."""
+    """Per-run training and inference wall-clock seconds.
+
+    ``infer_seconds`` is the forecaster's ``prefetch`` time plus the time of
+    each ``predict``. For an LLM forecaster, whose pool keeps working through
+    the protocol's per-window scoring (microseconds), that is the wall time
+    of its prompt building plus each window's wait for its completions.
+    """
 
     train_seconds: float
     infer_seconds: float
@@ -168,14 +180,16 @@ def _run_protocol(
             f"test slice has {test_values.shape[0]} rows, needs {span}"
         )
     starts = starts_for(test_values.shape[0], span)
+    windows = [_corrupt_input(test_values[start : start + task.input_length], noise,
+                              noise_filter, idx) for idx, start in enumerate(starts)]
     maes, mses = [], []
     per_mae, per_mse = [], []
     train_seconds = 0.0
-    infer_seconds = 0.0
-    for idx, start in enumerate(starts):
-        window = test_values[start : start + task.input_length]
+    t0 = time.perf_counter()
+    forecaster.prefetch(windows, task.output_length)
+    infer_seconds = time.perf_counter() - t0
+    for start, window in zip(starts, windows):
         truth = test_values[start + task.input_length : start + span]
-        window = _corrupt_input(window, noise, noise_filter, idx)
         t0 = time.perf_counter()
         forecaster.fit(window, task.output_length)
         t1 = time.perf_counter()
@@ -252,7 +266,12 @@ def run_sliding(
     """Score every window of the test slice with stride equal to the horizon.
 
     Window count is ``floor((len_test - I - O) / O) + 1``; metrics are
-    averaged over windows and costs accumulate across them.
+    averaged over windows and costs accumulate across them. Every corrupted
+    input window is built first and handed to ``forecaster.prefetch``, whose
+    time counts as inference; then each window is fit, predicted and scored
+    in turn, so an LLM forecaster's completions for later windows run while
+    earlier ones are scored, and all of a window's completions have finished
+    when its ``predict`` returns.
     """
     return _run_protocol(
         "sliding", lambda rows, span: range(0, rows - span + 1, task.output_length), dataset,

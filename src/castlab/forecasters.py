@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import functools
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .linear import predict as linear_predict
 from .llm.adapters import LlmAdapter, TranscriptWriter
 from .llm.decode import DecodingConfig, aggregate_median
 from .llm.prompts import PROMPT_STYLES, ScalingConfig, build_prompt
-from .llm.sampling import sample_forecasts
+from .llm.sampling import sample_forecasts, submit_samples
 from .series import ForecastTask, validate_series
 
 
@@ -162,10 +164,14 @@ class LlmPromptForecaster(Forecaster):
     median-aggregated. The affine scaling is derived per channel unless an
     explicit one is supplied, and is recorded in the transcript.
 
-    ``predict`` builds every channel's prompt, then queues all (channel,
-    sample) completions on one pool of ``channel_concurrency * num_samples``
-    threads, which bounds the adapter calls in flight. The threads start on
-    first use and serve every later prompt until ``close``.
+    Each window's (channel, sample) completions are queued on one pool of
+    ``channel_concurrency * num_samples`` threads, which bounds the adapter
+    calls in flight. ``prefetch`` builds the prompts of every window it is
+    given and queues their completions in window order, so the pool keeps
+    working across window edges; ``predict`` collects the head of that queue
+    when it holds the same window and horizon, and otherwise cancels the
+    queued completions that have not started and queues its own window. The
+    threads start on first use and serve every later window until ``close``.
     """
 
     def __init__(
@@ -198,18 +204,41 @@ class LlmPromptForecaster(Forecaster):
         self.channel_concurrency = channel_concurrency
         self.name = name or style
         self._pool = ThreadPoolExecutor(channel_concurrency * self.decoding.num_samples)
+        self._queue: deque[tuple[np.ndarray, int, list[Future]]] = deque()
 
-    def predict(self, window: np.ndarray, horizon: int) -> np.ndarray:
+    def _submit(self, window: np.ndarray, horizon: int) -> tuple[np.ndarray, int, list[Future]]:
         arr = _as_window(window)
         bundles = []
         for values in arr.T:
             scaling = self.scaling or ScalingConfig.from_values(values, decimals=self.decimals)
             bundles.append(build_prompt(values, horizon, self.style, scaling, shots=self.shots))
-        samples = sample_forecasts(self.adapter, bundles, self.decoding, self._pool,
-                                   transcript=self.transcript,
-                                   transcript_context={"forecaster": self.name})
+        return arr, horizon, submit_samples(self.adapter, bundles, self.decoding, self._pool,
+                                            transcript=self.transcript,
+                                            transcript_context={"forecaster": self.name})
+
+    def _cancel_queue(self) -> None:
+        for _, _, futures in self._queue:
+            for future in futures:
+                future.cancel()
+        self._queue.clear()
+
+    def prefetch(self, windows: Sequence[np.ndarray], horizon: int) -> None:
+        self._cancel_queue()
+        self._queue.extend(self._submit(window, horizon) for window in windows)
+
+    def predict(self, window: np.ndarray, horizon: int) -> np.ndarray:
+        arr = _as_window(window)
+        queue = self._queue
+        if queue and queue[0][1] == horizon and np.array_equal(queue[0][0], arr):
+            _, _, futures = queue.popleft()
+        else:
+            self._cancel_queue()
+            _, _, futures = self._submit(arr, horizon)
+        samples = sample_forecasts(futures, self.decoding)
         return np.column_stack([aggregate_median([s.values for s in channel]) for channel in samples])
 
     def close(self) -> None:
-        """Stop the pool threads; call once the forecaster is done predicting."""
-        self._pool.shutdown()
+        """Cancel the queued completions and stop the pool threads once the running
+        ones finish; call once the forecaster is done predicting."""
+        self._queue.clear()
+        self._pool.shutdown(cancel_futures=True)

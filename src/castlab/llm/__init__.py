@@ -9,7 +9,7 @@ from .prompts import (
     build_prompt,
     render_sequence,
 )
-from .sampling import SampleResult, sample_forecasts
+from .sampling import SampleResult, sample_forecasts, submit_samples
 
 __all__ = [
     "PROMPT_STYLES",
@@ -26,4 +26,5 @@ __all__ = [
     "TranscriptWriter",
     "SampleResult",
     "sample_forecasts",
+    "submit_samples",
 ]

@@ -1,9 +1,9 @@
-"""Multi-sample forecasting of several prompts through one flat queue of completions."""
+"""Multi-sample forecasting of several prompts: queue their completions, then collect them."""
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import Executor
+from concurrent.futures import Executor, Future, wait
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,25 +31,22 @@ class SampleResult:
     raw_text: str
 
 
-def sample_forecasts(
+def submit_samples(
     adapter: LlmAdapter,
     bundles: Sequence[PromptBundle],
     config: DecodingConfig,
-    executor: Executor | None = None,
+    executor: Executor,
     transcript: TranscriptWriter | None = None,
     transcript_context: dict | None = None,
-) -> list[list[SampleResult]]:
-    """Issue ``num_samples`` completions per bundle and decode each one.
+) -> list[Future]:
+    """Queue ``num_samples`` completions per bundle on ``executor``; return their futures.
 
-    Every (bundle, sample) pair is one task in a single flat queue, run by
-    ``executor.map`` (or ``map`` on the calling thread with no executor). A
-    sample whose response fails to decode (or whose adapter call errors) is
-    retried with a fresh completion, up to ``max_attempts_per_sample``
-    attempts. Returns, per bundle, its successful samples in sample order;
-    raises AllSamplesFailedError when some bundle has none. Every task has
-    finished when this returns or raises AllSamplesFailedError. Every raw
-    exchange is appended to the transcript when one is given, with the
-    bundle's index as its ``channel``.
+    Every (bundle, sample) pair is one task, submitted in (bundle, sample)
+    order. A task whose response fails to decode (or whose adapter call
+    errors) retries with a fresh completion, up to ``max_attempts_per_sample``
+    attempts, and resolves to its :class:`SampleResult`, or to None when no
+    attempt decoded. Every raw exchange is appended to the transcript when one
+    is given, with the bundle's index as its ``channel``.
     """
 
     def transcribe(channel: int, index: int, attempt: int, raw: str | None,
@@ -74,8 +71,7 @@ def sample_forecasts(
         }
         transcript.record("completion", {**payload, **(transcript_context or {})})
 
-    def run_sample(task: tuple[int, int]) -> SampleResult | None:
-        channel, index = task
+    def run_sample(channel: int, index: int) -> SampleResult | None:
         bundle = bundles[channel]
         for attempt in range(1, config.max_attempts_per_sample + 1):
             start = time.perf_counter()
@@ -96,10 +92,24 @@ def sample_forecasts(
                 return SampleResult(index, values, latency, attempt, raw)
         return None
 
+    return [executor.submit(run_sample, channel, index)
+            for channel in range(len(bundles)) for index in range(config.num_samples)]
+
+
+def sample_forecasts(futures: Sequence[Future], config: DecodingConfig) -> list[list[SampleResult]]:
+    """Wait for the futures of :func:`submit_samples` and group their samples per bundle.
+
+    ``futures`` are one window's tasks, in (bundle, sample) order. Returns,
+    per bundle, its successful samples in sample order; raises
+    AllSamplesFailedError when some bundle has none. Every task of the window
+    has finished when this returns or raises; a task that raised re-raises
+    here. Tasks queued behind them on the same executor, such as later
+    windows', may still be running.
+    """
+    wait(futures)
+    results = [future.result() for future in futures]
     n = config.num_samples
-    tasks = [(channel, index) for channel in range(len(bundles)) for index in range(n)]
-    results = list((executor.map if executor else map)(run_sample, tasks))
-    per_bundle = [[r for r in results[b * n:(b + 1) * n] if r is not None] for b in range(len(bundles))]
+    per_bundle = [[r for r in results[b:b + n] if r is not None] for b in range(0, len(results), n)]
     failed = [b for b, successes in enumerate(per_bundle) if not successes]
     if failed:
         raise AllSamplesFailedError(

@@ -68,3 +68,6 @@ def test_tracer_records_every_layer_on_a_sliding_csv_grid(tmp_path):
     # pairs, so a window set whose size counted values would fail here
     assert out["counts"]["windowing.windows"] == 6 * 62, out["counts"]
     assert out["counts"]["linear.fits"] == 6, out["counts"]
+    # the mock LLM cell waits for its samples once per window, inside the
+    # name the tracer patches, so llm.sampling.s times every wait
+    assert out["calls"]["llm.sampling"] == 6, out["calls"]

@@ -4,11 +4,12 @@ import inspect
 import json
 import sys
 import threading
+import time
 
 import pytest
 import yaml
 
-from castlab import LlmPromptForecaster
+from castlab import LlmPromptForecaster, MockAdapter
 from castlab.config import (
     LlmForecasterConfig,
     config_from_dict,
@@ -240,6 +241,35 @@ def test_llm_cells_leave_no_pool_thread_running(tmp_path, response):
         assert cell.error.startswith("AllSamplesFailedError: ")
     else:
         assert cell.error is None and cell.report.window_count == 1
+
+
+def test_a_failed_window_cancels_the_cells_queued_completions(tmp_path):
+    (tmp_path / "two.csv").write_text("".join(f"{i / 7:.6f},{(i % 9) / 3:.6f}\n" for i in range(100)))
+    raw = _base_config(tmp_path, protocol="sliding", task={"input_length": 10, "output_length": 5})
+    raw["datasets"] = [{"name": "two", "csv": {"path": "two.csv"}}]
+    raw["forecasters"] = [{"name": "llm-mock", "llm": {
+        "decoding": {"num_samples": 3, "max_attempts_per_sample": 1},
+        "adapter": {"type": "mock", "responses": ["unused"]}}}]
+    cfg = config_from_dict(raw, base_dir=tmp_path)
+    calls = []
+
+    class SlowGarbageAdapter(MockAdapter):
+        def complete(self, system_text, user_text, config):
+            calls.append(user_text)
+            time.sleep(0.05)
+            return "no numbers here"
+
+    (fc,) = cfg.forecasters
+    llm = dataclasses.replace(fc.llm, adapter=lambda: SlowGarbageAdapter(["unused"]))
+    cfg = dataclasses.replace(cfg, forecasters=[dataclasses.replace(fc, llm=llm)])
+    result = run_experiment(cfg)
+    (cell,) = result.results
+    assert cell.error.startswith("AllSamplesFailedError: ")
+    # 8 windows are queued; after the first window's 2 x 3 calls, only the
+    # calls already running on the pool of 3 may finish
+    assert 2 * 3 <= len(calls) <= 2 * 3 + 3
+    manifest = json.loads(result.manifest_path.read_text())
+    assert manifest["failed"] == 1 and len(manifest["errors"]) == 1
 
 
 def test_each_dataset_is_loaded_once_and_a_bad_one_fails_only_its_cells(tmp_path, monkeypatch):

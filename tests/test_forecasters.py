@@ -1,4 +1,5 @@
 import hashlib
+import json
 import sys
 import threading
 import time
@@ -17,8 +18,11 @@ from castlab import (
     PolynomialExtrapolator,
     ScalingConfig,
     SeasonalRepeatForecaster,
+    TranscriptWriter,
 )
 from castlab.errors import ShapeMismatchError
+from castlab.eval import Forecaster, run_sliding
+from castlab.series import ForecastTask, SplitSpec, validate_series
 from castlab.llm.adapters import LlmAdapter
 
 
@@ -236,3 +240,74 @@ def test_llm_forecasts_do_not_depend_on_channel_concurrency():
     concurrent, _ = _pooled_forecasts(3)
     assert all(np.array_equal(a, b) for a, b in zip(serial, concurrent, strict=True))
 
+
+
+class RecordingLlmForecaster(LlmPromptForecaster):
+    """Keeps every forecast it returns."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.outs = []
+
+    def predict(self, window, horizon):
+        out = super().predict(window, horizon)
+        self.outs.append(out)
+        return out
+
+
+class UnprefetchedLlmForecaster(RecordingLlmForecaster):
+    prefetch = Forecaster.prefetch
+
+
+def _sliding_llm_run(cls, channel_concurrency):
+    """run_sliding over 5 windows of a 3-channel series at num_samples=2; closes the forecaster."""
+    adapter = RecordingAdapter(horizon=4, delay=0.005)
+    f = cls(adapter, decoding=DecodingConfig(num_samples=2, max_attempts_per_sample=1),
+            decimals=1, channel_concurrency=channel_concurrency)
+    t = np.arange(60.0)
+    values = np.column_stack([np.sin(t / 3.0), np.cos(t / 5.0), t / 30.0])
+    try:
+        report = run_sliding(validate_series(values), ForecastTask(input_length=8, output_length=4), f,
+                             split=SplitSpec(test_fraction=0.5, val_fraction=0.0), metric_space="raw")
+    finally:
+        f.close()
+    return f.outs, report, adapter
+
+
+@pytest.mark.parametrize("channel_concurrency", [1, 3])
+def test_prefetched_sliding_run_matches_an_unprefetched_one_bit_for_bit(channel_concurrency):
+    outs, report, adapter = _sliding_llm_run(RecordingLlmForecaster, channel_concurrency)
+    plain_outs, plain, _ = _sliding_llm_run(UnprefetchedLlmForecaster, channel_concurrency)
+    assert report.window_count == len(outs) == 5
+    assert all(np.array_equal(a, b) for a, b in zip(outs, plain_outs, strict=True))
+    assert (report.mae, report.mse) == (plain.mae, plain.mse)
+    assert sum(adapter.draws.values()) == 5 * 3 * 2
+    assert adapter.in_flight_max <= channel_concurrency * 2
+    assert not any(t.is_alive() for t in adapter.threads - {threading.current_thread()})
+
+
+def test_predict_off_the_prefetched_queue_serves_its_window_and_cancels_the_rest(tmp_path):
+    adapter = RecordingAdapter(horizon=4, delay=0.02)
+    transcript = TranscriptWriter(tmp_path / "t.jsonl")
+    f = LlmPromptForecaster(adapter, decoding=DecodingConfig(num_samples=2, max_attempts_per_sample=1),
+                            scaling=ScalingConfig(decimals=0), transcript=transcript)
+    rng = np.random.default_rng(3)
+    windows = [rng.integers(0, 40, size=(12, 3)).astype(float) for _ in range(5)]
+    try:
+        f.prefetch(windows[:4], 4)
+        out = f.predict(windows[4], 4)
+    finally:
+        f.close()
+        transcript.close()
+    fresh = LlmPromptForecaster(RecordingAdapter(horizon=4, delay=0.0),
+                                decoding=DecodingConfig(num_samples=2, max_attempts_per_sample=1),
+                                scaling=ScalingConfig(decimals=0))
+    try:
+        assert np.array_equal(out, fresh.predict(windows[4], 4))
+    finally:
+        fresh.close()
+    # the served window's 3 x 2 calls, plus at most one pool's worth already started
+    assert 3 * 2 <= sum(adapter.draws.values()) <= 3 * 2 + 2
+    records = [json.loads(line)["payload"] for line in (tmp_path / "t.jsonl").read_text().splitlines()]
+    calls = [(r["user_text"], r["sample_index"], r["attempt"]) for r in records]
+    assert len(calls) == sum(adapter.draws.values()) and len(set(calls)) == len(calls)

@@ -16,6 +16,7 @@ from castlab import (
     TranscriptWriter,
     build_prompt,
     sample_forecasts,
+    submit_samples,
 )
 from castlab.errors import AdapterError, AllSamplesFailedError
 from castlab.llm import adapters
@@ -25,10 +26,16 @@ IDENTITY = ScalingConfig(decimals=0)
 BUNDLE = build_prompt(np.array([1.0, 2.0, 3.0, 4.0]), 3, "llmtime_chat", IDENTITY)
 
 
+def _sample(adapter, bundles, cfg, executor=None, **transcript):
+    """Submit then collect, on ``executor`` or on one worker that runs the tasks in order."""
+    with ThreadPoolExecutor(1) as own:
+        return sample_forecasts(submit_samples(adapter, bundles, cfg, executor or own, **transcript), cfg)
+
+
 def test_mock_scripted_five_samples():
     adapter = MockAdapter(["1, 2, 3"])
     cfg = DecodingConfig(num_samples=5, max_attempts_per_sample=1)
-    results = sample_forecasts(adapter, [BUNDLE], cfg)[0]
+    results = _sample(adapter, [BUNDLE], cfg)[0]
     assert len(results) == 5
     for r in results:
         assert r.values.tolist() == [1.0, 2.0, 3.0]
@@ -37,7 +44,7 @@ def test_mock_scripted_five_samples():
 def test_mock_retry_after_garbage():
     adapter = MockAdapter(["no numbers here", "1, 2, 3"])
     cfg = DecodingConfig(num_samples=1, max_attempts_per_sample=2)
-    results = sample_forecasts(adapter, [BUNDLE], cfg)[0]
+    results = _sample(adapter, [BUNDLE], cfg)[0]
     assert len(results) == 1
     assert results[0].attempts == 2
     assert results[0].values.tolist() == [1.0, 2.0, 3.0]
@@ -47,7 +54,7 @@ def test_all_samples_failed():
     adapter = MockAdapter(["garbage"])
     cfg = DecodingConfig(num_samples=3, max_attempts_per_sample=2)
     with pytest.raises(AllSamplesFailedError):
-        sample_forecasts(adapter, [BUNDLE], cfg)
+        _sample(adapter, [BUNDLE], cfg)
     assert adapter.calls == 6
 
 
@@ -56,7 +63,7 @@ def test_reproducible_with_deterministic_adapter():
     runs = []
     for _ in range(2):
         adapter = MockAdapter(["5, 6, 7", "5, 6, 7", "5, 6, 7", "5, 6, 7"])
-        results = sample_forecasts(adapter, [BUNDLE], cfg)[0]
+        results = _sample(adapter, [BUNDLE], cfg)[0]
         runs.append([r.values.tolist() for r in results])
     assert runs[0] == runs[1]
 
@@ -67,7 +74,7 @@ def test_bundles_share_one_queue_and_come_back_grouped_in_sample_order(tmp_path)
     transcript = TranscriptWriter(tmp_path / "t.jsonl")
     cfg = DecodingConfig(num_samples=4, max_attempts_per_sample=1)
     with ThreadPoolExecutor(3) as pool:
-        results = sample_forecasts(adapter, [BUNDLE, other], cfg, pool, transcript=transcript)
+        results = _sample(adapter, [BUNDLE, other], cfg, pool, transcript=transcript)
     transcript.close()
     assert [[r.sample_index for r in rs] for rs in results] == [[0, 1, 2, 3]] * 2
     # each prompt is served the script from its start, whichever samples ran first
@@ -94,7 +101,7 @@ def test_a_bundle_without_successes_fails_the_call_after_every_task_ends():
     cfg = DecodingConfig(num_samples=3, max_attempts_per_sample=2)
     with ThreadPoolExecutor(2) as pool:
         with pytest.raises(AllSamplesFailedError, match=r"channel\(s\) \[1\]"):
-            sample_forecasts(adapter, [good, BUNDLE], cfg, pool)
+            _sample(adapter, [good, BUNDLE], cfg, pool)
         # nothing was left in flight: every call had returned before the error
         calls = len(finished)
         time.sleep(0.05)
@@ -105,14 +112,14 @@ def test_all_samples_failed_on_an_executor():
     adapter = MockAdapter(["garbage"])
     cfg = DecodingConfig(num_samples=3, max_attempts_per_sample=2)
     with ThreadPoolExecutor(2) as pool, pytest.raises(AllSamplesFailedError):
-        sample_forecasts(adapter, [BUNDLE], cfg, pool)
+        _sample(adapter, [BUNDLE], cfg, pool)
     assert adapter.calls == 6
 
 
 def test_partial_failures_keep_successes():
     adapter = MockAdapter(["bad", "bad", "1, 2, 3"])  # cycles
     cfg = DecodingConfig(num_samples=2, max_attempts_per_sample=3)
-    results = sample_forecasts(adapter, [BUNDLE], cfg)[0]
+    results = _sample(adapter, [BUNDLE], cfg)[0]
     assert 1 <= len(results) <= 2
     for r in results:
         assert r.values.tolist() == [1.0, 2.0, 3.0]
@@ -124,7 +131,7 @@ def test_transcript_records_exchanges(tmp_path):
     transcript = TranscriptWriter(path)
     adapter = MockAdapter(["oops", "1, 2, 3"])
     cfg = DecodingConfig(num_samples=1, max_attempts_per_sample=2)
-    sample_forecasts(adapter, [BUNDLE], cfg, transcript=transcript,
+    _sample(adapter, [BUNDLE], cfg, transcript=transcript,
                      transcript_context={"forecaster": "f"})
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert len(lines) == 2
@@ -178,14 +185,14 @@ def test_mock_replays_json_and_jsonl_scripts(tmp_path):
     p.write_text(json.dumps(["1, 2, 3", "4, 5, 6"]))
     adapter = MockAdapter(read_responses(p))
     cfg = DecodingConfig(num_samples=3, max_attempts_per_sample=1)
-    results = sample_forecasts(adapter, [BUNDLE], cfg)[0]
+    results = _sample(adapter, [BUNDLE], cfg)[0]
     # the script cycles once exhausted
     assert [r.values.tolist() for r in results] == [[1, 2, 3], [4, 5, 6], [1, 2, 3]]
 
     p2 = tmp_path / "r.jsonl"
     p2.write_text('"7, 8, 9"\n"10, 11, 12"\n')
     adapter2 = MockAdapter(read_responses(p2))
-    results2 = sample_forecasts(adapter2, [BUNDLE], cfg)[0]
+    results2 = _sample(adapter2, [BUNDLE], cfg)[0]
     assert [r.values.tolist() for r in results2] == [[7, 8, 9], [10, 11, 12], [7, 8, 9]]
 
 
@@ -274,7 +281,7 @@ def test_null_reply_content_is_an_adapter_error_and_the_attempt_is_retried():
 
     adapter = HttpChatAdapter(endpoint="http://x.invalid", model="m", session=NullThenNumbersSession())
     cfg = DecodingConfig(num_samples=1, max_attempts_per_sample=2)
-    [[sample]] = sample_forecasts(adapter, [BUNDLE], cfg)
+    [[sample]] = _sample(adapter, [BUNDLE], cfg)
     assert sample.attempts == 2 and sample.values.tolist() == [1.0, 2.0, 3.0]
 
 
