@@ -11,9 +11,13 @@ Both variants are affine maps of the raw window X: predictions are
   std]``, the mean as shift, ``M`` the identity.
 
 Training is full-batch gradient descent with early stopping; channels share
-one set of parameters. The equivalence tests hold the weights within 1e-12 of
-stepping ``theta`` on per-window trend/seasonal features. Horizons longer
-than O' are reached autoregressively, block by block.
+one set of parameters. It steps ``phi`` and recovers ``theta`` from the best
+``phi`` through ``M``'s pseudo-inverse. An l2 epoch is one product with a
+fixed affine map, and validation scores a block of epochs at once; the
+arrays a fit writes are reused by the next fit on the same thread. The
+equivalence tests hold the weights within 1e-12 of stepping ``theta`` on
+per-window trend/seasonal features. Horizons longer than O' are reached
+autoregressively, block by block.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -39,6 +44,7 @@ LOSSES = ("l1", "l2")
 
 INSTANCE_NORM_EPS = 1e-8
 VAL_FRACTION = 0.2  # share of each channel's latest offsets that validates
+BLOCK_EPOCHS = 8  # l2 epochs stepped before one stacked product scores them all
 MODEL_FORMAT_VERSION = 1
 
 
@@ -195,28 +201,57 @@ def _mixing(variant: str, width: int, kernel: int) -> np.ndarray | None:
 def _fit_constants(
     variant: str, inner_input: int, inner_output: int, kernel: int, seed: int
 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray, np.ndarray]:
-    """``(M, M Mᵀ, theta0, phi0 = M theta0)`` of a fit, read-only and kept per shape and seed.
+    """``(M Mᵀ, M⁺, theta0, phi0 = M theta0)`` of a fit, read-only and kept per shape and seed.
 
-    ``M`` and ``M Mᵀ`` are None for rlinear, whose ``phi0`` is ``theta0`` itself.
+    ``M⁺ = Mᵀ (M Mᵀ)⁻¹`` is ``M``'s pseudo-inverse; ``M Mᵀ`` is positive
+    definite because ``A Aᵀ + (I - A)(I - A)ᵀ`` is. Both are None for
+    rlinear, whose ``phi0`` is ``theta0`` itself.
     """
     mixing = _mixing(variant, inner_input, kernel)
     theta = _pack(_init_params(variant, inner_input, inner_output, seed), variant)
     phi = _phi(theta, mixing)
-    precondition = None if mixing is None else mixing @ mixing.T
-    for arr in (precondition, theta, phi):
+    precondition = unmixing = None
+    if mixing is not None:
+        precondition = mixing @ mixing.T
+        unmixing = np.ascontiguousarray(np.linalg.solve(precondition, mixing).T)
+    for arr in (precondition, unmixing, theta, phi):
         if arr is not None:
             arr.setflags(write=False)
-    return mixing, precondition, theta, phi
+    return precondition, unmixing, theta, phi
+
+
+_workspace = threading.local()
+
+
+def _buffers(*shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Arrays of ``shapes`` with unset values, carved one after another from this thread's buffer.
+
+    The buffer grows to the largest request made on its thread and is kept,
+    so a later fit of the same shape allocates nothing large. The arrays are
+    valid until the next call on the same thread.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    buffer = getattr(_workspace, "buffer", None)
+    if buffer is None or buffer.size < sum(sizes):
+        buffer = _workspace.buffer = np.empty(sum(sizes))
+    arrays, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        arrays.append(buffer[start : start + size].reshape(shape))
+        start += size
+    return arrays
 
 
 def _phi(theta: np.ndarray, mixing: np.ndarray | None) -> np.ndarray:
     return theta if mixing is None else mixing @ theta
 
 
-def _stack(*blocks: np.ndarray, extra: int = 0) -> np.ndarray:
-    """The windows along the last axis of ``blocks`` copied into rows, then ``extra`` unset columns."""
+def _stack(*blocks: np.ndarray, extra: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+    """The windows along the last axis of ``blocks`` copied into rows, then ``extra`` unset columns.
+
+    The rows are ``out`` when given, else a new array.
+    """
     width = blocks[0].shape[-1]
-    rows = np.empty((sum(math.prod(b.shape[:-1]) for b in blocks), width + extra))
+    rows = np.empty((sum(math.prod(b.shape[:-1]) for b in blocks), width + extra)) if out is None else out
     start = 0
     for block in blocks:
         stop = start + math.prod(block.shape[:-1])
@@ -225,22 +260,28 @@ def _stack(*blocks: np.ndarray, extra: int = 0) -> np.ndarray:
     return rows
 
 
-def _design(variant: str, *blocks: np.ndarray) -> Design:
-    """``(X̃, shift)``, one row of ``X̃`` per window along the last axis of ``blocks``, block after block."""
-    design = _stack(*blocks, extra=1)
-    windows = design[:, :-1]
+def _design(variant: str, *blocks: np.ndarray, out: np.ndarray | None = None) -> Design:
+    """``(X̃, shift)``, one row of ``X̃`` per window along the last axis of ``blocks``, block after block.
+
+    ``X̃`` is written into ``out`` when given.
+    """
+    design = _stack(*blocks, extra=1, out=out)
+    windows, scale = design[:, :-1], design[:, -1]
     if variant == "dlinear":
-        design[:, -1] = 1.0
+        scale[...] = 1.0
         return design, None
     mean = windows.mean(axis=1, keepdims=True)
-    np.maximum(windows.std(axis=1, keepdims=True), INSTANCE_NORM_EPS, out=design[:, -1:])
     windows -= mean
+    # the std of each centered row, without a temporary the size of the windows
+    np.einsum("ij,ij->i", windows, windows, out=scale)
+    scale /= windows.shape[1]
+    np.maximum(np.sqrt(scale, out=scale), INSTANCE_NORM_EPS, out=scale)
     return design, mean
 
 
-def _predict(design: Design, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _predict(design: Design, phi: np.ndarray) -> np.ndarray:
     matrix, shift = design
-    pred = np.matmul(matrix, phi, out=out)
+    pred = matrix @ phi
     if shift is not None:
         pred += shift
     return pred
@@ -307,52 +348,79 @@ def fit_single_shot(
     are returned, with the train and validation losses measured at them.
 
     Descent on ``theta`` runs as descent on ``phi``: with ``g`` the gradient
-    in ``phi``, an epoch adds ``lr * g`` to a sum ``r`` and steps ``phi -= lr
-    * M Mᵀ g``, so its ``theta`` is ``theta0 - Mᵀ r``. An l2 ``g`` is ``H phi
-    - c`` (``H = 2/n X̃ᵀX̃``, ``c = 2/n X̃ᵀ(Y - shift)``), whose cost does not
-    grow with the window count; an l1 ``g`` is the direct gradient, from the
-    train rows of the one product that also scored the previous step.
+    in ``phi`` and ``P = M Mᵀ``, an epoch steps ``phi -= lr * P g``, and the
+    best ``phi`` gives ``theta = theta0 - M⁺ (phi0 - phi)``. An l2 ``g`` is
+    ``H phi - c`` (``H = 2/n X̃ᵀX̃``, ``c = 2/n X̃ᵀ(Y - shift)``), so an l2
+    epoch is the one product ``phi = T phi + b`` with ``T = I - lr P H`` and
+    ``b = lr P c``, whose cost does not grow with the window count. l2 steps
+    ``BLOCK_EPOCHS`` epochs, then scores their validation losses with one
+    stacked product and scans them in epoch order, so stopping and the best
+    epoch are as if each epoch were scored on its own. An l1 ``g`` is the
+    direct gradient, from the train rows of the one product that also scored
+    the previous step, so l1 scores each epoch as it goes. The arrays the fit
+    writes come from ``_buffers``; the returned model holds copies.
     """
     plan = plan_windows(task, input_sequence.channels)
     kernel = config.decomposition_kernel
-    mixing, precondition, theta, phi = _fit_constants(
+    precondition, unmixing, theta0, phi0 = _fit_constants(
         config.variant, plan.inner_input, plan.inner_output, kernel, config.seed)
-    phi = phi.copy()  # stepped in place below
     train, val = train_val_partition(make_windows(input_sequence, plan), VAL_FRACTION)
+    width, outputs = phi0.shape
+    rows, val_rows = train.size + val.size, val.size
+    l2 = config.loss == "l2"
+    block = min(BLOCK_EPOCHS, config.max_epochs) if l2 else 1
+    lr = config.learning_rate
+    matrix, targets, residual, phis, best, pair, squares, scores = _buffers(
+        (rows, width), (rows, outputs), (rows, outputs), (block, width, outputs), (width, outputs),
+        (2, width, outputs), (2 if l2 else 0, width, width), (block if l2 else 0, val_rows, outputs))
     # X̃ and the targets hold the train rows, then the validation rows: each
     # value of the windows is copied once, and one product can score both parts
-    matrix, shift = _design(config.variant, train.inputs, val.inputs)
-    targets = _stack(train.targets, val.targets)
-    train_rows, val_rows = slice(None, train.size), slice(train.size, None)
-    residual = np.empty_like(targets)
-    step = np.empty_like(phi)
-    preconditioned = np.empty_like(phi)
+    _, shift = _design(config.variant, train.inputs, val.inputs, out=matrix)
+    _stack(train.targets, val.targets, out=targets)
+    if shift is not None:
+        targets -= shift  # residuals are X̃ phi - (Y - shift) from here on
+    train_rows = slice(None, train.size)
 
-    def residual_at(phi: np.ndarray, rows: slice) -> np.ndarray:
-        part = (matrix[rows], None if shift is None else shift[rows])
-        return np.subtract(_predict(part, phi, residual[rows]), targets[rows], out=residual[rows])
+    def residual_at(phi: np.ndarray, part: slice) -> np.ndarray:
+        return np.subtract(np.matmul(matrix[part], phi, out=residual[part]), targets[part],
+                           out=residual[part])
 
-    if config.loss == "l2":
-        train_matrix = matrix[train_rows]
-        factor = 2.0 / train.targets.size
-        centered = targets[train_rows] if shift is None else targets[train_rows] - shift[train_rows]
-        hessian = (train_matrix.T @ train_matrix) * factor
-        moment = (train_matrix.T @ centered) * factor
-        scored = val_rows
+    def precondition_into(arr: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return arr if precondition is None else np.matmul(precondition, arr, out=out)
 
-        def gradient() -> None:
-            np.subtract(np.matmul(hessian, phi, out=step), moment, out=step)
+    if l2:
+        (hessian, transition), (moment, offset) = squares, pair
+        factor = 2.0 / (train.size * outputs)
+        np.matmul(matrix[train_rows].T, matrix[train_rows], out=hessian)
+        hessian *= factor
+        np.matmul(matrix[train_rows].T, targets[train_rows], out=moment)
+        moment *= factor
+        np.multiply(precondition_into(hessian, transition), -lr, out=transition)
+        transition[np.diag_indices(width)] += 1.0
+        np.multiply(precondition_into(moment, offset), lr, out=offset)
+        val_matrix, val_targets = matrix[train.size :], targets[train.size :]
+
+        def advance(phi: np.ndarray, out: np.ndarray) -> None:
+            np.add(np.matmul(transition, phi, out=out), offset, out=out)
+
+        def score(count: int) -> list[float]:
+            stacked = np.matmul(val_matrix, phis[:count], out=scores[:count])
+            stacked -= val_targets
+            np.square(stacked, out=stacked)
+            return (np.add.reduce(stacked.reshape(count, -1), axis=1) / stacked[0].size).tolist()
     else:
-        # each epoch's product over all rows also leaves the next epoch's train residual
-        scored = slice(None)
-        residual_at(phi, train_rows)
+        step, preconditioned = pair
+        residual_at(phi0, train_rows)
 
-        def gradient() -> None:
+        def advance(phi: np.ndarray, out: np.ndarray) -> None:
             _gradient(matrix[train_rows], residual[train_rows], config.loss, out=step)
+            out -= precondition_into(np.multiply(step, lr, out=step), preconditioned)
 
-    step_sum = None if mixing is None else np.zeros_like(phi)
-    tracked = phi if step_sum is None else step_sum
-    best = tracked.copy()
+        def score(count: int) -> list[float]:
+            # the product over all rows also leaves the next epoch's train residual
+            return [_loss(residual_at(phis[0], slice(None))[train.size :], config.loss)]
+
+    phis[-1] = phi0  # each block steps on from its predecessor's last epoch
     best_val = np.inf
     best_epoch = 0
     bad_epochs = 0
@@ -360,37 +428,36 @@ def fit_single_shot(
 
     # overflow here means divergence, raised below as DivergedLossError
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(1, config.max_epochs + 1):
-            epochs_run = epoch
-            gradient()
-            step *= config.learning_rate
-            if step_sum is None:
-                phi -= step
-            else:
-                step_sum += step
-                phi -= np.matmul(precondition, step, out=preconditioned)
-            residual_at(phi, scored)
-            val_loss = _loss(residual[val_rows], config.loss)
-            if not (np.isfinite(val_loss) and np.isfinite(phi).all()):
-                raise DivergedLossError(
-                    f"parameters or validation loss became non-finite at epoch {epoch}"
-                )
-            if val_loss < best_val:
-                best_val = val_loss
-                best_epoch = epoch
-                best[...] = tracked
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-                if bad_epochs > config.patience:
-                    break
-        if mixing is not None:
-            best = theta - mixing.T @ best
-        train_loss = _loss(residual_at(_phi(best, mixing), train_rows), config.loss)
+        while epochs_run < config.max_epochs and bad_epochs <= config.patience:
+            count = min(block, config.max_epochs - epochs_run)
+            for k in range(count):
+                advance(phis[k - 1], phis[k])
+            best_slot = None
+            for k, val_loss in enumerate(score(count)):
+                epochs_run += 1
+                # a non-finite entry of phi makes each validation row's product
+                # non-finite (inf * 0 is nan), so the loss shows it too
+                if not math.isfinite(val_loss):
+                    raise DivergedLossError(
+                        f"parameters or validation loss became non-finite at epoch {epochs_run}"
+                    )
+                if val_loss < best_val:
+                    best_val, best_epoch, best_slot, bad_epochs = val_loss, epochs_run, k, 0
+                else:
+                    bad_epochs += 1
+                    if bad_epochs > config.patience:
+                        break
+            if best_slot is not None:
+                best[...] = phis[best_slot]
+        train_loss = _loss(residual_at(best, train_rows), config.loss)
     if not np.isfinite(train_loss):
         raise DivergedLossError("training loss is non-finite at the best-validation parameters")
 
-    params = _unpack(best, config.variant)
+    theta = best
+    if unmixing is not None:
+        theta = np.matmul(unmixing, np.subtract(phi0, best, out=best))
+        np.subtract(theta0, theta, out=theta)
+    params = _unpack(theta, config.variant)
     bias = params.pop("bias")
     return FittedLinearModel(
         variant=config.variant,

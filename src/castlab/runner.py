@@ -16,7 +16,8 @@ Outputs under ``output_dir``:
 * ``transcripts.jsonl``: raw LLM traffic when any LLM forecaster runs.
 
 Every run removes these files as left by an earlier run into the same
-directory before writing its own, so the directory holds one run's outputs.
+directory before its first cell, so the directory holds one run's outputs,
+also when the run is interrupted.
 """
 
 from __future__ import annotations
@@ -234,8 +235,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     (out / "reports").mkdir(exist_ok=True)
-    stale = [out / "transcripts.jsonl", out / "cost_comparison.txt",
-             out / "plots" / "noise_sweep.csv", out / "plots" / "noise_sweep_mean.csv"]
+    # before the first cell, so an interrupted run leaves none of an earlier run's files
+    stale = [out / name for name in
+             ("summary.csv", "manifest.json", "transcripts.jsonl", "cost_comparison.txt")]
+    stale += [out / "plots" / name for name in
+              ("time_vs_mae.csv", "noise_sweep.csv", "noise_sweep_mean.csv")]
     for path in [*stale, *(out / "reports").glob("*.json")]:
         path.unlink(missing_ok=True)
 

@@ -5,6 +5,7 @@ import json
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 import yaml
@@ -333,6 +334,30 @@ def test_rerun_into_same_dir_keeps_only_its_own_artifacts(tmp_path):
     run_experiment(config_from_dict(raw, base_dir=tmp_path))
     assert artifacts() == (0, ["sine_other.json"])
     assert not (out / "cost_comparison.txt").exists()
+
+
+def test_an_interrupted_rerun_leaves_none_of_the_earlier_runs_files(tmp_path, monkeypatch):
+    demo = Path(__file__).resolve().parents[1] / "configs" / "offline-demo.yaml"
+    cfg = load_config(demo, overrides={"output_dir": str(tmp_path / "out")})
+    out = cfg.output_dir
+    written = [out / "summary.csv", out / "manifest.json", out / "plots" / "time_vs_mae.csv"]
+    assert run_experiment(cfg).status == 0
+    assert all(path.exists() for path in written)
+
+    real_run_cell = runner._run_cell
+    started = []
+
+    def interrupted_run_cell(*args, **kwargs):
+        started.append(None)
+        if len(started) == 4:
+            raise KeyboardInterrupt
+        return real_run_cell(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "_run_cell", interrupted_run_cell)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(cfg)
+    assert len(started) == 4 and len(cfg.cells()) == 12
+    assert [path.name for path in written if path.exists()] == []
 
 
 def test_run_experiment_with_mock_llm_and_transcript(tmp_path):

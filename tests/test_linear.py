@@ -1,3 +1,7 @@
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -15,6 +19,7 @@ from castlab import (
 )
 from castlab.errors import DivergedLossError, KernelTooLargeError, ShapeMismatchError
 from castlab.linear import (
+    BLOCK_EPOCHS,
     INSTANCE_NORM_EPS,
     FittedLinearModel,
     TrainingStats,
@@ -323,8 +328,9 @@ def _copied_loss(design, phi, targets, loss):
 def _copying_fit(series, task, cfg):
     """``(weights, bias, TrainingStats)`` of the copy-per-step fit loop."""
     plan = plan_windows(task, series.channels)
-    mixing, precondition, theta, phi = _fit_constants(
+    precondition, _, theta, phi = _fit_constants(
         cfg.variant, plan.inner_input, plan.inner_output, cfg.decomposition_kernel, cfg.seed)
+    mixing = _mixing(cfg.variant, plan.inner_input, cfg.decomposition_kernel)
     phi = phi.copy()
     ws = make_windows(series, plan)
     train, val = train_val_partition(
@@ -374,6 +380,88 @@ def _copying_fit(series, task, cfg):
     return params, bias, TrainingStats(train_loss, float(best_val), epochs_run, best_epoch)
 
 
+def _in_place_fit(series, task, cfg):
+    """``(weights, bias, TrainingStats)`` of the in-place loop that the fused l2 step replaced.
+
+    One X̃ holds the train rows, then the validation rows. An epoch steps
+    ``phi -= lr * P g`` with ``P = M Mᵀ`` (l2: ``g = H phi - c``), adds
+    ``lr * g`` to a sum ``r`` that gives ``theta = theta0 - Mᵀ r``, and scores
+    the validation loss on its own. It does the copying loop's arithmetic.
+    """
+    plan = plan_windows(task, series.channels)
+    precondition, _, theta, phi = _fit_constants(
+        cfg.variant, plan.inner_input, plan.inner_output, cfg.decomposition_kernel, cfg.seed)
+    mixing = _mixing(cfg.variant, plan.inner_input, cfg.decomposition_kernel)
+    phi = phi.copy()
+    train, val = train_val_partition(make_windows(series, plan), 0.2)
+    matrix, shift = _copied_design(np.concatenate([_rows(train)[0], _rows(val)[0]]), cfg.variant)
+    targets = np.concatenate([_rows(train)[1], _rows(val)[1]])
+    train_rows, val_rows = slice(None, train.size), slice(train.size, None)
+    residual = np.empty_like(targets)
+    step = np.empty_like(phi)
+    preconditioned = np.empty_like(phi)
+
+    def residual_at(phi, rows):
+        np.matmul(matrix[rows], phi, out=residual[rows])
+        if shift is not None:
+            residual[rows] += shift[rows]
+        return np.subtract(residual[rows], targets[rows], out=residual[rows])
+
+    def loss_of(residual):
+        (np.square if cfg.loss == "l2" else np.abs)(residual, out=residual)
+        return float(np.add.reduce(residual, axis=None)) / residual.size
+
+    if cfg.loss == "l2":
+        train_matrix = matrix[train_rows]
+        factor = 2.0 / train.targets.size
+        centered = targets[train_rows] if shift is None else targets[train_rows] - shift[train_rows]
+        hessian = (train_matrix.T @ train_matrix) * factor
+        moment = (train_matrix.T @ centered) * factor
+        scored = val_rows
+
+        def gradient():
+            np.subtract(np.matmul(hessian, phi, out=step), moment, out=step)
+    else:
+        scored = slice(None)
+        residual_at(phi, train_rows)
+
+        def gradient():
+            signs = np.sign(residual[train_rows], out=residual[train_rows])
+            signs /= signs.size
+            np.matmul(matrix[train_rows].T, signs, out=step)
+
+    step_sum = None if mixing is None else np.zeros_like(phi)
+    tracked = phi if step_sum is None else step_sum
+    best, best_val, best_epoch, bad_epochs, epochs_run = tracked.copy(), np.inf, 0, 0, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.max_epochs + 1):
+            epochs_run = epoch
+            gradient()
+            step *= cfg.learning_rate
+            if step_sum is None:
+                phi -= step
+            else:
+                step_sum += step
+                phi -= np.matmul(precondition, step, out=preconditioned)
+            residual_at(phi, scored)
+            val_loss = loss_of(residual[val_rows])
+            if not (np.isfinite(val_loss) and np.isfinite(phi).all()):
+                raise DivergedLossError(f"parameters or validation loss became non-finite at epoch {epoch}")
+            if val_loss < best_val:
+                best_val, best_epoch, bad_epochs = val_loss, epoch, 0
+                best[...] = tracked
+            else:
+                bad_epochs += 1
+                if bad_epochs > cfg.patience:
+                    break
+        if mixing is not None:
+            best = theta - mixing.T @ best
+        train_loss = loss_of(residual_at(_phi(best, mixing), train_rows))
+    params = _unpack(best, cfg.variant)
+    bias = params.pop("bias")
+    return params, bias, TrainingStats(train_loss, float(best_val), epochs_run, best_epoch)
+
+
 def _trend_sines(length, channels, noise, seed=0):
     t = np.arange(length, dtype=float)[:, None]
     rng = np.random.default_rng(seed)
@@ -394,23 +482,67 @@ _BITWISE_CASES = [
     *[(f"{v}-{l}-early-stop", (60, 20, 3), dict(variant=v, loss=l, learning_rate=0.5, max_epochs=400,
                                                  patience=2, decomposition_kernel=5, seed=1))
       for v in ("dlinear", "rlinear") for l in ("l1", "l2")],
+    # patience stops these inside an l2 block of BLOCK_EPOCHS epochs
+    *[(f"{v}-l2-early-stop-in-block", (60, 20, 3), dict(variant=v, loss="l2", learning_rate=0.5,
+                                                         max_epochs=400, patience=3,
+                                                         decomposition_kernel=5, seed=2))
+      for v in ("dlinear", "rlinear")],
 ]
+
+
+def _bitwise_case(name, shape, kwargs):
+    n_in, horizon, channels = shape
+    series = validate_series(_trend_sines(n_in, channels, 0.3 if "early" in name else 0.1))
+    return series, ForecastTask(n_in, horizon), LinearModelConfig(**kwargs)
 
 
 @pytest.mark.parametrize("name,shape,kwargs", _BITWISE_CASES, ids=[c[0] for c in _BITWISE_CASES])
 def test_fit_is_bitwise_the_copying_loop(name, shape, kwargs):
-    n_in, horizon, channels = shape
-    series = validate_series(_trend_sines(n_in, channels, 0.3 if "early" in name else 0.1))
-    task = ForecastTask(n_in, horizon)
-    cfg = LinearModelConfig(**kwargs)
-    model = fit_single_shot(series, task, cfg)
+    series, task, cfg = _bitwise_case(name, shape, kwargs)
+    got_weights, got_bias, got_stats = _in_place_fit(series, task, cfg)
     weights, bias, stats = _copying_fit(series, task, cfg)
-    assert model.weights.keys() == weights.keys()
-    assert all(np.array_equal(model.weights[k], weights[k]) for k in weights)
-    assert np.array_equal(model.bias, bias)
-    assert model.training_stats == stats
+    assert got_weights.keys() == weights.keys()
+    assert all(np.array_equal(got_weights[k], weights[k]) for k in weights)
+    assert np.array_equal(got_bias, bias)
+    assert got_stats == stats
     if "early" in name:
         assert stats.epochs_run < cfg.max_epochs
+
+
+@pytest.mark.parametrize("name,shape,kwargs", _BITWISE_CASES, ids=[c[0] for c in _BITWISE_CASES])
+def test_fit_matches_the_in_place_loop(name, shape, kwargs):
+    # the fused l2 step, the θ recovered through M⁺ and the block-summed
+    # validation losses round differently from the in-place loop
+    series, task, cfg = _bitwise_case(name, shape, kwargs)
+    model = fit_single_shot(series, task, cfg)
+    weights, bias, stats = _in_place_fit(series, task, cfg)
+    assert model.weights.keys() == weights.keys()
+    for key in weights:
+        np.testing.assert_allclose(model.weights[key], weights[key], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(model.bias, bias, rtol=0, atol=1e-12)
+    got = model.training_stats
+    assert got.val_loss == pytest.approx(stats.val_loss, rel=1e-12)
+    assert got.train_loss == pytest.approx(stats.train_loss, rel=1e-12)
+    floor = (4 * np.finfo(float).eps * np.abs(series.values).max()) ** 2
+    assert stats.val_loss > floor
+    assert (got.best_epoch, got.epochs_run) == (stats.best_epoch, stats.epochs_run)
+    if "in-block" in name:
+        assert stats.epochs_run < cfg.max_epochs and stats.epochs_run % BLOCK_EPOCHS != 0
+
+
+def test_fit_diverges_at_the_epoch_the_in_place_loop_names():
+    series = validate_series(1e4 * np.random.default_rng(2).normal(size=(32, 1)))
+    task = ForecastTask(32, 16)
+    # test_fit_diverged_loss's data and settings; the epoch falls inside an l2 block
+    for variant in ("dlinear", "rlinear"):
+        cfg = LinearModelConfig(variant=variant, learning_rate=10.0,
+                                decomposition_kernel=3, max_epochs=500, seed=0)
+        with pytest.raises(DivergedLossError) as want:
+            _in_place_fit(series, task, cfg)
+        with pytest.raises(DivergedLossError) as got:
+            fit_single_shot(series, task, cfg)
+        assert str(got.value) == str(want.value)
+        assert str(want.value).endswith("at epoch 18")
 
 
 @pytest.mark.parametrize("variant", ["dlinear", "rlinear"])
@@ -541,13 +673,79 @@ def test_fits_share_read_only_start_constants(variant):
     cfg = LinearModelConfig(variant=variant, max_epochs=60, decomposition_kernel=5, seed=7)
     a = fit_single_shot(series, task, cfg)
     plan = plan_windows(task, 2)
-    mixing, precondition, theta, phi = _fit_constants(variant, plan.inner_input, plan.inner_output, 5, 7)
-    assert not any(c.flags.writeable for c in (mixing, precondition, theta, phi) if c is not None)
+    precondition, unmixing, theta, phi = _fit_constants(variant, plan.inner_input, plan.inner_output, 5, 7)
+    mixing = _mixing(variant, plan.inner_input, 5)
+    assert not any(c.flags.writeable for c in (mixing, precondition, unmixing, theta, phi) if c is not None)
+    if mixing is not None:
+        # M⁺ is a right inverse of M
+        np.testing.assert_allclose(mixing @ unmixing, np.eye(plan.inner_input + 1), rtol=0, atol=1e-12)
     # the fit stepped a copy: the kept start is still the seeded draw
     assert np.array_equal(theta, _pack(_init_params(variant, plan.inner_input, plan.inner_output, 7), variant))
     b = fit_single_shot(series, task, cfg)
     assert all(np.array_equal(a.weights[k], b.weights[k]) for k in a.weights)
     assert np.array_equal(a.bias, b.bias) and a.training_stats == b.training_stats
+
+
+# -- fit buffers ---------------------------------------------------------
+# A fit writes into arrays kept per thread and reused by the thread's next fit.
+
+
+def _fit_bits(series, task, cfg):
+    model = fit_single_shot(series, task, cfg)
+    return [model.weights[k].tobytes() for k in sorted(model.weights)] + [
+        model.bias.tobytes(), model.training_stats]
+
+
+def test_fits_on_threads_give_the_serial_bits():
+    cases = [(validate_series(_trend_sines(n_in, channels, 0.1, seed=seed)), ForecastTask(n_in, horizon),
+              LinearModelConfig(variant=v, loss=l, learning_rate=0.2, max_epochs=30, patience=30,
+                                decomposition_kernel=5, seed=seed))
+             for seed in (1, 2)
+             for n_in, horizon, channels in ((48, 16, 2), (60, 20, 3), (40, 12, 1))
+             for v in ("dlinear", "rlinear") for l in ("l1", "l2")]
+    assert len(cases) == 24
+    serial = [_fit_bits(*case) for case in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda case: _fit_bits(*case), cases, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+@pytest.mark.parametrize("variant", ["dlinear", "rlinear"])
+@pytest.mark.parametrize("loss", ["l1", "l2"])
+def test_a_second_fit_of_a_shape_allocates_less_than_its_design(variant, loss):
+    # numpy's broadcasting ufuncs take iteration buffers of at most 8192
+    # elements per operand whatever the shape; at the paper shape X̃ is 1 MB
+    task = ForecastTask(384, 192)
+    cfg = LinearModelConfig(variant=variant, loss=loss, learning_rate=0.05, max_epochs=20,
+                            decomposition_kernel=25, seed=4)
+    fit_single_shot(validate_series(_trend_sines(384, 7, 0.1, seed=1)), task, cfg)
+    second = validate_series(_trend_sines(384, 7, 0.1, seed=2))
+    plan = plan_windows(task, 7)
+    design_bytes = plan.window_count * (plan.inner_input + 1) * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        fit_single_shot(second, task, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < design_bytes
+
+
+@pytest.mark.parametrize("variant", ["dlinear", "rlinear"])
+def test_a_later_fit_leaves_an_earlier_model_unchanged(variant):
+    task = ForecastTask(60, 20)
+    cfg = LinearModelConfig(variant=variant, learning_rate=0.2, max_epochs=30, decomposition_kernel=5)
+    first = fit_single_shot(validate_series(_trend_sines(60, 3, 0.1, seed=1)), task, cfg)
+    weights = {k: w.copy() for k, w in first.weights.items()}
+    bias, stats = first.bias.copy(), first.training_stats
+    fit_single_shot(validate_series(_trend_sines(60, 3, 0.5, seed=2)), task, cfg)
+    assert all(np.array_equal(first.weights[k], weights[k]) for k in weights)
+    assert np.array_equal(first.bias, bias) and first.training_stats == stats
 
 
 def test_fit_diverged_loss():
