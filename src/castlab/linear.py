@@ -13,11 +13,14 @@ Both variants are affine maps of the raw window X: predictions are
 Training is full-batch gradient descent with early stopping; channels share
 one set of parameters. It steps ``phi`` and recovers ``theta`` from the best
 ``phi`` through ``M``'s pseudo-inverse. An l2 epoch is one product with a
-fixed affine map, and validation scores a block of epochs at once; the
-arrays a fit writes are reused by the next fit on the same thread. The
-equivalence tests hold the weights within 1e-12 of stepping ``theta`` on
-per-window trend/seasonal features. Horizons longer than O' are reached
-autoregressively, block by block.
+fixed affine map, and validation scores a block of epochs at once; an l1
+epoch is one product with a fixed map of the residual signs. l2 losses come
+from Gram terms (``X̃ᵀX̃``, ``X̃ᵀY``, ``‖Y‖²``) where rounding cannot sway a
+decision, else from the rows, so the weights are the bits of a fit that
+scores every loss by rows. The arrays a fit writes are reused by the next
+fit on the same thread. The equivalence tests hold the weights within 1e-12
+of stepping ``theta`` on per-window trend/seasonal features. Horizons longer
+than O' are reached autoregressively, block by block.
 """
 
 from __future__ import annotations
@@ -44,7 +47,14 @@ LOSSES = ("l1", "l2")
 
 INSTANCE_NORM_EPS = 1e-8
 VAL_FRACTION = 0.2  # share of each channel's latest offsets that validates
-BLOCK_EPOCHS = 8  # l2 epochs stepped before one stacked product scores them all
+BLOCK_EPOCHS = 8  # l2 epochs stepped before their validation losses are scored together
+# An l2 loss taken from Gram terms is kept only when the terms cancel by less
+# than this factor, and a block of them only when no comparison of its epoch
+# scan is within GRAM_TIE (relative) of a tie; else the rows score it. On the
+# test fits Gram losses sit within 2e-14 relative of the rows', so the kept
+# ones decide every comparison as the rows would.
+GRAM_CANCELLATION = 100.0
+GRAM_TIE = 1e-12
 MODEL_FORMAT_VERSION = 1
 
 
@@ -293,14 +303,72 @@ def _loss(residual: np.ndarray, loss: str) -> float:
     return float(np.add.reduce(residual, axis=None)) / residual.size
 
 
-def _gradient(matrix: np.ndarray, residual: np.ndarray, loss: str, out=None) -> np.ndarray:
+def _gradient(matrix: np.ndarray, residual: np.ndarray, loss: str) -> np.ndarray:
     """Gradient of the mean l1/l2 loss with respect to ``phi``; overwrites ``residual``."""
     if loss == "l2":
         residual *= 2.0
     else:
         np.sign(residual, out=residual)
     residual /= residual.size
-    return np.matmul(matrix.T, residual, out=out)
+    return matrix.T @ residual
+
+
+def _row_losses(matrix: np.ndarray, targets: np.ndarray, phis: np.ndarray, out: np.ndarray) -> list[float]:
+    """Mean squared ``matrix @ phi - targets`` for each ``phi`` along ``phis``' first axis.
+
+    One stacked product, written into ``out``, scores them all.
+    """
+    stacked = np.matmul(matrix, phis, out=out)
+    stacked -= targets
+    np.square(stacked, out=stacked)
+    return (np.add.reduce(stacked.reshape(len(phis), -1), axis=1) / stacked[0].size).tolist()
+
+
+def _gram_terms(
+    matrix: np.ndarray, targets: np.ndarray, gram: np.ndarray, moment: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(G, c, s)``: ``G = 2/n XᵀX`` written into ``gram``, ``c = 2/n XᵀY`` into ``moment``, ``s = ‖Y‖²/n``.
+
+    ``n`` counts the entries of ``Y``, so the mean squared ``X phi - Y`` is
+    ``½ phi·G phi - phi·c + s``.
+    """
+    factor = 2.0 / targets.size
+    np.matmul(matrix.T, matrix, out=gram)
+    gram *= factor
+    np.matmul(matrix.T, targets, out=moment)
+    moment *= factor
+    return gram, moment, float(np.vdot(targets, targets)) / targets.size
+
+
+def _gram_losses(
+    phis: np.ndarray, gram: np.ndarray, moment: np.ndarray, total: float, out: np.ndarray
+) -> list[float] | None:
+    """``½ phi·G phi - phi·c + s`` for each ``phi`` along ``phis``' first axis, or None for any in doubt.
+
+    The terms round in proportion to their own size, so the losses are
+    trusted only when the terms sum in magnitude to less than
+    ``GRAM_CANCELLATION`` times each loss; a non-finite loss fails the same
+    comparison. ``G phi`` is written into ``out``.
+    """
+    products = np.matmul(gram, phis, out=out)
+    linears = (phis.reshape(len(phis), -1) @ moment.reshape(-1)).tolist()
+    losses = []
+    for phi, product, linear in zip(phis, products, linears):
+        quadratic = float(np.vdot(phi, product)) / 2
+        loss = quadratic - linear + total
+        if not abs(quadratic) + abs(linear) + total < GRAM_CANCELLATION * loss:
+            return None
+        losses.append(loss)
+    return losses
+
+
+def _clear_of_ties(losses: list[float], best: float) -> bool:
+    """Whether an epoch scan of ``losses`` from ``best`` compares no two within ``GRAM_TIE`` of each other."""
+    for loss in losses:
+        if best < math.inf and abs(loss - best) <= GRAM_TIE * best:
+            return False
+        best = min(best, loss)
+    return True
 
 
 def _forward(
@@ -353,12 +421,24 @@ def fit_single_shot(
     ``H phi - c`` (``H = 2/n X̃ᵀX̃``, ``c = 2/n X̃ᵀ(Y - shift)``), so an l2
     epoch is the one product ``phi = T phi + b`` with ``T = I - lr P H`` and
     ``b = lr P c``, whose cost does not grow with the window count. l2 steps
-    ``BLOCK_EPOCHS`` epochs, then scores their validation losses with one
-    stacked product and scans them in epoch order, so stopping and the best
-    epoch are as if each epoch were scored on its own. An l1 ``g`` is the
-    direct gradient, from the train rows of the one product that also scored
-    the previous step, so l1 scores each epoch as it goes. The arrays the fit
-    writes come from ``_buffers``; the returned model holds copies.
+    ``BLOCK_EPOCHS`` epochs, then scores their validation losses together
+    and scans them in epoch order, so stopping and the best epoch are as if
+    each epoch were scored on its own. An l1 epoch steps ``phi -= Q
+    sign(r)`` with ``Q = lr/n P X̃ᵀ`` formed once, ``r`` being the train rows
+    of the one product that also scored the previous step, so l1 scores each
+    epoch as it goes.
+
+    An l2 loss is the mean squared residual ``½ phi·G phi - phi·c + s`` of
+    its part's Gram terms. The train loss takes ``H`` and ``c``. Validation
+    forms its own ``G``, ``c`` and ``s`` when it has more rows than ``X̃``
+    has columns, and then costs one batched ``G phi`` per block; with fewer
+    rows, one stacked product over its rows scores the block. A Gram loss
+    whose terms cancel by ``GRAM_CANCELLATION`` or more, or a block whose
+    scan comes within ``GRAM_TIE`` of a tie, is scored by rows instead, so
+    divergence, fixed points and stopping are decided by the rows. The steps
+    never read a loss, so the weights do not depend on where it came from.
+    The arrays the fit writes come from ``_buffers``; the returned model
+    holds copies.
     """
     plan = plan_windows(task, input_sequence.channels)
     kernel = config.decomposition_kernel
@@ -366,20 +446,24 @@ def fit_single_shot(
         config.variant, plan.inner_input, plan.inner_output, kernel, config.seed)
     train, val = train_val_partition(make_windows(input_sequence, plan), VAL_FRACTION)
     width, outputs = phi0.shape
-    rows, val_rows = train.size + val.size, val.size
+    rows = train.size + val.size
     l2 = config.loss == "l2"
+    gram_validation = l2 and val.size > width
     block = min(BLOCK_EPOCHS, config.max_epochs) if l2 else 1
     lr = config.learning_rate
-    matrix, targets, residual, phis, best, pair, squares, scores = _buffers(
+    # l2 keeps H, T (and the validation G) and c, b (and the validation c); l1 keeps Q and a step
+    matrix, targets, residual, phis, best, columns, squares, scores = _buffers(
         (rows, width), (rows, outputs), (rows, outputs), (block, width, outputs), (width, outputs),
-        (2, width, outputs), (2 if l2 else 0, width, width), (block if l2 else 0, val_rows, outputs))
+        (2 + gram_validation if l2 else 1, width, outputs),
+        (2 + gram_validation, width, width) if l2 else (width, train.size),
+        (block if l2 else 0, val.size, outputs))
     # X̃ and the targets hold the train rows, then the validation rows: each
     # value of the windows is copied once, and one product can score both parts
     _, shift = _design(config.variant, train.inputs, val.inputs, out=matrix)
     _stack(train.targets, val.targets, out=targets)
     if shift is not None:
         targets -= shift  # residuals are X̃ phi - (Y - shift) from here on
-    train_rows = slice(None, train.size)
+    train_rows, val_rows = slice(None, train.size), slice(train.size, None)
 
     def residual_at(phi: np.ndarray, part: slice) -> np.ndarray:
         return np.subtract(np.matmul(matrix[part], phi, out=residual[part]), targets[part],
@@ -389,36 +473,38 @@ def fit_single_shot(
         return arr if precondition is None else np.matmul(precondition, arr, out=out)
 
     if l2:
-        (hessian, transition), (moment, offset) = squares, pair
-        factor = 2.0 / (train.size * outputs)
-        np.matmul(matrix[train_rows].T, matrix[train_rows], out=hessian)
-        hessian *= factor
-        np.matmul(matrix[train_rows].T, targets[train_rows], out=moment)
-        moment *= factor
+        (hessian, transition), (moment, offset) = squares[:2], columns[:2]
+        train_terms = _gram_terms(matrix[train_rows], targets[train_rows], hessian, moment)
         np.multiply(precondition_into(hessian, transition), -lr, out=transition)
         transition[np.diag_indices(width)] += 1.0
         np.multiply(precondition_into(moment, offset), lr, out=offset)
-        val_matrix, val_targets = matrix[train.size :], targets[train.size :]
+        if gram_validation:
+            val_terms = _gram_terms(matrix[val_rows], targets[val_rows], squares[2], columns[2])
 
         def advance(phi: np.ndarray, out: np.ndarray) -> None:
             np.add(np.matmul(transition, phi, out=out), offset, out=out)
 
-        def score(count: int) -> list[float]:
-            stacked = np.matmul(val_matrix, phis[:count], out=scores[:count])
-            stacked -= val_targets
-            np.square(stacked, out=stacked)
-            return (np.add.reduce(stacked.reshape(count, -1), axis=1) / stacked[0].size).tolist()
+        def score(count: int, best_val: float) -> list[float]:
+            if gram_validation:
+                # G phi goes where the rows' scores would (there are more rows
+                # than columns); a fallback overwrites it after the losses are read
+                products =scores.reshape(-1)[: phis[:count].size].reshape(count, width, outputs)
+                losses = _gram_losses(phis[:count], *val_terms, products)
+                if losses is not None and _clear_of_ties(losses, best_val):
+                    return losses
+            return _row_losses(matrix[val_rows], targets[val_rows], phis[:count], scores[:count])
     else:
-        step, preconditioned = pair
+        (step,), fold = columns, squares
+        np.multiply(precondition_into(matrix[train_rows].T, fold), lr / (train.size * outputs), out=fold)
         residual_at(phi0, train_rows)
 
         def advance(phi: np.ndarray, out: np.ndarray) -> None:
-            _gradient(matrix[train_rows], residual[train_rows], config.loss, out=step)
-            out -= precondition_into(np.multiply(step, lr, out=step), preconditioned)
+            r = residual[train_rows]
+            out -= np.matmul(fold, np.sign(r, out=r), out=step)
 
-        def score(count: int) -> list[float]:
+        def score(count: int, best_val: float) -> list[float]:
             # the product over all rows also leaves the next epoch's train residual
-            return [_loss(residual_at(phis[0], slice(None))[train.size :], config.loss)]
+            return [_loss(residual_at(phis[0], slice(None))[val_rows], config.loss)]
 
     phis[-1] = phi0  # each block steps on from its predecessor's last epoch
     best_val = np.inf
@@ -433,7 +519,7 @@ def fit_single_shot(
             for k in range(count):
                 advance(phis[k - 1], phis[k])
             best_slot = None
-            for k, val_loss in enumerate(score(count)):
+            for k, val_loss in enumerate(score(count, best_val)):
                 epochs_run += 1
                 # a non-finite entry of phi makes each validation row's product
                 # non-finite (inf * 0 is nan), so the loss shows it too
@@ -449,7 +535,8 @@ def fit_single_shot(
                         break
             if best_slot is not None:
                 best[...] = phis[best_slot]
-        train_loss = _loss(residual_at(best, train_rows), config.loss)
+        losses = _gram_losses(best[None], *train_terms, phis[:1]) if l2 else None
+        train_loss = losses[0] if losses else _loss(residual_at(best, train_rows), config.loss)
     if not np.isfinite(train_loss):
         raise DivergedLossError("training loss is non-finite at the best-validation parameters")
 

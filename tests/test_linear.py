@@ -17,6 +17,7 @@ from castlab import (
     save_model,
     validate_series,
 )
+from castlab import linear
 from castlab.errors import DivergedLossError, KernelTooLargeError, ShapeMismatchError
 from castlab.linear import (
     BLOCK_EPOCHS,
@@ -543,6 +544,118 @@ def test_fit_diverges_at_the_epoch_the_in_place_loop_names():
             fit_single_shot(series, task, cfg)
         assert str(got.value) == str(want.value)
         assert str(want.value).endswith("at epoch 18")
+
+
+# -- where l2 losses come from -------------------------------------------
+# An l2 loss is taken from Gram terms unless rounding could show; with
+# GRAM_CANCELLATION at 0 no Gram loss is trusted and the rows score them all.
+
+
+def _fit_cases():
+    for name, shape, kwargs in _BITWISE_CASES:
+        yield pytest.param(*_bitwise_case(name, shape, kwargs), id=f"bitwise-{name}")
+    for name, values, n_in, horizon, kwargs in _EQUIVALENCE_CASES:
+        yield pytest.param(validate_series(values), ForecastTask(n_in, horizon),
+                           LinearModelConfig(**kwargs), id=f"equivalence-{name}")
+
+
+@pytest.mark.parametrize("series,task,cfg", _fit_cases())
+def test_gram_losses_leave_the_row_scored_fit_unchanged(monkeypatch, series, task, cfg):
+    model = fit_single_shot(series, task, cfg)
+    monkeypatch.setattr(linear, "GRAM_CANCELLATION", 0.0)
+    rows = fit_single_shot(series, task, cfg)
+    assert all(np.array_equal(model.weights[k], rows.weights[k]) for k in rows.weights)
+    assert np.array_equal(model.bias, rows.bias)
+    got, want = model.training_stats, rows.training_stats
+    assert (got.best_epoch, got.epochs_run) == (want.best_epoch, want.epochs_run)
+    assert got.val_loss == pytest.approx(want.val_loss, rel=1e-13, abs=0)
+    assert got.train_loss == pytest.approx(want.train_loss, rel=1e-13, abs=0)
+
+
+def _spy_on_losses(monkeypatch):
+    """Record each Gram scoring (its batch size and whether it was trusted) and each row scoring."""
+    calls = []
+    gram_losses, row_losses, loss = linear._gram_losses, linear._row_losses, linear._loss
+
+    def gram_spy(phis, *args):
+        losses = gram_losses(phis, *args)
+        calls.append(("gram", len(phis), losses is not None))
+        return losses
+
+    def rows_spy(matrix, targets, phis, out):
+        calls.append(("rows", len(phis)))
+        return row_losses(matrix, targets, phis, out)
+
+    def loss_spy(residual, kind):
+        calls.append(("train rows",))
+        return loss(residual, kind)
+
+    monkeypatch.setattr(linear, "_gram_losses", gram_spy)
+    monkeypatch.setattr(linear, "_row_losses", rows_spy)
+    monkeypatch.setattr(linear, "_loss", loss_spy)
+    return calls
+
+
+@pytest.mark.parametrize("variant", ["dlinear", "rlinear"])
+def test_validation_scores_by_gram_terms_only_with_more_rows_than_columns(monkeypatch, variant):
+    calls = _spy_on_losses(monkeypatch)
+    kwargs = dict(variant=variant, loss="l2", learning_rate=0.05, max_epochs=8, patience=8,
+                  decomposition_kernel=25, seed=3)
+    # sliding-csv's shape: 273 validation rows, 97 columns
+    fit_single_shot(*_bitwise_case("paper", (384, 192, 7), kwargs))
+    assert calls == [("gram", 8, True), ("gram", 1, True)]
+    # sweep-linear's shape: 32 validation rows, 61 columns; the train loss still comes from H
+    calls.clear()
+    fit_single_shot(*_bitwise_case("sweep", (278, 120, 1), kwargs))
+    assert calls == [("rows", 8), ("gram", 1, True)]
+
+
+@pytest.mark.parametrize("variant,c,lr", [
+    ("dlinear", 5.0, 1e-2),
+    ("dlinear", 1.0, 5e-2),
+    ("rlinear", 5.0, 1e-2),
+    ("rlinear", -3.0, 1e-2),
+])
+def test_a_fixed_point_train_loss_falls_back_to_rows(monkeypatch, variant, c, lr):
+    # the train loss sits at the ulp floor, far below the Gram terms it would cancel from
+    calls = _spy_on_losses(monkeypatch)
+    cfg = LinearModelConfig(variant=variant, learning_rate=lr, decomposition_kernel=3, seed=0)
+    model = fit_single_shot(validate_series(np.full((16, 1), c)), ForecastTask(16, 8), cfg)
+    assert calls[-2:] == [("gram", 1, False), ("train rows",)]
+    assert model.training_stats.train_loss < 1e-20
+
+
+def test_a_diverging_block_falls_back_to_rows(monkeypatch):
+    # test_fit_diverged_loss's data on three channels: 12 validation rows, 9 columns
+    series = validate_series(1e4 * np.random.default_rng(2).normal(size=(32, 3)))
+    for variant in ("dlinear", "rlinear"):
+        cfg = LinearModelConfig(variant=variant, learning_rate=10.0, decomposition_kernel=3,
+                                max_epochs=500, seed=0)
+        calls = _spy_on_losses(monkeypatch)
+        with pytest.raises(DivergedLossError) as got:
+            fit_single_shot(series, ForecastTask(32, 16), cfg)
+        assert calls == [("gram", 8, True), ("gram", 8, True), ("gram", 8, False), ("rows", 8)]
+        monkeypatch.setattr(linear, "GRAM_CANCELLATION", 0.0)
+        with pytest.raises(DivergedLossError) as want:
+            fit_single_shot(series, ForecastTask(32, 16), cfg)
+        monkeypatch.undo()
+        assert str(got.value) == str(want.value)
+        assert str(want.value).endswith("at epoch 18")
+
+
+def test_a_block_with_a_near_tie_falls_back_to_rows(monkeypatch):
+    # a step this small moves the loss by less than GRAM_TIE of itself
+    series, task, cfg = _bitwise_case("tie", (64, 16, 3), dict(
+        variant="dlinear", loss="l2", learning_rate=1e-13, max_epochs=16, patience=16,
+        decomposition_kernel=5, seed=1))
+    calls = _spy_on_losses(monkeypatch)
+    model = fit_single_shot(series, task, cfg)
+    assert calls == [("gram", 8, True), ("rows", 8), ("gram", 8, True), ("rows", 8), ("gram", 1, True)]
+    monkeypatch.undo()
+    monkeypatch.setattr(linear, "GRAM_CANCELLATION", 0.0)
+    rows = fit_single_shot(series, task, cfg)
+    assert model.training_stats.val_loss == rows.training_stats.val_loss
+    assert model.training_stats.epochs_run == rows.training_stats.epochs_run
 
 
 @pytest.mark.parametrize("variant", ["dlinear", "rlinear"])
