@@ -14,7 +14,6 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -134,27 +133,14 @@ def _read_rows(p: Path, layout: str) -> tuple[np.ndarray, list[str] | None]:
     return _parse_rows(raw[1:]), [c.strip() for c in first]
 
 
-def _drop_timestamps(lines: Iterable[str]) -> Iterator[str]:
-    """Each line without its first field; quoted or channel-less lines are refused.
-
-    Without quote characters a line is one CSV row whose first comma ends
-    the timestamp (a quoted field may hold a comma or a line break). A row
-    with nothing after its timestamp must not reach ``np.loadtxt`` as a blank
-    line, which it would skip.
-    """
-    for line in lines:
-        rest = line.partition(",")[2]
-        if '"' in line or (line.rstrip("\r\n") and not rest.rstrip("\r\n")):
-            raise ValueError("line needs the csv module")
-        yield rest
-
-
 def _read_numeric(p: Path, layout: str) -> tuple[np.ndarray, list[str] | None] | None:
     """Values and channel names by numpy's C reader, or None if it rejects the file.
 
     The header row is read by ``csv`` as in :func:`_read_rows`; the data lines
-    go to ``np.loadtxt`` without being split in Python. Lines are split on
-    ``\\n``, ``\\r\\n`` and ``\\r`` only, like ``csv``.
+    go to ``np.loadtxt`` without being split in Python. An informer row is read
+    as a record of its timestamp (kept to one character) and its channels, so
+    numpy refuses a row of any other width. Lines are split on ``\\n``,
+    ``\\r\\n`` and ``\\r`` only, like ``csv``.
     """
     with open(p, newline="", encoding="utf-8-sig") as fh:
         head: list[str] = []  # the lines csv reads up to the first row
@@ -163,18 +149,21 @@ def _read_numeric(p: Path, layout: str) -> tuple[np.ndarray, list[str] | None] |
             first = next((row for row in reader if row), None)
             if first is None or (layout == "informer" and len(first) < 2):
                 return None
+            dtype, ndmin = float, 2
             if layout == "informer":
-                lines, names = _drop_timestamps(fh), [c.strip() for c in first[1:]]
+                lines, names = fh, [c.strip() for c in first[1:]]
+                dtype, ndmin = [("", "U1"), ("", "f8", (len(names),))], 1
             elif all(_looks_numeric(tok) for tok in first):
                 lines, names = itertools.chain(head, fh), None
             else:
                 lines, names = fh, [c.strip() for c in first]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # such as "input contained no data"
-                values = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
+                values = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                                    quotechar='"', ndmin=ndmin)
         except (ValueError, Warning, csv.Error):
             return None
-    return values, names
+    return (values["f1"] if layout == "informer" else values), names
 
 
 def load_csv(path: str | Path, layout: str = "plain") -> TimeSeries:

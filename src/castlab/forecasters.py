@@ -160,18 +160,19 @@ class LlmPromptForecaster(Forecaster):
     """Prompt-based forecaster over a pluggable completion adapter.
 
     Each channel is serialized independently (the prompt count equals the
-    channel count), sampled ``num_samples`` times, decoded, and
-    median-aggregated. The affine scaling is derived per channel unless an
-    explicit one is supplied, and is recorded in the transcript.
+    channel count) under its own derived scaling, sampled ``num_samples``
+    times, decoded, and median-aggregated; the scaling is recorded in the
+    transcript.
 
     Each window's (channel, sample) completions are queued on one pool of
     ``channel_concurrency * num_samples`` threads, which bounds the adapter
     calls in flight. ``prefetch`` builds the prompts of every window it is
     given and queues their completions in window order, so the pool keeps
     working across window edges; ``predict`` collects the head of that queue
-    when it holds the same window and horizon, and otherwise cancels the
-    queued completions that have not started and queues its own window. The
-    threads start on first use and serve every later window until ``close``.
+    when it holds the same window and horizon, and otherwise queues its own
+    window the same way, which cancels the queued completions that have not
+    started. The threads start on first use and serve every later window until
+    ``close``.
     """
 
     def __init__(
@@ -180,7 +181,6 @@ class LlmPromptForecaster(Forecaster):
         style: str = "llmtime_chat",
         decoding: DecodingConfig | None = None,
         decimals: int = 0,
-        scaling: ScalingConfig | None = None,
         shots: int = 3,
         transcript: TranscriptWriter | None = None,
         channel_concurrency: int = 1,
@@ -198,7 +198,6 @@ class LlmPromptForecaster(Forecaster):
         self.style = style
         self.decoding = decoding or DecodingConfig()
         self.decimals = decimals
-        self.scaling = scaling
         self.shots = shots
         self.transcript = transcript
         self.channel_concurrency = channel_concurrency
@@ -206,34 +205,30 @@ class LlmPromptForecaster(Forecaster):
         self._pool = ThreadPoolExecutor(channel_concurrency * self.decoding.num_samples)
         self._queue: deque[tuple[np.ndarray, int, list[Future]]] = deque()
 
-    def _submit(self, window: np.ndarray, horizon: int) -> tuple[np.ndarray, int, list[Future]]:
-        arr = _as_window(window)
-        bundles = []
-        for values in arr.T:
-            scaling = self.scaling or ScalingConfig.from_values(values, decimals=self.decimals)
-            bundles.append(build_prompt(values, horizon, self.style, scaling, shots=self.shots))
-        return arr, horizon, submit_samples(self.adapter, bundles, self.decoding, self._pool,
-                                            transcript=self.transcript,
-                                            transcript_context={"forecaster": self.name})
-
-    def _cancel_queue(self) -> None:
+    def _requeue(self, windows: Sequence[np.ndarray], horizon: int) -> None:
+        """Cancel the queued completions that have not started, then queue those of ``windows``."""
         for _, _, futures in self._queue:
             for future in futures:
                 future.cancel()
         self._queue.clear()
+        for window in windows:
+            arr = _as_window(window)
+            bundles = [build_prompt(values, horizon, self.style,
+                                    ScalingConfig.from_values(values, decimals=self.decimals),
+                                    shots=self.shots) for values in arr.T]
+            self._queue.append((arr, horizon, submit_samples(
+                self.adapter, bundles, self.decoding, self._pool, transcript=self.transcript,
+                transcript_context={"forecaster": self.name})))
 
     def prefetch(self, windows: Sequence[np.ndarray], horizon: int) -> None:
-        self._cancel_queue()
-        self._queue.extend(self._submit(window, horizon) for window in windows)
+        self._requeue(windows, horizon)
 
     def predict(self, window: np.ndarray, horizon: int) -> np.ndarray:
         arr = _as_window(window)
         queue = self._queue
-        if queue and queue[0][1] == horizon and np.array_equal(queue[0][0], arr):
-            _, _, futures = queue.popleft()
-        else:
-            self._cancel_queue()
-            _, _, futures = self._submit(arr, horizon)
+        if not (queue and queue[0][1] == horizon and np.array_equal(queue[0][0], arr)):
+            self._requeue([arr], horizon)
+        _, _, futures = queue.popleft()
         samples = sample_forecasts(futures, self.decoding)
         return np.column_stack([aggregate_median([s.values for s in channel]) for channel in samples])
 

@@ -7,10 +7,11 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
-from castlab import LlmPromptForecaster, MockAdapter
+from castlab import LastValueForecaster, LlmPromptForecaster, MockAdapter
 from castlab.config import (
     LlmForecasterConfig,
     config_from_dict,
@@ -271,6 +272,28 @@ def test_a_failed_window_cancels_the_cells_queued_completions(tmp_path):
     assert 2 * 3 <= len(calls) <= 2 * 3 + 3
     manifest = json.loads(result.manifest_path.read_text())
     assert manifest["failed"] == 1 and len(manifest["errors"]) == 1
+
+
+def test_a_forecast_of_the_wrong_shape_fails_only_its_cell(tmp_path):
+    class OneChannelTooMany(LastValueForecaster):
+        def predict(self, window, horizon):
+            out = super().predict(window, horizon)
+            return np.hstack([out, out[:, :1]])
+
+    raw = _base_config(tmp_path)
+    raw["forecasters"].append({"name": "wide", "baseline": {"type": "last_value"}})
+    cfg = config_from_dict(raw, base_dir=tmp_path)
+    naive, wide = cfg.forecasters
+    cfg = dataclasses.replace(cfg, forecasters=[naive, dataclasses.replace(wide, baseline=OneChannelTooMany)])
+    result = run_experiment(cfg)
+    assert result.status == 1
+    manifest = json.loads(result.manifest_path.read_text())
+    assert manifest["failed"] == 1
+    (error,) = manifest["errors"]
+    assert (error["dataset"], error["forecaster"]) == ("sine", "wide")
+    assert error["error"] == "ShapeMismatchError: forecaster returned (10, 2), expected (10, 1)"
+    rows = {r["forecaster"]: r for r in _csv_rows(result.summary_path)}
+    assert rows["wide"]["mae"] == "" and float(rows["naive"]["mae"]) >= 0.0
 
 
 def test_each_dataset_is_loaded_once_and_a_bad_one_fails_only_its_cells(tmp_path, monkeypatch):

@@ -277,3 +277,26 @@ def test_valid_files_skip_the_row_loop(tmp_path, monkeypatch):
     path = tmp_path / "quoted.csv"
     path.write_text(LOADER_CASES["quoted_number"], encoding="utf-8")
     load_csv(path)
+
+
+def test_quoted_informer_rows_skip_the_row_loop(tmp_path, monkeypatch):
+    files = {
+        "quoted_number": _informer(LOADER_CASES["quoted_number"]),
+        "doubled_quotes": 'date,a,b\n"2016 ""07"", 01",1,2\r\n"t\n1",3,4\r',
+        **{name: RAW_CASES[name] for name in (
+            "informer_quoted_timestamp_comma", "informer_quoted_timestamp",
+            "quoted_line_break_crlf", "quoted_timestamp_line_break")},
+    }
+    expected = {}
+    for name, text in files.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected[name] = _outcome(_reference_load_csv, path, "informer")
+        assert expected[name][0] == "loaded"
+
+    def row_loop(*args):
+        raise AssertionError("fell back to the row loop")
+
+    monkeypatch.setattr(data_io, "_read_rows", row_loop)
+    for name in files:
+        assert _outcome(load_csv, tmp_path / f"{name}.csv", "informer") == expected[name]

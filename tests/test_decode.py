@@ -29,6 +29,12 @@ def test_decode_too_few():
     assert err.value.found == 2 and err.value.expected == 5
 
 
+def test_decode_without_a_long_enough_run_keeps_the_last_parsed_numbers():
+    # runs [1], [5], [1, 2], [3, 4]: none reaches 3 values, so the flat tail counts
+    out = decode_response("Step 1: 5 cycles. Answer: 1, 2 then 3, 4", 3, ScalingConfig())
+    assert out.tolist() == [2.0, 3.0, 4.0]
+
+
 def test_decode_no_numbers():
     with pytest.raises(NoNumbersFoundError):
         decode_response("I cannot determine the sequence.", 3, IDENTITY)

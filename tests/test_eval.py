@@ -128,6 +128,20 @@ def test_last_sample_too_short():
                         split=SplitSpec(0.2, 0.0), metric_space="raw")
 
 
+class OneChannelTooManyForecaster(LastValueForecaster):
+    def predict(self, window, horizon):
+        out = super().predict(window, horizon)
+        return np.hstack([out, out[:, :1]])
+
+
+@pytest.mark.parametrize("protocol", [run_last_sample, run_sliding])
+def test_a_forecast_of_the_wrong_shape_is_refused(protocol):
+    series = _ramp_series(40, d=2)
+    with pytest.raises(ShapeMismatchError, match=r"returned \(4, 3\), expected \(4, 2\)"):
+        protocol(series, ForecastTask(8, 4), OneChannelTooManyForecaster(),
+                 split=SplitSpec(0.5, 0.0), metric_space="raw")
+
+
 def test_sliding_window_count():
     # len_test = I + 3O gives 3 windows
     i, o = 8, 4

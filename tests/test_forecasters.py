@@ -132,18 +132,18 @@ def test_linear_single_shot_predict_refits_on_a_new_window():
 
 
 def test_llm_forecaster_channel_independent():
-    # constant scripted response; two channels -> both columns decoded
+    # constant scripted response; two channels -> both columns decoded, each at its own scale
     adapter = MockAdapter(["7, 8, 9"])
     f = LlmPromptForecaster(
         adapter,
         style="llmtime_chat",
         decoding=DecodingConfig(num_samples=3, max_attempts_per_sample=1),
-        scaling=ScalingConfig(decimals=0),
     )
     window = np.arange(20.0).reshape(10, 2)
     out = f.predict(window, 3)
+    scales = [ScalingConfig.from_values(values).scale for values in window.T]
     assert out.shape == (3, 2)
-    assert np.allclose(out, [[7, 7], [8, 8], [9, 9]])
+    assert np.allclose(out, np.outer([7, 8, 9], scales))
     assert adapter.calls == 6  # num_samples per channel
 
 
@@ -157,10 +157,10 @@ def test_llm_forecaster_median_aggregation():
     f = LlmPromptForecaster(
         adapter,
         decoding=DecodingConfig(num_samples=3, max_attempts_per_sample=1),
-        scaling=ScalingConfig(decimals=0),
     )
-    out = f.predict(np.arange(8.0).reshape(-1, 1), 3)
-    assert out[:, 0].tolist() == [3.0, 3.0, 3.0]
+    window = np.arange(8.0).reshape(-1, 1)
+    out = f.predict(window, 3)
+    assert out[:, 0].tolist() == [3.0 * ScalingConfig.from_values(window).scale] * 3
 
 
 def test_llm_forecaster_derives_scaling_per_channel():
@@ -209,7 +209,6 @@ def _pooled_forecasts(channel_concurrency):
     f = LlmPromptForecaster(
         adapter,
         decoding=DecodingConfig(num_samples=5, max_attempts_per_sample=1),
-        scaling=ScalingConfig(decimals=0),
         channel_concurrency=channel_concurrency,
     )
     rng = np.random.default_rng(5)
@@ -290,7 +289,7 @@ def test_predict_off_the_prefetched_queue_serves_its_window_and_cancels_the_rest
     adapter = RecordingAdapter(horizon=4, delay=0.02)
     transcript = TranscriptWriter(tmp_path / "t.jsonl")
     f = LlmPromptForecaster(adapter, decoding=DecodingConfig(num_samples=2, max_attempts_per_sample=1),
-                            scaling=ScalingConfig(decimals=0), transcript=transcript)
+                            transcript=transcript)
     rng = np.random.default_rng(3)
     windows = [rng.integers(0, 40, size=(12, 3)).astype(float) for _ in range(5)]
     try:
@@ -300,8 +299,7 @@ def test_predict_off_the_prefetched_queue_serves_its_window_and_cancels_the_rest
         f.close()
         transcript.close()
     fresh = LlmPromptForecaster(RecordingAdapter(horizon=4, delay=0.0),
-                                decoding=DecodingConfig(num_samples=2, max_attempts_per_sample=1),
-                                scaling=ScalingConfig(decimals=0))
+                                decoding=DecodingConfig(num_samples=2, max_attempts_per_sample=1))
     try:
         assert np.array_equal(out, fresh.predict(windows[4], 4))
     finally:

@@ -227,7 +227,7 @@ def test_mock_serves_each_prompt_its_script_whatever_the_call_order():
     assert adapter.calls == 420
 
 
-def test_http_adapter_wire_format():
+def test_http_adapter_wire_format(monkeypatch):
     captured = {}
 
     class FakeResponse:
@@ -249,8 +249,11 @@ def test_http_adapter_wire_format():
         session=FakeSession(),
     )
     cfg = DecodingConfig(temperature=1.0, top_p=0.8, num_samples=1)
+    monkeypatch.setenv("CASTLAB_TEST_KEY", "sk-test-123")
     out = adapter.complete("sys", "user", cfg)
     assert out == "1, 2, 3"
+    assert captured["headers"] == {"Content-Type": "application/json",
+                                   "Authorization": "Bearer sk-test-123"}
     assert captured["payload"] == {
         "model": "test-model",
         "messages": [
@@ -261,6 +264,10 @@ def test_http_adapter_wire_format():
         "top_p": 0.8,
     }
     assert captured["timeout"] == 120.0
+    # the key is read on every call, and an unset one sends no Authorization header
+    monkeypatch.delenv("CASTLAB_TEST_KEY")
+    adapter.complete("sys", "user", cfg)
+    assert captured["headers"] == {"Content-Type": "application/json"}
 
 
 @pytest.mark.parametrize("field,value", [("endpoint", "localhost:8000"), ("endpoint", 5),

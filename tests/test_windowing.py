@@ -33,8 +33,14 @@ def test_plan_published_counts(d, i, o, ii, oo, k):
 
 def test_plan_too_few_windows():
     # I'=O'=5 leaves a single window for I=10.
-    with pytest.raises(TooFewWindowsError):
+    with pytest.raises(TooFewWindowsError, match="K=1 < 2"):
         plan_windows(ForecastTask(10, 10), 1)
+    # O=1 halves to I'=O'=0.
+    with pytest.raises(TooFewWindowsError, match="no usable inner windows"):
+        plan_windows(ForecastTask(8, 1), 1)
+    # I'=O'=5 spans 10 steps, more than I=4.
+    with pytest.raises(TooFewWindowsError, match="span 10 do not fit input length 4"):
+        plan_windows(ForecastTask(4, 10), 1)
 
 
 def _enumerate_count(d, i, ii, oo):
