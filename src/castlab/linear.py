@@ -17,8 +17,9 @@ fixed affine map, and validation scores a block of epochs at once; an l1
 epoch is one product with a fixed map of the residual signs. l2 losses come
 from Gram terms (``X̃ᵀX̃``, ``X̃ᵀY``, ``‖Y‖²``) where rounding cannot sway a
 decision, else from the rows, so the weights are the bits of a fit that
-scores every loss by rows. The arrays a fit writes are reused by the next
-fit on the same thread. The equivalence tests hold the weights within 1e-12
+scores every loss by rows. A large dlinear part forms ``X̃ᵀX̃`` and ``X̃ᵀY``
+from lag sums of its channels rather than a product over its rows. The
+arrays a fit writes are reused by the next fit on the same thread. The equivalence tests hold the weights within 1e-12
 of stepping ``theta`` on per-window trend/seasonal features. Horizons longer
 than O' are reached autoregressively, block by block.
 """
@@ -33,6 +34,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     DivergedLossError,
@@ -55,6 +57,12 @@ BLOCK_EPOCHS = 8  # l2 epochs stepped before their validation losses are scored 
 # ones decide every comparison as the rows would.
 GRAM_CANCELLATION = 100.0
 GRAM_TIE = 1e-12
+# A dlinear part forms its Gram terms from lag sums when it has more rows
+# than twice the window span and more than LAG_WORK rows x span. At one BLAS
+# thread the lag sums' fixed cost (some twenty numpy calls, ~40 us) matches
+# the row product at rows x span of 25,000-40,000 on spans 48-240, and the
+# paper-shape validation part (273 rows, span 192) stays on its rows.
+LAG_WORK = 32768
 MODEL_FORMAT_VERSION = 1
 
 
@@ -340,6 +348,70 @@ def _gram_terms(
     return gram, moment, float(np.vdot(targets, targets)) / targets.size
 
 
+def _lag_shapes(inputs: int, span: int, channels: int) -> tuple[tuple[int, ...], ...]:
+    """The workspace ``_lag_terms`` takes, for windows of ``inputs`` + targets = ``span`` values."""
+    return (inputs * span + span - inputs,), (2 * channels, span - 1), (2 * channels, inputs)
+
+
+def _lag_terms(
+    matrix: np.ndarray, targets: np.ndarray, channels: int, gram: np.ndarray, moment: np.ndarray,
+    lags: np.ndarray, edges: np.ndarray, signed: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """``_gram_terms`` of dlinear rows that are stride-1 windows, from lag sums of their channels.
+
+    Row ``c K + s`` of ``matrix`` must be ``[x_c[a+s : a+s+I'], 1]`` and of
+    ``targets`` ``x_c[a+s+I' : a+s+I'+O']``, as ``make_windows`` lays them
+    out. With ``z`` a row's span ``x_c[s : s+I'+O']`` and ``F = Σ z zᵀ``,
+    ``F[i+1, j+1] = F[i, j] + Σ_c (x_c[a+K+i] x_c[a+K+j] - x_c[a+i] x_c[a+j])``:
+    the values entering after each channel's last window less those leaving
+    with its first. So one product of the 2d edge windows and a cumulative
+    sum along ``F``'s diagonals give ``G`` and ``c`` from ``F``'s first row,
+    in O(d (I'+O')²) work instead of O(dK (I'+O')²); the bias terms are the
+    column sums, stepped the same way. ``lags``, ``edges`` and ``signed``
+    are scratch of ``_lag_shapes``.
+    """
+    rows, inputs = matrix.shape[0], matrix.shape[1] - 1
+    span = inputs + targets.shape[1]
+    offsets = rows // channels
+    # each channel's last window less its first value, then its first window less its last value
+    edges[:channels, : inputs - 1] = matrix[offsets - 1 :: offsets, 1:inputs]
+    edges[:channels, inputs - 1 :] = targets[offsets - 1 :: offsets]
+    edges[channels:, :inputs] = matrix[::offsets, :inputs]
+    edges[channels:, inputs:] = targets[::offsets, :-1]
+    signed[:, :-1] = edges[:, : inputs - 1]
+    signed[:, -1] = 1.0
+    signed[channels:] *= -1.0
+    # F's first row, then the steps of rows 0 .. I'-2 along each diagonal
+    # (row t of the product steps F[t, t+k] to F[t+1, t+k+1]), then the
+    # column sums' steps; viewed as rows of ``span``, entry (i, k) of the
+    # first I' rows is the step to F[i, i+k], so their running sum down the
+    # rows is F along its diagonals
+    first = matrix[:, 0]
+    np.matmul(first, matrix[:, :inputs], out=lags[:inputs])
+    np.matmul(first, targets, out=lags[inputs:span])
+    steps = np.matmul(signed.T, edges, out=lags[span:].reshape(inputs, span - 1))
+    # the column sums, read before the diagonals' sum overwrites the first I'-1 of them
+    gram[inputs, 0] = first.sum()
+    sums = np.add.accumulate(steps[-1], out=steps[-1])
+    sums += gram[inputs, 0]
+    gram[inputs, 1:inputs] = sums[: inputs - 1]
+    moment[inputs] = sums[inputs - 1 :]
+    gram[:inputs, inputs] = gram[inputs, :inputs]
+    gram[inputs, inputs] = rows
+    diagonals = lags[: inputs * span].reshape(inputs, span)
+    np.add.accumulate(diagonals, axis=0, out=diagonals)
+    # entry (i, j) is diagonals[i, j - i], F[i, j], where j >= i
+    upper = as_strided(lags, (inputs, span), ((span - 1) * lags.itemsize, lags.itemsize))
+    square = gram[:inputs, :inputs]
+    np.copyto(square, upper[:, :inputs])
+    np.copyto(square, upper[:, :inputs].T, where=np.tri(inputs, k=-1, dtype=bool))
+    moment[:inputs] = upper[:, inputs:]
+    factor = 2.0 / targets.size
+    gram *= factor
+    moment *= factor
+    return gram, moment, float(np.vdot(targets, targets)) / targets.size
+
+
 def _gram_losses(
     phis: np.ndarray, gram: np.ndarray, moment: np.ndarray, total: float, out: np.ndarray
 ) -> list[float] | None:
@@ -428,6 +500,13 @@ def fit_single_shot(
     of the one product that also scored the previous step, so l1 scores each
     epoch as it goes.
 
+    A dlinear part with more rows than twice the window span ``I'+O'``, and
+    more than ``LAG_WORK`` rows x span, forms its ``G`` and ``c`` from lag
+    sums of its channels (``_lag_terms``) in O(d (I'+O')²) work instead of
+    the rows' O(dK (I'+O')²) product, which is faster below that. rlinear
+    rows are centred per window, and the uncentred lag expansion would
+    cancel badly on trending series, so rlinear always takes the product.
+
     An l2 loss is the mean squared residual ``½ phi·G phi - phi·c + s`` of
     its part's Gram terms. The train loss takes ``H`` and ``c``. Validation
     forms its own ``G``, ``c`` and ``s`` when it has more rows than ``X̃``
@@ -451,12 +530,16 @@ def fit_single_shot(
     gram_validation = l2 and val.size > width
     block = min(BLOCK_EPOCHS, config.max_epochs) if l2 else 1
     lr = config.learning_rate
+    span = plan.inner_input + plan.inner_output
+    lagged = [l2 and config.variant == "dlinear" and part.size > max(2 * span, LAG_WORK / span)
+              for part in (train, val)]
     # l2 keeps H, T (and the validation G) and c, b (and the validation c); l1 keeps Q and a step
-    matrix, targets, residual, phis, best, columns, squares, scores = _buffers(
+    matrix, targets, residual, phis, best, columns, squares, scores, *lag_work = _buffers(
         (rows, width), (rows, outputs), (rows, outputs), (block, width, outputs), (width, outputs),
         (2 + gram_validation if l2 else 1, width, outputs),
         (2 + gram_validation, width, width) if l2 else (width, train.size),
-        (block if l2 else 0, val.size, outputs))
+        (block if l2 else 0, val.size, outputs),
+        *(_lag_shapes(plan.inner_input, span, plan.channels) if any(lagged) else ()))
     # X̃ and the targets hold the train rows, then the validation rows: each
     # value of the windows is copied once, and one product can score both parts
     _, shift = _design(config.variant, train.inputs, val.inputs, out=matrix)
@@ -472,14 +555,19 @@ def fit_single_shot(
     def precondition_into(arr: np.ndarray, out: np.ndarray) -> np.ndarray:
         return arr if precondition is None else np.matmul(precondition, arr, out=out)
 
+    def gram_terms(part: slice, lags: bool, gram: np.ndarray, moment: np.ndarray):
+        if lags:
+            return _lag_terms(matrix[part], targets[part], plan.channels, gram, moment, *lag_work)
+        return _gram_terms(matrix[part], targets[part], gram, moment)
+
     if l2:
         (hessian, transition), (moment, offset) = squares[:2], columns[:2]
-        train_terms = _gram_terms(matrix[train_rows], targets[train_rows], hessian, moment)
+        train_terms = gram_terms(train_rows, lagged[0], hessian, moment)
         np.multiply(precondition_into(hessian, transition), -lr, out=transition)
         transition[np.diag_indices(width)] += 1.0
         np.multiply(precondition_into(moment, offset), lr, out=offset)
         if gram_validation:
-            val_terms = _gram_terms(matrix[val_rows], targets[val_rows], squares[2], columns[2])
+            val_terms = gram_terms(val_rows, lagged[1], squares[2], columns[2])
 
         def advance(phi: np.ndarray, out: np.ndarray) -> None:
             np.add(np.matmul(transition, phi, out=out), offset, out=out)

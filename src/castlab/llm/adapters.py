@@ -9,7 +9,6 @@ variable, never from configuration files. ``requests`` is imported when an
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
@@ -78,11 +77,11 @@ class MockAdapter(LlmAdapter):
     def __init__(self, responses: Sequence[str]):
         self._responses = list(_check_responses(responses, "MockAdapter responses"))
         self._lock = threading.Lock()
-        self._draws: dict[bytes, int] = {}
+        self._draws: dict[tuple[str, str], int] = {}
         self.calls = 0
 
     def complete(self, system_text: str, user_text: str, config: DecodingConfig) -> str:
-        key = hashlib.sha256(f"{system_text}\0{user_text}".encode("utf-8")).digest()
+        key = (system_text, user_text)
         with self._lock:
             draw = self._draws.get(key, 0)
             self._draws[key] = draw + 1

@@ -16,10 +16,9 @@ from ..errors import (
 )
 from .prompts import ScalingConfig
 
-_NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
-
-# Characters allowed between numbers of one uninterrupted answer run.
-_RUN_GAP_RE = re.compile(r"[^\s,]")
+# A number, else one character that may not stand between the numbers of one
+# uninterrupted answer run (anything but whitespace and commas)
+_TOKEN_RE = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)|[^\s,]")
 
 
 @dataclass(frozen=True)
@@ -45,14 +44,16 @@ class DecodingConfig:
 def _numeric_runs(text: str) -> list[list[float]]:
     """Group numeric tokens into runs uninterrupted by anything but
     whitespace and commas (so prose, colons, or ``2)`` markers break runs)."""
-    matches = list(_NUMBER_RE.finditer(text))
     runs: list[list[float]] = []
-    prev_end: int | None = None
-    for m in matches:
-        if prev_end is None or _RUN_GAP_RE.search(text[prev_end : m.start()]):
-            runs.append([])
-        runs[-1].append(float(m.group()))
-        prev_end = m.end()
+    run: list[float] | None = None
+    for number in _TOKEN_RE.findall(text):
+        if not number:  # a character that breaks the run
+            run = None
+        elif run is None:
+            run = [float(number)]
+            runs.append(run)
+        else:
+            run.append(float(number))
     return runs
 
 

@@ -114,7 +114,7 @@ class PromptBundle:
 
 
 def _render_values(values: np.ndarray, scaling: ScalingConfig) -> list[str]:
-    return [f"{v:.{scaling.decimals}f}" for v in scaling.transform(values)]
+    return [f"{v:.{scaling.decimals}f}" for v in scaling.transform(values).tolist()]
 
 
 def render_sequence(

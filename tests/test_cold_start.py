@@ -3,7 +3,7 @@
 A fresh interpreter (in a subprocess, so modules other tests imported do not
 count) imports castlab and validates a dict config with a linear, a baseline
 and a mock-LLM forecaster; ``requests`` and ``yaml`` must stay unloaded until
-a YAML file is read.
+a YAML file is read, and ``hashlib`` (which loads OpenSSL) unloaded throughout.
 """
 
 import json
@@ -28,11 +28,12 @@ config.config_from_dict({
         {"name": "llm", "llm": {"adapter": {"type": "mock", "responses": ["1, 2, 3"]}}},
     ],
 })
-loaded = {"after_config": sorted({"requests", "yaml"} & set(sys.modules))}
+watched = {"requests", "yaml", "hashlib"}
+loaded = {"after_config": sorted(watched & set(sys.modules))}
 path = Path("specs.yaml")
 path.write_text("- {kind: sine, length: 8}\n")
 assert config.read_yaml(path) == [{"kind": "sine", "length": 8}]
-loaded["after_read_yaml"] = sorted({"requests", "yaml"} & set(sys.modules))
+loaded["after_read_yaml"] = sorted(watched & set(sys.modules))
 print(json.dumps(loaded))
 """
 

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import inspect
 import json
+import re
 import sys
 import threading
 import time
@@ -87,6 +88,57 @@ def test_config_rejects_the_removed_multi_turn_key(tmp_path):
 def test_config_sweep_requires_noise(tmp_path):
     raw = _base_config(tmp_path, sweep={"parameter": "noise.sigma", "values": [0, 0.1]})
     with pytest.raises(ConfigError):
+        config_from_dict(raw, base_dir=tmp_path)
+
+
+_SINE = {"name": "sine", "function": {"kind": "sine", "length": 100}}
+_NAIVE = {"name": "naive", "baseline": {"type": "last_value"}}
+_NOISE = {"kind": "gaussian", "sigma": 0.0}
+
+# (how a valid config is changed, the whole ConfigError message)
+_REJECTED = {
+    "task-missing": (lambda raw: raw.pop("task"), "missing key 'task' in config"),
+    "datasets-empty": (lambda raw: raw.update(datasets=[]), "at least one dataset is required"),
+    "datasets-repeat": (lambda raw: raw.update(datasets=[_SINE, _SINE]),
+                        "duplicate dataset names: ['sine', 'sine']"),
+    "forecasters-empty": (lambda raw: raw.update(forecasters=[]), "at least one forecaster is required"),
+    "forecasters-repeat": (lambda raw: raw.update(forecasters=[_NAIVE, _NAIVE]),
+                           "duplicate forecaster names: ['naive', 'naive']"),
+    "baseline-type-unknown": (
+        lambda raw: raw.update(forecasters=[{"name": "naive", "baseline": {"type": "arima"}}]),
+        "forecaster 'naive' baseline type must be one of ('last_value', 'seasonal_repeat', "
+        "'polynomial'), got 'arima'"),
+    "csv-layout-excel": (
+        lambda raw: raw.update(datasets=[{"name": "c", "csv": {"path": "c.csv", "layout": "excel"}}]),
+        "bad dataset 'c' csv: layout must be one of ('informer', 'plain')"),
+    "mock-fixture-missing": (
+        lambda raw: raw.update(forecasters=[{"name": "llm", "llm": {
+            "adapter": {"type": "mock", "fixture": "gone.json"}}}]),
+        "mock fixture not found: {tmp}/gone.json"),
+    "protocol-typo": (lambda raw: raw.update(protocol="slidng"),
+                      "bad config: protocol must be one of ('last_sample', 'sliding')"),
+    "metric-space-typo": (lambda raw: raw.update(metric_space="standardised"),
+                          "bad config: metric_space must be one of ('standardized', 'raw')"),
+    "sweep-noise-kind": (
+        lambda raw: raw.update(noise=_NOISE, sweep={"parameter": "noise.kind", "values": [0.1]}),
+        "bad sweep: parameter must be one of ('noise.sigma', 'noise.contamination', "
+        "'noise.epsilon', 'noise.amplitude', 'noise.frequency')"),
+    "sweep-values-empty": (
+        lambda raw: raw.update(noise=_NOISE, sweep={"parameter": "noise.sigma", "values": []}),
+        "bad sweep: values must be a non-empty list"),
+    "sweep-replicates-0": (
+        lambda raw: raw.update(noise=_NOISE, sweep={"parameter": "noise.sigma", "values": [0.1],
+                                                    "replicates": 0}),
+        "bad sweep: replicates must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("change,message", _REJECTED.values(), ids=_REJECTED.keys())
+def test_config_errors_name_what_is_wrong(tmp_path, change, message):
+    (tmp_path / "c.csv").write_text("a,b\n1,2\n3,4\n")
+    raw = _base_config(tmp_path)
+    change(raw)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message.format(tmp=tmp_path))}$"):
         config_from_dict(raw, base_dir=tmp_path)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from castlab.errors import (
     NoNumbersFoundError,
     TooFewValuesError,
 )
+from castlab.llm.decode import _numeric_runs
 from castlab.llm.prompts import PROMPT_STYLES, render_sequence
 
 IDENTITY = ScalingConfig(offset=0.0, scale=1.0, decimals=0)
@@ -33,6 +36,32 @@ def test_decode_without_a_long_enough_run_keeps_the_last_parsed_numbers():
     # runs [1], [5], [1, 2], [3, 4]: none reaches 3 values, so the flat tail counts
     out = decode_response("Step 1: 5 cycles. Answer: 1, 2 then 3, 4", 3, ScalingConfig())
     assert out.tolist() == [2.0, 3.0, 4.0]
+
+
+_NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+_RUN_GAP_RE = re.compile(r"[^\s,]")
+
+
+def _reference_numeric_runs(text):
+    """The two-pass split the one-regex tokenizer replaced: find the numbers,
+    then start a new run wherever the gap before one holds a character other
+    than whitespace or a comma."""
+    runs, prev_end = [], None
+    for m in _NUMBER_RE.finditer(text):
+        if prev_end is None or _RUN_GAP_RE.search(text[prev_end : m.start()]):
+            runs.append([])
+        runs[-1].append(float(m.group()))
+        prev_end = m.end()
+    return runs
+
+
+def test_numeric_runs_match_the_two_pass_split():
+    rng = np.random.default_rng(20)
+    alphabet = list("0123456789") * 3 + list("+-.eE,, \n\tab:)[]−")
+    texts = ["", "1", "-.5e+3, 2", "1.e5 .e5 e5 1e 1e+ +.", "1,2,,3 ;4", "3.14.15", "1-2+3"]
+    texts += ["".join(rng.choice(alphabet, size=rng.integers(1, 40))) for _ in range(5000)]
+    for text in texts:
+        assert _numeric_runs(text) == _reference_numeric_runs(text), text
 
 
 def test_decode_no_numbers():

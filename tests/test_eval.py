@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from castlab import (
     CostRecord,
+    FilterSpec,
     ForecastTask,
     LastValueForecaster,
     LinearModelConfig,
@@ -10,9 +13,13 @@ from castlab import (
     NoiseSpec,
     SeasonalRepeatForecaster,
     SplitSpec,
+    TimeSeries,
     aggregate_costs,
+    apply_filter,
+    chronological_split,
     compare_cost_families,
     compute_metrics,
+    inject_noise,
     run_last_sample,
     run_sliding,
     validate_series,
@@ -187,6 +194,50 @@ def test_protocol_applies_noise_to_input_only():
     report = run_last_sample(series, ForecastTask(4, 2), LastValueForecaster(),
                              split=SplitSpec(0.5, 0.0), metric_space="raw", noise=noise)
     assert report.mae == pytest.approx(5.0)
+
+
+class RecordingForecaster(LastValueForecaster):
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def predict(self, window, horizon):
+        self.seen.append(np.array(window))
+        return super().predict(window, horizon)
+
+
+def test_sliding_filters_each_noisy_input_window():
+    t = np.arange(120, dtype=float)[:, None]
+    series = validate_series(np.sin(t / 5.0) * [1.0, 2.0])
+    noise = NoiseSpec(kind="gaussian", sigma=0.3, seed=4)
+    smooth = FilterSpec(kind="gaussian_kernel", kernel_sigma=1.5)
+    task, split = ForecastTask(12, 6), SplitSpec(0.5, 0.0)
+    forecaster = RecordingForecaster()
+    run_sliding(series, task, forecaster, split=split, metric_space="raw", noise=noise,
+                noise_filter=smooth)
+    test = chronological_split(series, split)[2].values
+    starts = range(0, len(test) - 18 + 1, 6)
+    assert len(forecaster.seen) == len(starts) == 8
+    for w, (start, seen) in enumerate(zip(starts, forecaster.seen)):
+        noisy = inject_noise(TimeSeries(test[start : start + 12]), replace(noise, seed=4 + 1000 * w))
+        assert np.array_equal(seen, apply_filter(noisy, smooth).values)
+        assert not np.allclose(seen, noisy.values)
+
+
+class FlatLastValueForecaster(LastValueForecaster):
+    def predict(self, window, horizon):
+        return super().predict(window, horizon).ravel()
+
+
+@pytest.mark.parametrize("protocol", [run_last_sample, run_sliding])
+def test_a_univariate_forecast_of_shape_o_scores_as_shape_o_by_1(protocol):
+    series = validate_series(np.sin(np.arange(80, dtype=float) / 3.0))
+    task, split = ForecastTask(8, 4), SplitSpec(0.5, 0.0)
+    flat = protocol(series, task, FlatLastValueForecaster(), split=split)
+    column = protocol(series, task, LastValueForecaster(), split=split)
+    assert (flat.mae, flat.mse, flat.per_channel_mae, flat.per_channel_mse, flat.window_count) == (
+        column.mae, column.mse, column.per_channel_mae, column.per_channel_mse, column.window_count)
+    assert flat.mae > 0.0
 
 
 def test_standardized_space_default():

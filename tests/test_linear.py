@@ -658,6 +658,72 @@ def test_a_block_with_a_near_tie_falls_back_to_rows(monkeypatch):
     assert model.training_stats.epochs_run == rows.training_stats.epochs_run
 
 
+# -- Gram terms from lag sums --------------------------------------------
+# dlinear rows are stride-1 windows, so their Gram terms can be stepped from
+# one window to the next; _gram_terms' row products are the reference.
+
+
+def _lag_inputs(kind, length, channels):
+    rng = np.random.default_rng(channels)
+    t = np.arange(length, dtype=float)[:, None]
+    return {"noisy": lambda: rng.normal(size=(length, channels)),
+            "trending": lambda: 50.0 + 3.0 * t + rng.normal(size=(length, channels)),
+            "constant": lambda: np.full((length, channels), 2.5)}[kind]()
+
+
+@pytest.mark.parametrize("kind", ["noisy", "trending", "constant"])
+@pytest.mark.parametrize("channels,length,horizon", [(1, 60, 16), (3, 60, 16), (7, 60, 16), (21, 60, 16),
+                                                     (7, 384, 192)])
+@pytest.mark.parametrize("part", ["train", "validation"])  # offsets from a = 0, and from a > 0
+def test_lag_terms_match_the_row_products(kind, channels, length, horizon, part):
+    plan = plan_windows(ForecastTask(length, horizon), channels)
+    series = validate_series(_lag_inputs(kind, length, channels))
+    windows = train_val_partition(make_windows(series, plan), 0.2)[part == "validation"]
+    matrix, _ = _design("dlinear", windows.inputs)
+    targets = np.concatenate(windows.targets)
+    width, outputs = matrix.shape[1], targets.shape[1]
+    gram, moment, total = linear._gram_terms(matrix, targets, np.empty((width, width)),
+                                             np.empty((width, outputs)))
+    # scratch and outputs start as nan, so an entry left unwritten shows
+    work = [np.full(shape, np.nan) for shape in linear._lag_shapes(
+        plan.inner_input, plan.inner_input + plan.inner_output, channels)]
+    got = linear._lag_terms(matrix, targets, channels, np.full((width, width), np.nan),
+                            np.full((width, outputs), np.nan), *work)
+    np.testing.assert_allclose(got[0], gram, rtol=0, atol=1e-13 * np.abs(gram).max())
+    np.testing.assert_allclose(got[1], moment, rtol=0, atol=1e-13 * np.abs(moment).max())
+    assert got[2] == total
+    assert np.array_equal(got[0], got[0].T)
+
+
+def test_large_dlinear_parts_take_the_lag_sums(monkeypatch):
+    calls = []
+    lag_terms, gram_terms = linear._lag_terms, linear._gram_terms
+
+    def lag_spy(matrix, *args):
+        calls.append(("lags", len(matrix)))
+        return lag_terms(matrix, *args)
+
+    def gram_spy(matrix, *args):
+        calls.append(("rows", len(matrix)))
+        return gram_terms(matrix, *args)
+
+    monkeypatch.setattr(linear, "_lag_terms", lag_spy)
+    monkeypatch.setattr(linear, "_gram_terms", gram_spy)
+    kwargs = dict(loss="l2", learning_rate=0.05, max_epochs=8, patience=8, decomposition_kernel=5, seed=3)
+    fits = [("dlinear", (384, 192, 7)), ("rlinear", (384, 192, 7)),
+            ("dlinear", (278, 120, 1)), ("rlinear", (278, 120, 1)),
+            ("dlinear", (240, 96, 3)), ("dlinear", (80, 20, 1))]
+    for variant, shape in fits:
+        fit_single_shot(*_bitwise_case("paths", shape, dict(kwargs, variant=variant)))
+    # sliding-csv (span 192): 1,078 train rows take lags, its 273 validation
+    # rows do not; sweep-linear's 127 train rows (span 120) do not either,
+    # and it scores its 32 validation rows by rows; rlinear always uses rows.
+    # At span 96, 348 train rows take lags; the offline demo's 48 train rows
+    # are more than twice their span 20, but too few to repay the lag sums
+    assert calls == [("lags", 1078), ("rows", 273), ("rows", 1078), ("rows", 273),
+                     ("rows", 127), ("rows", 127), ("lags", 348), ("rows", 87), ("rows", 48), ("rows", 13)]
+
+
 @pytest.mark.parametrize("variant", ["dlinear", "rlinear"])
 def test_normal_equations_give_the_l2_gradient(variant):
     # the fit's l2 step: Mᵀ(H phi - c) with H = 2/n X̃ᵀX̃, c = 2/n X̃ᵀ(Y - shift)
@@ -816,7 +882,11 @@ def test_fits_on_threads_give_the_serial_bits():
              for seed in (1, 2)
              for n_in, horizon, channels in ((48, 16, 2), (60, 20, 3), (40, 12, 1))
              for v in ("dlinear", "rlinear") for l in ("l1", "l2")]
-    assert len(cases) == 24
+    # fits whose train parts take lag sums, run side by side
+    cases += [(validate_series(_trend_sines(384, 7, 0.1, seed=seed)), ForecastTask(384, 192),
+               LinearModelConfig(learning_rate=0.05, max_epochs=4, seed=seed))
+              for seed in range(8)]
+    assert len(cases) == 32
     serial = [_fit_bits(*case) for case in cases]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
