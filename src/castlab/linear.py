@@ -19,9 +19,10 @@ from Gram terms (``X̃ᵀX̃``, ``X̃ᵀY``, ``‖Y‖²``) where rounding canno
 decision, else from the rows, so the weights are the bits of a fit that
 scores every loss by rows. A large dlinear part forms ``X̃ᵀX̃`` and ``X̃ᵀY``
 from lag sums of its channels rather than a product over its rows. The
-arrays a fit writes are reused by the next fit on the same thread. The equivalence tests hold the weights within 1e-12
-of stepping ``theta`` on per-window trend/seasonal features. Horizons longer
-than O' are reached autoregressively, block by block.
+arrays a fit writes are reused by the next fit on the same thread. The
+equivalence tests hold the weights within 1e-12 of stepping ``theta`` on
+per-window trend/seasonal features. Horizons longer than O' are reached
+autoregressively, block by block.
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ BLOCK_EPOCHS = 8  # l2 epochs stepped before their validation losses are scored 
 GRAM_CANCELLATION = 100.0
 GRAM_TIE = 1e-12
 # A dlinear part forms its Gram terms from lag sums when it has more rows
-# than twice the window span and more than LAG_WORK rows x span. At one BLAS
-# thread the lag sums' fixed cost (some twenty numpy calls, ~40 us) matches
-# the row product at rows x span of 25,000-40,000 on spans 48-240, and the
+# than twice the window span and more than LAG_WORK rows × span. At one BLAS
+# thread the lag sums' fixed cost (some twenty numpy calls, ~40 µs) matches
+# the row product at rows × span of 25,000-40,000 on spans 48-240; the
 # paper-shape validation part (273 rows, span 192) stays on its rows.
 LAG_WORK = 32768
 MODEL_FORMAT_VERSION = 1
@@ -501,7 +502,7 @@ def fit_single_shot(
     epoch as it goes.
 
     A dlinear part with more rows than twice the window span ``I'+O'``, and
-    more than ``LAG_WORK`` rows x span, forms its ``G`` and ``c`` from lag
+    more than ``LAG_WORK`` rows × span, forms its ``G`` and ``c`` from lag
     sums of its channels (``_lag_terms``) in O(d (I'+O')²) work instead of
     the rows' O(dK (I'+O')²) product, which is faster below that. rlinear
     rows are centred per window, and the uncentred lag expansion would

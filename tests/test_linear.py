@@ -664,11 +664,10 @@ def test_a_block_with_a_near_tie_falls_back_to_rows(monkeypatch):
 
 
 def _lag_inputs(kind, length, channels):
-    rng = np.random.default_rng(channels)
-    t = np.arange(length, dtype=float)[:, None]
-    return {"noisy": lambda: rng.normal(size=(length, channels)),
-            "trending": lambda: 50.0 + 3.0 * t + rng.normal(size=(length, channels)),
-            "constant": lambda: np.full((length, channels), 2.5)}[kind]()
+    if kind == "constant":
+        return np.full((length, channels), 2.5)
+    noise = np.random.default_rng(channels).normal(size=(length, channels))
+    return noise if kind == "noisy" else 50.0 + 3.0 * np.arange(length)[:, None] + noise
 
 
 @pytest.mark.parametrize("kind", ["noisy", "trending", "constant"])
@@ -721,7 +720,8 @@ def test_large_dlinear_parts_take_the_lag_sums(monkeypatch):
     # At span 96, 348 train rows take lags; the offline demo's 48 train rows
     # are more than twice their span 20, but too few to repay the lag sums
     assert calls == [("lags", 1078), ("rows", 273), ("rows", 1078), ("rows", 273),
-                     ("rows", 127), ("rows", 127), ("lags", 348), ("rows", 87), ("rows", 48), ("rows", 13)]
+                     ("rows", 127), ("rows", 127), ("lags", 348), ("rows", 87),
+                     ("rows", 48), ("rows", 13)]
 
 
 @pytest.mark.parametrize("variant", ["dlinear", "rlinear"])
