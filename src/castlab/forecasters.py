@@ -162,7 +162,10 @@ class LlmPromptForecaster(Forecaster):
     Each channel is serialized independently (the prompt count equals the
     channel count) under its own derived scaling, sampled ``num_samples``
     times, decoded, and median-aggregated; the scaling is recorded in the
-    transcript.
+    transcript. Per-prompt work is done once per prompt, not once per
+    completion: one percentile call scales every channel of a window
+    (:meth:`ScalingConfig.per_channel`), and a prompt's transcript fields
+    are encoded when its completions are queued.
 
     Each window's (channel, sample) completions are queued on one pool of
     ``channel_concurrency * num_samples`` threads, which bounds the adapter
@@ -213,9 +216,8 @@ class LlmPromptForecaster(Forecaster):
         self._queue.clear()
         for window in windows:
             arr = _as_window(window)
-            bundles = [build_prompt(values, horizon, self.style,
-                                    ScalingConfig.from_values(values, decimals=self.decimals),
-                                    shots=self.shots) for values in arr.T]
+            bundles = [build_prompt(values, horizon, self.style, scaling, shots=self.shots)
+                       for values, scaling in zip(arr.T, ScalingConfig.per_channel(arr, self.decimals))]
             self._queue.append((arr, horizon, submit_samples(
                 self.adapter, bundles, self.decoding, self._pool, transcript=self.transcript,
                 transcript_context={"forecaster": self.name})))

@@ -9,6 +9,7 @@ variable, never from configuration files. ``requests`` is imported when an
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import threading
@@ -26,6 +27,9 @@ if TYPE_CHECKING:
 DEFAULT_TIMEOUT_SECONDS = 120.0
 TRANSPORT_RETRIES = 2
 
+# json.dumps(..., ensure_ascii=False), without building an encoder per call
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
 
 class LlmAdapter(ABC):
     """Stateless completion function: (system_text, user_text, config) -> text.
@@ -37,6 +41,13 @@ class LlmAdapter(ABC):
     @abstractmethod
     def complete(self, system_text: str, user_text: str, config: DecodingConfig) -> str:
         raise NotImplementedError
+
+    def draw(self, system_text: str, user_text: str, config: DecodingConfig,
+             sample_index: int, attempt: int) -> str:
+        """Attempt ``attempt`` (from 1) of sample ``sample_index`` of a prompt: the call
+        sampling makes. By default a fresh :meth:`complete`; a scripted adapter answers by
+        the sample and attempt instead, so its replies do not depend on call order."""
+        return self.complete(system_text, user_text, config)
 
 
 def read_responses(path: str | Path) -> list[str]:
@@ -66,27 +77,29 @@ def _check_responses(responses: Any, source: str) -> Sequence[str]:
 class MockAdapter(LlmAdapter):
     """Deterministic scripted adapter for offline runs.
 
-    Draws are counted per prompt text under a lock: each distinct
-    ``(system_text, user_text)`` is answered ``script[0], script[1], ...``
-    in its own call order, cycling through the script, whatever other
-    prompts are sent before or between its calls. Concurrent samples of one
-    prompt may take its replies in either order, so which sample index
-    receives which reply can vary, but not the replies the prompt receives.
+    Attempt ``a`` (from 1) of sample ``i`` of any prompt is answered with
+    script entry ``(a - 1) * num_samples + i``, cycling through the script, so
+    every sample receives the same replies whatever the order or the threads
+    of the calls; ``complete`` answers as the first attempt of sample 0. The
+    adapter holds no state but ``calls``, the number of calls served.
     """
 
     def __init__(self, responses: Sequence[str]):
         self._responses = list(_check_responses(responses, "MockAdapter responses"))
-        self._lock = threading.Lock()
-        self._draws: dict[tuple[str, str], int] = {}
-        self.calls = 0
+        self._ticks = itertools.count()  # one atomic next() per call
+
+    @property
+    def calls(self) -> int:
+        return int(repr(self._ticks)[len("count("):-1])
 
     def complete(self, system_text: str, user_text: str, config: DecodingConfig) -> str:
-        key = (system_text, user_text)
-        with self._lock:
-            draw = self._draws.get(key, 0)
-            self._draws[key] = draw + 1
-            self.calls += 1
-        return self._responses[draw % len(self._responses)]
+        return self.draw(system_text, user_text, config, 0, 1)
+
+    def draw(self, system_text: str, user_text: str, config: DecodingConfig,
+             sample_index: int, attempt: int) -> str:
+        next(self._ticks)
+        entry = (attempt - 1) * config.num_samples + sample_index
+        return self._responses[entry % len(self._responses)]
 
 
 class HttpChatAdapter(LlmAdapter):
@@ -186,26 +199,41 @@ class HttpChatAdapter(LlmAdapter):
         raise AdapterError(None, f"transport failed after retries: {last_error}")
 
 
+def json_fields(fields: dict[str, Any]) -> str:
+    """The members of ``fields`` as JSON text without the enclosing braces, the
+    form in which :meth:`TranscriptWriter.record` takes fields shared by many records."""
+    return _encode(fields)[1:-1]
+
+
 class TranscriptWriter:
     """JSON-lines log of raw requests and responses, for replay.
 
     The file is emptied when the writer is created, so it holds the records
-    of this writer only. Each record is one line, written through one open
-    handle and flushed before ``record`` returns; ``close`` releases it.
+    of this writer only. Each record is one line,
+    ``json.dumps({"timestamp", "kind", "payload"}, ensure_ascii=False)``,
+    written through one open handle as one unbuffered write of its UTF-8
+    bytes (a short write is retried), so it is in the file when ``record``
+    returns; ``close`` releases the handle. Fields that many records repeat,
+    such as a prompt's text, can be encoded once with :func:`json_fields`
+    and passed to every ``record`` call.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        self._file = open(self.path, "w", encoding="utf-8")
+        self._file = open(self.path, "wb", buffering=0)
 
-    def record(self, kind: str, payload: dict[str, Any]) -> None:
-        entry = {"timestamp": time.time(), "kind": kind, "payload": payload}
-        line = json.dumps(entry, ensure_ascii=False)
+    def record(self, kind: str, payload: dict[str, Any], before: str = "", after: str = "") -> None:
+        """Append one record whose payload holds the ``before`` fields, then ``payload``'s,
+        then the ``after`` fields; ``before`` and ``after`` are :func:`json_fields` text."""
+        fields = ", ".join(part for part in (before, _encode(payload)[1:-1], after) if part)
+        # json writes a float as its repr
+        line = f'{{"timestamp": {time.time()!r}, "kind": {_encode(kind)}, "payload": {{{fields}}}}}\n'
+        data = memoryview(line.encode("utf-8"))
         with self._lock:
-            self._file.write(line + "\n")
-            self._file.flush()
+            while data:
+                data = data[self._file.write(data):]
 
     def close(self) -> None:
         with self._lock:

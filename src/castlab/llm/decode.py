@@ -16,9 +16,13 @@ from ..errors import (
 )
 from .prompts import ScalingConfig
 
+_NUMBER = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
 # A number, else one character that may not stand between the numbers of one
 # uninterrupted answer run (anything but whitespace and commas)
-_TOKEN_RE = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)|[^\s,]")
+_TOKEN_RE = re.compile(rf"({_NUMBER})|[^\s,]")
+# A plain answer: whole numbers apart only by whitespace and commas, so it is
+# one run whose numbers are its whitespace- and comma-separated words
+_PLAIN_RE = re.compile(rf"[\s,]*(?:{_NUMBER}(?:[\s,]+|\Z))*")
 
 
 @dataclass(frozen=True)
@@ -44,6 +48,9 @@ class DecodingConfig:
 def _numeric_runs(text: str) -> list[list[float]]:
     """Group numeric tokens into runs uninterrupted by anything but
     whitespace and commas (so prose, colons, or ``2)`` markers break runs)."""
+    if _PLAIN_RE.fullmatch(text):
+        numbers = text.replace(",", " ").split()
+        return [list(map(float, numbers))] if numbers else []
     runs: list[list[float]] = []
     run: list[float] | None = None
     for number in _TOKEN_RE.findall(text):
@@ -88,12 +95,20 @@ def aggregate_median(forecasts: Sequence[Sequence[float] | np.ndarray]) -> np.nd
     """Elementwise median across equal-length forecast samples.
 
     The middle order statistic for an odd sample count; the mean of the two
-    middle values for an even count.
+    middle values for an even count; NaN where a sample is NaN. Equal to
+    ``np.median(samples, axis=0)`` bit for bit: the same partition and the
+    same arithmetic (its mean sums from 0.0, which turns -0.0 into 0.0),
+    without its general-purpose set-up.
     """
     if len(forecasts) == 0:
         raise EmptyListError("no forecasts to aggregate")
-    lengths = {len(np.asarray(f).ravel()) for f in forecasts}
+    rows = [np.asarray(f, dtype=np.float64).ravel() for f in forecasts]
+    lengths = {row.size for row in rows}
     if len(lengths) != 1:
         raise LengthMismatchError(f"forecast lengths differ: {sorted(lengths)}")
-    stacked = np.vstack([np.asarray(f, dtype=np.float64).ravel() for f in forecasts])
-    return np.median(stacked, axis=0)
+    half, odd = divmod(len(rows), 2)
+    part = np.partition(np.vstack(rows), [half, -1] if odd else [half - 1, half, -1], axis=0)
+    median = 0.0 + part[half] if odd else (0.0 + part[half - 1] + part[half]) / 2
+    top = part[-1]  # NaN sorts last
+    nan = np.isnan(top)
+    return np.where(nan, top, median) if nan.any() else median

@@ -67,7 +67,13 @@ PAIRS_INSTRUCTION = (
 
 @dataclass(frozen=True)
 class ScalingConfig:
-    """Affine rescaling and rendering precision for prompt serialization."""
+    """Affine rescaling and rendering precision for prompt serialization.
+
+    A derived scaling maps the 90th percentile of |values| to
+    ``SCALING_TARGET``: :meth:`from_values` for one sequence,
+    :meth:`per_channel` for every column of a window at once. Both apply
+    that rule in one place and give the same scaling bit for bit.
+    """
 
     offset: float = 0.0
     scale: float = 1.0
@@ -85,9 +91,15 @@ class ScalingConfig:
         arr = np.asarray(values, dtype=np.float64).ravel()
         if arr.size == 0:
             raise EmptyInputError("cannot derive scaling from an empty sequence")
-        q = float(np.percentile(np.abs(arr), 90.0))
-        scale = q / SCALING_TARGET if q > 0.0 else 1.0
-        return cls(offset=0.0, scale=scale, decimals=decimals)
+        return cls.per_channel(arr[:, None], decimals)[0]
+
+    @classmethod
+    def per_channel(cls, window: np.ndarray, decimals: int = 0) -> list["ScalingConfig"]:
+        """:meth:`from_values` of each column of a non-empty (I, d) window, bit for bit,
+        from one percentile call over the window."""
+        quantiles = np.percentile(np.abs(window), 90.0, axis=0).tolist()
+        return [cls(offset=0.0, scale=q / SCALING_TARGET if q > 0.0 else 1.0, decimals=decimals)
+                for q in quantiles]
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         return (np.asarray(values, dtype=np.float64) - self.offset) / self.scale
@@ -114,7 +126,12 @@ class PromptBundle:
 
 
 def _render_values(values: np.ndarray, scaling: ScalingConfig) -> list[str]:
-    return [f"{v:.{scaling.decimals}f}" for v in scaling.transform(values).tolist()]
+    return list(map(f"{{:.{scaling.decimals}f}}".format, scaling.transform(values).tolist()))
+
+
+def _join(tokens: Sequence[str], trailing_comma: bool = True) -> str:
+    joined = ", ".join(tokens)
+    return joined + "," if trailing_comma else joined
 
 
 def render_sequence(
@@ -124,9 +141,7 @@ def render_sequence(
 ) -> str:
     """Comma-space joined rendering, by default with the trailing comma the
     sequence styles use (``"-9, -13,"``)."""
-    tokens = _render_values(np.asarray(values, dtype=np.float64).ravel(), scaling)
-    joined = ", ".join(tokens)
-    return joined + "," if trailing_comma else joined
+    return _join(_render_values(np.asarray(values, dtype=np.float64).ravel(), scaling), trailing_comma)
 
 
 def build_prompt(
@@ -183,17 +198,14 @@ def build_prompt(
                 f"input length {arr.size} is not divisible into {segments} equal segments"
             )
         seg_len = arr.size // segments
-        parts = [arr[i * seg_len : (i + 1) * seg_len] for i in range(segments)]
-        demo_lines = []
-        for k in range(shots):
-            demo_in = render_sequence(parts[k], scaling)
-            demo_out = render_sequence(parts[k + 1], scaling, trailing_comma=False)
-            demo_lines.append(f"{k + 1}. Sequence: {demo_in} <sep> {demo_out}")
-        query = render_sequence(parts[-1], scaling)
+        tokens = _render_values(arr, scaling)
+        parts = [tokens[i * seg_len : (i + 1) * seg_len] for i in range(segments)]
+        demo_lines = [f"{k + 1}. Sequence: {_join(parts[k])} <sep> {_join(parts[k + 1], False)}"
+                      for k in range(shots)]
         user = (
             "We give you input and output sequence samples:\n"
             + "\n".join(demo_lines)
-            + f"\n\n{CONTINUE_INSTRUCTION} Input Sequence: {query} <sep>"
+            + f"\n\n{CONTINUE_INSTRUCTION} Input Sequence: {_join(parts[-1])} <sep>"
         )
         return PromptBundle(style, STANDARD_SYSTEM_TEXT, user, scaling, horizon)
 

@@ -15,7 +15,7 @@ from ..errors import (
     NoNumbersFoundError,
     TooFewValuesError,
 )
-from .adapters import LlmAdapter, TranscriptWriter
+from .adapters import LlmAdapter, TranscriptWriter, json_fields
 from .decode import DecodingConfig, decode_response
 from .prompts import PromptBundle
 
@@ -42,17 +42,19 @@ def submit_samples(
     """Queue ``num_samples`` completions per bundle on ``executor``; return their futures.
 
     Every (bundle, sample) pair is one task, submitted in (bundle, sample)
-    order. A task whose response fails to decode (or whose adapter call
-    errors) retries with a fresh completion, up to ``max_attempts_per_sample``
-    attempts, and resolves to its :class:`SampleResult`, or to None when no
-    attempt decoded. Every raw exchange is appended to the transcript when one
-    is given, with the bundle's index as its ``channel``.
+    order. A task draws its completions through ``adapter.draw`` with its
+    sample index and attempt number. A task whose response fails to decode (or
+    whose adapter call errors) retries with a fresh completion, up to
+    ``max_attempts_per_sample`` attempts, and resolves to its
+    :class:`SampleResult`, or to None when no attempt decoded. Every raw
+    exchange is appended to the transcript when one is given, with the
+    bundle's index as its ``channel`` and the fields of ``transcript_context``
+    (whose keys must differ from the record's own) last. A bundle's fields
+    are encoded once, when it is queued, not once per completion.
     """
-
-    def transcribe(channel: int, index: int, attempt: int, raw: str | None,
-                   latency: float, error: str | None) -> None:
-        bundle = bundles[channel]
-        payload = {
+    if transcript is not None:
+        after = json_fields(transcript_context or {})
+        heads = [json_fields({
             "style": bundle.style,
             "system_text": bundle.system_text,
             "user_text": bundle.user_text,
@@ -63,13 +65,7 @@ def submit_samples(
             },
             "expected_count": bundle.expected_count,
             "channel": channel,
-            "sample_index": index,
-            "attempt": attempt,
-            "response": raw,
-            "latency_seconds": latency,
-            "error": error,
-        }
-        transcript.record("completion", {**payload, **(transcript_context or {})})
+        }) for channel, bundle in enumerate(bundles)]
 
     def run_sample(channel: int, index: int) -> SampleResult | None:
         bundle = bundles[channel]
@@ -77,7 +73,7 @@ def submit_samples(
             start = time.perf_counter()
             raw = error = None
             try:
-                raw = adapter.complete(bundle.system_text, bundle.user_text, config)
+                raw = adapter.draw(bundle.system_text, bundle.user_text, config, index, attempt)
             except AdapterError as exc:
                 error = str(exc)
             latency = time.perf_counter() - start
@@ -87,7 +83,13 @@ def submit_samples(
                 except (NoNumbersFoundError, TooFewValuesError) as exc:
                     error = str(exc)
             if transcript is not None:
-                transcribe(channel, index, attempt, raw, latency, error)
+                transcript.record("completion", {
+                    "sample_index": index,
+                    "attempt": attempt,
+                    "response": raw,
+                    "latency_seconds": latency,
+                    "error": error,
+                }, before=heads[channel], after=after)
             if error is None:
                 return SampleResult(index, values, latency, attempt, raw)
         return None

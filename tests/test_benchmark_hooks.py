@@ -71,3 +71,10 @@ def test_tracer_records_every_layer_on_a_sliding_csv_grid(tmp_path):
     # the mock LLM cell waits for its samples once per window, inside the
     # name the tracer patches, so llm.sampling.s times every wait
     assert out["calls"]["llm.sampling"] == 6, out["calls"]
+    # and the names it patches are still called once per prompt (6 windows x 2
+    # channels), completion (x 3 samples) and channel-window
+    llm_calls = {name: out["calls"].get(name) for name in (
+        "llm.prompts.build", "llm.decode.decode_response", "llm.adapters.transcript",
+        "llm.decode.aggregate_median")}
+    assert llm_calls == {"llm.prompts.build": 12, "llm.decode.decode_response": 36,
+                         "llm.adapters.transcript": 36, "llm.decode.aggregate_median": 12}, out["calls"]

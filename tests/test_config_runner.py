@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 import yaml
 
-from castlab import LastValueForecaster, LlmPromptForecaster, MockAdapter
+from castlab import LastValueForecaster, LlmPromptForecaster
+from castlab.llm.adapters import LlmAdapter
 from castlab.config import (
     LlmForecasterConfig,
     config_from_dict,
@@ -307,14 +308,14 @@ def test_a_failed_window_cancels_the_cells_queued_completions(tmp_path):
     cfg = config_from_dict(raw, base_dir=tmp_path)
     calls = []
 
-    class SlowGarbageAdapter(MockAdapter):
+    class SlowGarbageAdapter(LlmAdapter):
         def complete(self, system_text, user_text, config):
             calls.append(user_text)
             time.sleep(0.05)
             return "no numbers here"
 
     (fc,) = cfg.forecasters
-    llm = dataclasses.replace(fc.llm, adapter=lambda: SlowGarbageAdapter(["unused"]))
+    llm = dataclasses.replace(fc.llm, adapter=SlowGarbageAdapter)
     cfg = dataclasses.replace(cfg, forecasters=[dataclasses.replace(fc, llm=llm)])
     result = run_experiment(cfg)
     (cell,) = result.results
@@ -493,6 +494,41 @@ def test_rerun_is_deterministic_excluding_timings(tmp_path):
         return rows
 
     assert run_once("a") == run_once("b")
+
+
+def test_a_sliding_mock_run_gives_one_summary_at_any_channel_concurrency(tmp_path):
+    """A sample that spends all its attempts on undecodable replies drops out; which
+    one it is is fixed by the script, not by how the pool's threads are scheduled."""
+    t = np.arange(200.0)
+    values = np.column_stack([np.sin(t / 4.0), np.cos(t / 7.0), t / 30.0])
+    (tmp_path / "three.csv").write_text("".join(",".join(f"{v:.6f}" for v in row) + "\n"
+                                                for row in values))
+    script = ["no numbers", "1, 2, 3, 4, 5", "9, 8, 7, 6, 5", "still none", "4, 4, 4, 4, 4",
+              "2, 7, 1, 8, 2"]
+    raw = _base_config(tmp_path, protocol="sliding", task={"input_length": 20, "output_length": 5})
+    raw["datasets"] = [{"name": "three", "csv": {"path": "three.csv"}}]
+    raw["noise"] = {"kind": "gaussian", "sigma": 0.05, "seed": 2}
+
+    def summary(channel_concurrency):
+        raw["output_dir"] = str(tmp_path / f"out-{channel_concurrency}")
+        raw["forecasters"] = [{"name": "llm-mock", "llm": {
+            "decimals": 1, "channel_concurrency": channel_concurrency,
+            "decoding": {"num_samples": 3, "max_attempts_per_sample": 2},
+            "adapter": {"type": "mock", "responses": script}}}]
+        result = run_experiment(config_from_dict(raw, base_dir=tmp_path))
+        rows = _csv_rows(result.summary_path)
+        assert result.status == 0 and rows[0]["mae"] and int(rows[0]["window_count"]) > 10
+        for row in rows:
+            for col in TIMING_COLUMNS:
+                row.pop(col)
+        return rows
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert summary(1) == summary(3) == summary(1)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_cost_comparison_written_for_llm_runs(tmp_path):

@@ -60,8 +60,15 @@ def test_numeric_runs_match_the_two_pass_split():
     alphabet = list("0123456789") * 3 + list("+-.eE,, \n\tab:)[]−")
     texts = ["", "1", "-.5e+3, 2", "1.e5 .e5 e5 1e 1e+ +.", "1,2,,3 ;4", "3.14.15", "1-2+3"]
     texts += ["".join(rng.choice(alphabet, size=rng.integers(1, 40))) for _ in range(5000)]
+    # mostly plain answers, which take the one-match path, with a few stray characters
+    words = ["12", "-3", "+4.5", ".5", "6.", "7e2", "-8.1E-3", "1-2", "3.4.5", "9e", "x", "−1", ":"]
+    separators = [", ", ",", " ", "\n", " ,\t", ""]
+    for _ in range(5000):
+        picks = rng.choice(len(words), size=rng.integers(0, 12), p=[0.12] * 7 + [0.16 / 6] * 6)
+        texts.append("".join(words[i] + separators[rng.integers(len(separators))] for i in picks))
     for text in texts:
         assert _numeric_runs(text) == _reference_numeric_runs(text), text
+    assert _numeric_runs(" 1, -2.5,\n3e1 ,") == [[1.0, -2.5, 30.0]]  # plain: one run
 
 
 def test_decode_no_numbers():
@@ -180,3 +187,29 @@ def test_median_errors():
         aggregate_median([])
     with pytest.raises(LengthMismatchError):
         aggregate_median([[1.0, 2.0], [1.0]])
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_median_equals_numpys_bit_for_bit():
+    """aggregate_median selects by partition; np.median, which it replaced, is the reference."""
+    rng = np.random.default_rng(15)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 2.5])
+    cases = []
+    for k in range(1, 10):
+        cases.append(rng.normal(size=(k, 24)))
+        cases.append(rng.integers(-2, 3, size=(k, 24)).astype(float))  # many ties
+        cases.append(rng.choice(specials, size=(k, 24)))  # ±0.0, ±inf and ties among them
+        cases.append(rng.choice([0.0, -0.0], size=(k, 24)))
+    cases.append(np.array([[np.inf, -np.inf, 1e308], [-np.inf, np.inf, 1e308]]))  # inf - inf, overflow
+    nan_case = rng.normal(size=(5, 6))
+    nan_case[[0, 3], [1, 4]] = np.nan
+    cases.append(nan_case)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and 1e308 + 1e308, in both
+        for samples in cases:
+            want = np.median(samples, axis=0)
+            assert _same_bits(aggregate_median(list(samples)), want), samples
+            flipped = samples[::-1]
+            assert _same_bits(aggregate_median(flipped.tolist()), np.median(flipped, axis=0))

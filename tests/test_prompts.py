@@ -89,3 +89,70 @@ def test_all_styles_build(style):
     bundle = build_prompt(FIXTURE, 5, style, IDENTITY, shots=shots)
     assert bundle.user_text
     assert bundle.style == style
+
+
+def _reference_from_values(values, decimals):
+    """The per-channel rule before ScalingConfig.per_channel: one percentile call per channel."""
+    q = float(np.percentile(np.abs(np.asarray(values, dtype=np.float64).ravel()), 90.0))
+    return ScalingConfig(offset=0.0, scale=q / 10.0 if q > 0.0 else 1.0, decimals=decimals)
+
+
+def test_per_channel_scaling_equals_each_channels_own_bit_for_bit():
+    rng = np.random.default_rng(21)
+    windows = [rng.normal(scale=s, size=(n, d)) for s in (1e-3, 1.0, 4e5)
+               for n, d in ((1, 1), (7, 3), (96, 7), (13, 2))]
+    constant = np.column_stack([np.zeros(20), np.full(20, -2.5), rng.normal(size=20)])
+    windows += [constant, np.zeros((12, 3)), -0.0 * np.ones((5, 2)), np.full((9, 1), 3.0)]
+    for window in windows:
+        for decimals in (0, 2):
+            got = ScalingConfig.per_channel(window, decimals)
+            want = [_reference_from_values(values, decimals) for values in window.T]
+            assert got == want
+            assert [ScalingConfig.from_values(values, decimals) for values in window.T] == want
+    assert [s.scale for s in ScalingConfig.per_channel(constant)][:2] == [1.0, 0.25]
+
+
+def _reference_render(values, scaling, trailing_comma=True):
+    """render_sequence as it was: one f-string per value."""
+    arr = np.asarray(values, dtype=np.float64).ravel()
+    tokens = [f"{v:.{scaling.decimals}f}" for v in scaling.transform(arr).tolist()]
+    joined = ", ".join(tokens)
+    return joined + "," if trailing_comma else joined
+
+
+def _reference_incontext_user(arr, scaling, shots):
+    """The ts_incontext user text as it was: every segment rendered on its own."""
+    segments = shots + 1
+    seg_len = arr.size // segments
+    parts = [arr[i * seg_len : (i + 1) * seg_len] for i in range(segments)]
+    demo_lines = []
+    for k in range(shots):
+        demo_in = _reference_render(parts[k], scaling)
+        demo_out = _reference_render(parts[k + 1], scaling, trailing_comma=False)
+        demo_lines.append(f"{k + 1}. Sequence: {demo_in} <sep> {demo_out}")
+    return ("We give you input and output sequence samples:\n" + "\n".join(demo_lines)
+            + "\n\nPlease predict next sequence following input sequence without producing any "
+            "additional text. Do not say anything like 'the next terms in the sequence are', "
+            f"just return the numbers. Input Sequence: {_reference_render(parts[-1], scaling)} <sep>")
+
+
+@pytest.mark.parametrize("decimals", [0, 1, 2, 3])
+def test_prompts_match_the_per_value_renderer_on_a_seeded_corpus(decimals):
+    rng = np.random.default_rng(40 + decimals)
+    corpus = [rng.normal(scale=s, size=n) for s in (0.01, 3.0, 250.0) for n in (4, 24, 96)]
+    corpus += [np.array([0.5, 1.5, 2.5, -0.5, -0.0, 0.0, 1e-9, -2.675]),
+               np.array([1e12, -1e12, 12345.6789, -0.004999])]
+    for values in corpus:
+        for scaling in (ScalingConfig.from_values(values, decimals),
+                        ScalingConfig(offset=0.3, scale=0.7, decimals=decimals)):
+            reference = _reference_render(values, scaling)
+            assert render_sequence(values, scaling) == reference
+            assert render_sequence(values, scaling, trailing_comma=False) == reference[:-1]
+            for style in ("llmtime_base", "llmtime_chat", "ts_cot"):
+                assert reference in build_prompt(values, 2, style, scaling).user_text
+            incontext = build_prompt(values, 2, "ts_incontext", scaling, shots=3).user_text
+            assert incontext == _reference_incontext_user(values, scaling, 3)
+            pairs = build_prompt(values, 2, "llmp_single", scaling).user_text
+            tokens = reference[:-1].split(", ")
+            assert pairs.endswith("\n ".join([f"{i},{t}" for i, t in enumerate(tokens)]
+                                             + [f"{len(tokens)}, ", f"{len(tokens) + 1}, "]) + "\n")

@@ -11,7 +11,9 @@ import requests
 
 from castlab import (
     DecodingConfig,
+    LlmPromptForecaster,
     MockAdapter,
+    PromptBundle,
     ScalingConfig,
     TranscriptWriter,
     build_prompt,
@@ -19,8 +21,8 @@ from castlab import (
     submit_samples,
 )
 from castlab.errors import AdapterError, AllSamplesFailedError
-from castlab.llm import adapters
-from castlab.llm.adapters import HttpChatAdapter, read_responses
+from castlab.llm import adapters, sampling
+from castlab.llm.adapters import HttpChatAdapter, LlmAdapter, read_responses
 
 IDENTITY = ScalingConfig(decimals=0)
 BUNDLE = build_prompt(np.array([1.0, 2.0, 3.0, 4.0]), 3, "llmtime_chat", IDENTITY)
@@ -91,13 +93,13 @@ def test_a_bundle_without_successes_fails_the_call_after_every_task_ends():
     good = build_prompt(np.array([10.0, 20.0, 30.0, 40.0]), 3, "llmtime_chat", IDENTITY)
     finished = []
 
-    class SlowPerPromptAdapter(MockAdapter):
+    class SlowPerPromptAdapter(LlmAdapter):
         def complete(self, system_text, user_text, config):
             time.sleep(0.01)
             finished.append(user_text)
             return "1, 2, 3" if user_text == good.user_text else "garbage"
 
-    adapter = SlowPerPromptAdapter(["unused"])
+    adapter = SlowPerPromptAdapter()
     cfg = DecodingConfig(num_samples=3, max_attempts_per_sample=2)
     with ThreadPoolExecutor(2) as pool:
         with pytest.raises(AllSamplesFailedError, match=r"channel\(s\) \[1\]"):
@@ -180,6 +182,83 @@ def test_transcript_keeps_one_handle_and_flushes_each_record(tmp_path, monkeypat
     assert opened == [path]
 
 
+def _reference_line(timestamp, kind, payload):
+    """A transcript line as TranscriptWriter wrote it before fields were encoded once per prompt."""
+    return json.dumps({"timestamp": timestamp, "kind": kind, "payload": payload}, ensure_ascii=False) + "\n"
+
+
+def test_transcript_lines_equal_one_json_dumps_of_each_record(tmp_path, monkeypatch):
+    monkeypatch.setattr(adapters.time, "time", lambda: 1761000000.25)
+    monkeypatch.setattr(sampling.time, "perf_counter", lambda: 7.5)  # latency 0.0
+
+    class ErrorThenScript(LlmAdapter):
+        def complete(self, system_text, user_text, config):
+            raise AssertionError("sampling calls draw")
+
+        def draw(self, system_text, user_text, config, sample_index, attempt):
+            if attempt == 1:
+                raise AdapterError(503, 'busy "now"\n')
+            return ["no numbers − “here”", "1, 2, 3"][attempt - 2]
+
+    bundles = [PromptBundle("ts_cot", 'say "hi"\nthen −', 'x −1, "2"\n\tüber\\ 3,', ScalingConfig(0.5, 2.0, 1), 3),
+               BUNDLE]
+    path = tmp_path / "t.jsonl"
+    transcript = TranscriptWriter(path)
+    cfg = DecodingConfig(num_samples=2, max_attempts_per_sample=3)
+    context = {"forecaster": "f “1”", "run": None}
+    _sample(ErrorThenScript(), bundles, cfg, transcript=transcript, transcript_context=context)
+    transcript.close()
+    want = []
+    for channel, bundle in enumerate(bundles):
+        for index in range(2):
+            for attempt, (raw, error) in enumerate(
+                    [(None, str(AdapterError(503, 'busy "now"\n'))),
+                     ("no numbers − “here”", "response contains no numbers"), ("1, 2, 3", None)], 1):
+                payload = {
+                    "style": bundle.style,
+                    "system_text": bundle.system_text,
+                    "user_text": bundle.user_text,
+                    "scaling": {"offset": bundle.scaling.offset, "scale": bundle.scaling.scale,
+                                "decimals": bundle.scaling.decimals},
+                    "expected_count": bundle.expected_count,
+                    "channel": channel,
+                    "sample_index": index,
+                    "attempt": attempt,
+                    "response": raw,
+                    "latency_seconds": 0.0,
+                    "error": error,
+                }
+                want.append(_reference_line(1761000000.25, "completion", {**payload, **context}))
+    assert path.read_bytes().decode("utf-8").splitlines(keepends=True) == want
+
+
+def test_transcript_retries_a_short_write(tmp_path, monkeypatch):
+    monkeypatch.setattr(adapters.time, "time", lambda: 5.0)
+
+    class ShortWrites:
+        """Takes at most 7 bytes per write, as a raw file may."""
+
+        def __init__(self):
+            self.data = bytearray()
+            self.writes = 0
+
+        def write(self, chunk):
+            self.writes += 1
+            self.data += bytes(chunk[:7])
+            return min(len(chunk), 7)
+
+        def close(self):
+            pass
+
+    writer = TranscriptWriter(tmp_path / "t.jsonl")
+    writer._file.close()
+    writer._file = fake = ShortWrites()
+    payload = {"text": "“quoted” − ünïcode\n", "n": [1, 2.5, None]}
+    writer.record("note", payload, before=adapters.json_fields({"a": "ä"}), after=adapters.json_fields({}))
+    want = _reference_line(5.0, "note", {"a": "ä", **payload}).encode("utf-8")
+    assert bytes(fake.data) == want and fake.writes == -(-len(want) // 7)
+
+
 def test_mock_replays_json_and_jsonl_scripts(tmp_path):
     p = tmp_path / "r.json"
     p.write_text(json.dumps(["1, 2, 3", "4, 5, 6"]))
@@ -203,28 +282,59 @@ def test_mock_rejects_a_script_that_is_not_a_list_of_strings(script):
 
 
 def test_mock_serves_each_prompt_its_script_whatever_the_call_order():
-    script = ["1", "2", "3"]
+    script = ["1", "2", "3", "4", "5"]
+    cfg = DecodingConfig(num_samples=2, max_attempts_per_sample=3)
     prompts = [("sys", "a"), ("sys", "b"), ("", "a")]
-    order = [p for p in prompts for _ in range(7)]
+    # attempt a of sample i is script entry (a - 1) * num_samples + i, cycling
+    draws = {(p, i, a): script[((a - 1) * 2 + i) % 5] for p in prompts for i in (0, 1) for a in (1, 2, 3)}
+    order = list(draws) * 7
     random.Random(4).shuffle(order)
     adapter = MockAdapter(script)
-    served = {p: [] for p in prompts}
-    for p in order:
-        served[p].append(adapter.complete(*p, DecodingConfig()))
-    assert all(replies == (script * 3)[:7] for replies in served.values())
-    assert adapter.calls == 21
+    assert [adapter.draw(*p, cfg, i, a) for p, i, a in order] == [draws[d] for d in order]
+    assert adapter.complete("sys", "a", cfg) == "1"  # sample 0's first attempt
+    assert adapter.calls == len(order) + 1
 
     adapter = MockAdapter(script)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(6) as pool:
-            served = list(pool.map(lambda p: (p, adapter.complete(*p, DecodingConfig())), order * 20))
+            served = list(pool.map(lambda d: (d, adapter.draw(*d[0], cfg, *d[1:])), order * 20))
     finally:
         sys.setswitchinterval(interval)
-    for p in prompts:
-        assert sorted(r for q, r in served if q == p) == sorted((script * 47)[:140])
-    assert adapter.calls == 420
+    assert all(reply == draws[d] for d, reply in served)
+    assert adapter.calls == len(order) * 20
+
+
+@pytest.mark.parametrize("yield_in_call", [False, True])
+def test_a_mock_forecast_does_not_depend_on_thread_scheduling(yield_in_call):
+    """3,000 predicts of one warm forecaster, a fresh mock each: one sample spends both
+    attempts on undecodable replies, so under a per-prompt call counter which sample
+    dropped out, and so the forecast, depended on thread scheduling."""
+    script = ["no numbers", "still none", "1, 2, 3, 4", "9, 9, 9, 9", "5, 5, 5, 5"]
+
+    class YieldingMock(MockAdapter):
+        def draw(self, *args):
+            time.sleep(0)  # as any real latency would
+            return super().draw(*args)
+
+    mock = YieldingMock if yield_in_call else MockAdapter
+    window = np.arange(12.0).reshape(-1, 1)
+    f = LlmPromptForecaster(mock(script), decoding=DecodingConfig(num_samples=2, max_attempts_per_sample=2))
+    forecasts = set()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3000):
+            f.adapter = mock(script)
+            forecasts.add(f.predict(window, 4).tobytes())
+    finally:
+        sys.setswitchinterval(interval)
+        f.close()
+    [forecast] = forecasts
+    # samples 0 and 1 decode on their second attempt: entries 2 and 3
+    scale = ScalingConfig.from_values(window).scale
+    assert np.allclose(np.frombuffer(forecast), np.array([5.0, 5.5, 6.0, 6.5]) * scale, rtol=1e-15)
 
 
 def test_http_adapter_wire_format(monkeypatch):
