@@ -9,7 +9,6 @@ variable, never from configuration files. ``requests`` is imported when an
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import threading
@@ -86,18 +85,20 @@ class MockAdapter(LlmAdapter):
 
     def __init__(self, responses: Sequence[str]):
         self._responses = list(_check_responses(responses, "MockAdapter responses"))
-        self._ticks = itertools.count()  # one atomic next() per call
+        self._calls = 0
+        self._calls_lock = threading.Lock()
 
     @property
     def calls(self) -> int:
-        return int(repr(self._ticks)[len("count("):-1])
+        return self._calls
 
     def complete(self, system_text: str, user_text: str, config: DecodingConfig) -> str:
         return self.draw(system_text, user_text, config, 0, 1)
 
     def draw(self, system_text: str, user_text: str, config: DecodingConfig,
              sample_index: int, attempt: int) -> str:
-        next(self._ticks)
+        with self._calls_lock:
+            self._calls += 1
         entry = (attempt - 1) * config.num_samples + sample_index
         return self._responses[entry % len(self._responses)]
 

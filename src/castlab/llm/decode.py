@@ -16,13 +16,13 @@ from ..errors import (
 )
 from .prompts import ScalingConfig
 
-_NUMBER = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
-# A number, else one character that may not stand between the numbers of one
-# uninterrupted answer run (anything but whitespace and commas)
-_TOKEN_RE = re.compile(rf"({_NUMBER})|[^\s,]")
-# A plain answer: whole numbers apart only by whitespace and commas, so it is
-# one run whose numbers are its whitespace- and comma-separated words
-_PLAIN_RE = re.compile(rf"[\s,]*(?:{_NUMBER}(?:[\s,]+|\Z))*")
+_NUMBER = r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?"
+# A number, else a stretch of characters that may not stand between the
+# numbers of one uninterrupted answer run (anything but whitespace and commas);
+# a stretch ends where a number may start, so it never swallows one
+_TOKEN_RE = re.compile(rf"({_NUMBER})|[^\s,\d.+-]+|[^\s,]")
+# The only characters of a plain answer: numbers apart by whitespace and commas
+_PLAIN_CHARS_RE = re.compile(r"[0-9eE.+\-\s,]*")
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,19 @@ class DecodingConfig:
 def _numeric_runs(text: str) -> list[list[float]]:
     """Group numeric tokens into runs uninterrupted by anything but
     whitespace and commas (so prose, colons, or ``2)`` markers break runs)."""
-    if _PLAIN_RE.fullmatch(text):
-        numbers = text.replace(",", " ").split()
-        return [list(map(float, numbers))] if numbers else []
+    if _PLAIN_CHARS_RE.fullmatch(text):
+        # Over these characters float() accepts exactly the words that are
+        # one number each, so a plain answer is one run of its words
+        try:
+            numbers = list(map(float, text.replace(",", " ").split()))
+        except ValueError:
+            pass
+        else:
+            return [numbers] if numbers else []
     runs: list[list[float]] = []
     run: list[float] | None = None
     for number in _TOKEN_RE.findall(text):
-        if not number:  # a character that breaks the run
+        if not number:  # characters that break the run
             run = None
         elif run is None:
             run = [float(number)]

@@ -1,4 +1,5 @@
 import re
+import time
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ def _reference_numeric_runs(text):
 
 def test_numeric_runs_match_the_two_pass_split():
     rng = np.random.default_rng(20)
-    alphabet = list("0123456789") * 3 + list("+-.eE,, \n\tab:)[]−")
+    alphabet = list("0123456789") * 3 + list("+-.eE,, \n\tab:)[]−") + ["\u00a0", "\x1c", "\u0663"]
     texts = ["", "1", "-.5e+3, 2", "1.e5 .e5 e5 1e 1e+ +.", "1,2,,3 ;4", "3.14.15", "1-2+3"]
     texts += ["".join(rng.choice(alphabet, size=rng.integers(1, 40))) for _ in range(5000)]
     # mostly plain answers, which take the one-match path, with a few stray characters
@@ -66,9 +67,24 @@ def test_numeric_runs_match_the_two_pass_split():
     for _ in range(5000):
         picks = rng.choice(len(words), size=rng.integers(0, 12), p=[0.12] * 7 + [0.16 / 6] * 6)
         texts.append("".join(words[i] + separators[rng.integers(len(separators))] for i in picks))
+    # many numbers, then text: the shape of an answer with a closing remark
+    for count in (1, 24, 200):
+        numbers = ", ".join(str(rng.integers(-99, 999)) for _ in range(count))
+        texts += [numbers + end for end in ("...", " x", " <sep>", "\n\nThese values follow.", " 1-2")]
     for text in texts:
         assert _numeric_runs(text) == _reference_numeric_runs(text), text
     assert _numeric_runs(" 1, -2.5,\n3e1 ,") == [[1.0, -2.5, 30.0]]  # plain: one run
+
+
+def test_numbers_followed_by_text_decode_in_linear_time():
+    # 200 two-digit words, each of which a number pattern with two ways to
+    # match a word would try both ways of, before a tail that breaks the run
+    numbers = " ".join(["12"] * 200)
+    start = time.perf_counter()
+    for end in ("...", " x", " −"):
+        text = numbers + end
+        assert _numeric_runs(text) == _reference_numeric_runs(text)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_decode_no_numbers():
