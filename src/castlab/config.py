@@ -146,6 +146,8 @@ class SweepConfig:
         object.__setattr__(self, "values", tuple(float(_number(v, "float", "sweep value")) for v in self.values))
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.replicates > 1000:  # noise seeds are seed + replicate + 1000 * window
+            raise ValueError("replicates must be <= 1000")
 
 
 @dataclass(frozen=True)

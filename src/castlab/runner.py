@@ -2,6 +2,11 @@
 
 Outputs under ``output_dir``:
 
+* ``cells.jsonl``: one JSON line per finished cell, appended as the cell
+  ends: its identity, its report dict (or null) and its error and
+  traceback (or null). Every file below but the transcript is a view of
+  these records, written by ``write_views``, which an interrupted run's
+  partial file also feeds.
 * ``summary.csv``: one row per cell (and per sweep value/replicate), with
   metric and timing columns. Timing columns are inherently nondeterministic
   and are excluded from golden-file comparisons.
@@ -25,6 +30,7 @@ from __future__ import annotations
 import csv
 import json
 import traceback
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -32,7 +38,7 @@ import numpy as np
 
 from .config import Cell, DatasetConfig, ExperimentConfig, build_forecaster
 from .data_io import generate_function_series, load_csv
-from .eval import EvalReport, compare_cost_families, run_last_sample, run_sliding
+from .eval import CostRecord, EvalReport, compare_cost_families, run_last_sample, run_sliding
 from .llm.adapters import TranscriptWriter
 from .noise import NoiseSpec
 from .series import TimeSeries
@@ -140,40 +146,44 @@ def _run_dataset(
     dataset: DatasetConfig,
     cells: list[Cell],
     transcript: TranscriptWriter | None,
-) -> list[CellResult]:
-    """Load ``dataset`` once and run each of its ``cells`` on it.
+) -> Iterator[CellResult]:
+    """Load ``dataset`` once and run each of its ``cells`` on it, yielding each as it ends.
 
-    The series is dropped on return, so a run holds one dataset at a time.
+    The series is dropped once the last cell has run, so a run holds one dataset at a time.
     """
     try:
         series = _load_dataset(dataset)
     except Exception as exc:  # each of the dataset's cells fails with it
         series = _failure(exc)
-    return [_run_cell(config, c, series, transcript) for c in cells]
+    for c in cells:
+        yield _run_cell(config, c, series, transcript)
 
 
-def _cell_row(config: ExperimentConfig, res: CellResult) -> dict:
-    """Every column a cell fills in summary.csv and the plot CSVs, formatted once."""
-    c, report = res.cell, res.report
-    parameter = config.sweep.parameter if config.sweep else ""
-    value = "" if c.sweep_value is None else repr(c.sweep_value)
-    row = {
-        "dataset": c.dataset.name,
-        "forecaster": c.forecaster.name,
-        "family": c.forecaster.family,
-        "protocol": config.protocol,
-        "metric_space": config.metric_space,
-        "sweep_parameter": parameter,
-        "sweep_value": value,
-        "parameter": parameter,  # noise_sweep.csv's names
-        "value": value,
-        "replicate": c.replicate,
-    }
-    if report is not None:
-        row.update(window_count=report.window_count, mae=repr(report.mae), mse=repr(report.mse),
-                   train_seconds=f"{report.cost.train_seconds:.6f}",
-                   infer_seconds=f"{report.cost.infer_seconds:.6f}",
-                   total_seconds=f"{report.cost.total_seconds:.6f}")
+def _record(config: ExperimentConfig, res: CellResult) -> dict:
+    """The cell's line of cells.jsonl: its identity, its report dict and its error."""
+    c = res.cell
+    return {"dataset": c.dataset.name, "forecaster": c.forecaster.name,
+            "family": c.forecaster.family, "protocol": config.protocol,
+            "metric_space": config.metric_space,
+            "sweep_parameter": config.sweep.parameter if config.sweep else None,
+            "sweep_value": c.sweep_value, "replicate": c.replicate, "report_stem": c.report_stem,
+            "report": None if res.report is None else res.report.to_dict(),
+            "error": res.error, "traceback": res.traceback}
+
+
+def _row(rec: dict) -> dict:
+    """Every column a record fills in summary.csv and the plot CSVs, formatted once."""
+    parameter = rec["sweep_parameter"] or ""
+    value = "" if rec["sweep_value"] is None else repr(rec["sweep_value"])
+    # parameter and value are noise_sweep.csv's names
+    row = dict(rec, sweep_parameter=parameter, sweep_value=value, parameter=parameter, value=value)
+    if rec["report"] is not None:
+        report = rec["report"]
+        row["cost"] = cost = CostRecord(**report["cost"])
+        row.update(window_count=report["window_count"], mae=repr(report["mae"]),
+                   mse=repr(report["mse"]), train_seconds=f"{cost.train_seconds:.6f}",
+                   infer_seconds=f"{cost.infer_seconds:.6f}",
+                   total_seconds=f"{cost.total_seconds:.6f}")
     return row
 
 
@@ -185,59 +195,79 @@ def _write_rows(path: Path, columns: tuple[str, ...], rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def _write_plots(config: ExperimentConfig, results: list[CellResult], rows: list[dict],
-                 plots_dir: Path) -> None:
-    plots_dir.mkdir(parents=True, exist_ok=True)
-    ok = [row for row, r in zip(rows, results) if r.report is not None]
-    _write_rows(plots_dir / "time_vs_mae.csv", PLOT_COLUMNS, ok)
-    if config.sweep is None:
-        return
-    _write_rows(plots_dir / "noise_sweep.csv", SWEEP_COLUMNS, ok)
-    # Replicate- and dataset-averaged curve per forecaster, one row per value.
-    means = []
-    for fc in config.forecasters:
-        for value in config.sweep.values:
-            reports = [r.report for r in results if r.report is not None
-                       and r.cell.forecaster.name == fc.name and r.cell.sweep_value == value]
-            if reports:
-                means.append({"parameter": config.sweep.parameter, "value": repr(value),
-                              "forecaster": fc.name,
-                              "mean_mae": repr(float(np.mean([rep.mae for rep in reports]))),
-                              "mean_mse": repr(float(np.mean([rep.mse for rep in reports]))),
-                              "runs": len(reports)})
-    _write_rows(plots_dir / "noise_sweep_mean.csv", SWEEP_MEAN_COLUMNS, means)
+def write_views(output_dir: Path) -> tuple[int, list[str]]:
+    """Write every artifact but the transcript from ``output_dir/cells.jsonl``.
 
+    Returns the status (0 when no record has an error, 1 otherwise) and the
+    lines of cost_comparison.txt, empty when no LLM cell succeeded.
+    """
+    out = Path(output_dir)
+    with open(out / "cells.jsonl", encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    rows = [_row(rec) for rec in records]
+    ok = [row for row in rows if row["report"] is not None]
+    _write_rows(out / "summary.csv", SUMMARY_COLUMNS, rows)
+    (out / "reports").mkdir(exist_ok=True)
+    for row in ok:
+        (out / "reports" / f"{row['report_stem']}.json").write_text(
+            json.dumps(row["report"], indent=2), encoding="utf-8")
 
-def _cost_comparison_lines(results: list[CellResult]) -> list[str]:
-    """The two cost-efficiency inequalities, when an LLM family ran."""
-    by_family: dict[str, list] = {}
-    for r in results:
-        if r.report is not None:
-            by_family.setdefault(r.cell.forecaster.family, []).append(r.report.cost)
-    if "llm" not in by_family:
-        return []
-    comparison = compare_cost_families(
-        llm_records=by_family["llm"],
-        domain_records=by_family.get("domain"),
-        linear_records=by_family.get("linear"),
-    )
-    return comparison.lines()
+    (out / "plots").mkdir(exist_ok=True)
+    _write_rows(out / "plots" / "time_vs_mae.csv", PLOT_COLUMNS, ok)
+    if rows and rows[0]["parameter"]:
+        _write_rows(out / "plots" / "noise_sweep.csv", SWEEP_COLUMNS, ok)
+        # replicate- and dataset-averaged curve per forecaster and value; keyed over every
+        # cell, failed ones too, so the rows come forecaster-major as the grid lists them
+        groups = {(row["forecaster"], row["value"]): [] for row in rows}
+        for row in ok:
+            groups[row["forecaster"], row["value"]].append(row["report"])
+        means = [{"parameter": rows[0]["parameter"], "value": value, "forecaster": fc,
+                  "mean_mae": repr(float(np.mean([rep["mae"] for rep in reports]))),
+                  "mean_mse": repr(float(np.mean([rep["mse"] for rep in reports]))),
+                  "runs": len(reports)}
+                 for (fc, value), reports in groups.items() if reports]
+        _write_rows(out / "plots" / "noise_sweep_mean.csv", SWEEP_MEAN_COLUMNS, means)
+
+    costs: dict[str, list[CostRecord]] = {}
+    for row in ok:
+        costs.setdefault(row["family"], []).append(row["cost"])
+    cost_lines = []
+    if "llm" in costs:
+        cost_lines = compare_cost_families(costs["llm"], costs.get("domain"),
+                                           costs.get("linear")).lines()
+        (out / "cost_comparison.txt").write_text("\n".join(cost_lines) + "\n", encoding="utf-8")
+
+    errors = [{key: rec[key] for key in ("dataset", "forecaster", "sweep_value", "replicate",
+                                         "error", "traceback")}
+              for rec in records if rec["error"] is not None]
+    status = 0 if not errors else 1
+    manifest = {
+        "status": "ok" if status == 0 else "errors",
+        "cells": len(records),
+        "failed": len(errors),
+        "protocol": records[0]["protocol"] if records else None,
+        "metric_space": records[0]["metric_space"] if records else None,
+        "errors": errors,
+    }
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+    return status, cost_lines
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full grid; collect errors instead of failing mid-batch.
 
-    Cells run dataset by dataset; each dataset is loaded once and shared by
-    its cells, and a dataset that fails to load fails each of its cells.
-    Returns status 0 when every cell succeeded, 1 otherwise; the manifest
-    itemizes each failed cell exactly once.
+    Three steps: remove an earlier run's files, run the cells while
+    appending each one's record to cells.jsonl as it ends, then
+    ``write_views``. Cells run dataset by dataset; each dataset is loaded
+    once and shared by its cells, and a dataset that fails to load fails
+    each of its cells. Returns status 0 when every cell succeeded, 1
+    otherwise; the manifest itemizes each failed cell exactly once.
     """
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    (out / "reports").mkdir(exist_ok=True)
     # before the first cell, so an interrupted run leaves none of an earlier run's files
-    stale = [out / name for name in
-             ("summary.csv", "manifest.json", "transcripts.jsonl", "cost_comparison.txt")]
+    stale = [out / name for name in ("cells.jsonl", "summary.csv", "manifest.json",
+                                     "transcripts.jsonl", "cost_comparison.txt")]
     stale += [out / "plots" / name for name in
               ("time_vs_mae.csv", "noise_sweep.csv", "noise_sweep_mean.csv")]
     for path in [*stale, *(out / "reports").glob("*.json")]:
@@ -249,57 +279,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     cells = config.cells()
     results: list[CellResult] = []
     try:
-        for ds in config.datasets:
-            results += _run_dataset(config, ds, [c for c in cells if c.dataset is ds], transcript)
+        with open(out / "cells.jsonl", "w", encoding="utf-8") as records:
+            for ds in config.datasets:
+                for res in _run_dataset(config, ds, [c for c in cells if c.dataset is ds],
+                                        transcript):
+                    results.append(res)
+                    records.write(json.dumps(_record(config, res), separators=(",", ":")) + "\n")
+                    records.flush()
     finally:
         if transcript is not None:
             transcript.close()
 
-    rows = [_cell_row(config, r) for r in results]
-    summary_path = out / "summary.csv"
-    _write_rows(summary_path, SUMMARY_COLUMNS, rows)
-
-    for r in results:
-        if r.report is not None:
-            (out / "reports" / f"{r.cell.report_stem}.json").write_text(
-                json.dumps(r.report.to_dict(), indent=2), encoding="utf-8"
-            )
-
-    _write_plots(config, results, rows, out / "plots")
-
-    cost_lines = _cost_comparison_lines(results)
-    if cost_lines:
-        (out / "cost_comparison.txt").write_text("\n".join(cost_lines) + "\n", encoding="utf-8")
-
-    errors = [
-        {
-            "dataset": r.cell.dataset.name,
-            "forecaster": r.cell.forecaster.name,
-            "sweep_value": r.cell.sweep_value,
-            "replicate": r.cell.replicate,
-            "error": r.error,
-            "traceback": r.traceback,
-        }
-        for r in results
-        if r.error is not None
-    ]
-    status = 0 if not errors else 1
-    manifest = {
-        "status": "ok" if status == 0 else "errors",
-        "cells": len(results),
-        "failed": len(errors),
-        "protocol": config.protocol,
-        "metric_space": config.metric_space,
-        "errors": errors,
-    }
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
-
-    return ExperimentResult(
-        status=status,
-        output_dir=out,
-        results=results,
-        summary_path=summary_path,
-        manifest_path=manifest_path,
-        cost_lines=cost_lines,
-    )
+    status, cost_lines = write_views(out)
+    return ExperimentResult(status, out, results, out / "summary.csv", out / "manifest.json",
+                            cost_lines)

@@ -1,11 +1,13 @@
 import csv
 import dataclasses
+import gc
 import inspect
 import json
 import re
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +133,10 @@ _REJECTED = {
         lambda raw: raw.update(noise=_NOISE, sweep={"parameter": "noise.sigma", "values": [0.1],
                                                     "replicates": 0}),
         "bad sweep: replicates must be >= 1"),
+    "sweep-replicates-1001": (
+        lambda raw: raw.update(noise=_NOISE, sweep={"parameter": "noise.sigma", "values": [0.1],
+                                                    "replicates": 1001}),
+        "bad sweep: replicates must be <= 1000"),
 }
 
 
@@ -434,6 +440,119 @@ def test_an_interrupted_rerun_leaves_none_of_the_earlier_runs_files(tmp_path, mo
         run_experiment(cfg)
     assert len(started) == 4 and len(cfg.cells()) == 12
     assert [path.name for path in written if path.exists()] == []
+
+
+def _demo(tmp_path):
+    demo = Path(__file__).resolve().parents[1] / "configs" / "offline-demo.yaml"
+    return load_config(demo, overrides={"output_dir": str(tmp_path / "out")})
+
+
+def test_an_interrupted_run_leaves_one_record_per_finished_cell(tmp_path, monkeypatch):
+    cfg = _demo(tmp_path)
+    out = cfg.output_dir
+    real_run_cell = runner._run_cell
+    started = []
+
+    def interrupted_run_cell(*args, **kwargs):
+        started.append(None)
+        if len(started) == 4:
+            raise KeyboardInterrupt
+        return real_run_cell(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "_run_cell", interrupted_run_cell)
+    unraisable = []  # a ResourceWarning raised while a file object is collected lands here
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(cfg)
+        gc.collect()
+        assert len((out / "cells.jsonl").read_text().splitlines()) == 3
+        assert runner.write_views(out) == (0, [])
+        gc.collect()
+    assert [u.exc_value for u in unraisable] == []
+    assert len(started) == 4 and len(cfg.cells()) == 12
+    assert [r["forecaster"] for r in _csv_rows(out / "summary.csv")] == [
+        "dlinear-s", "rlinear-s", "last-value"]
+    assert json.loads((out / "manifest.json").read_text())["cells"] == 3
+
+
+class OneChannelOnly(LastValueForecaster):
+    def predict(self, window, horizon):
+        if window.shape[1] > 1:
+            raise ValueError("one channel only")
+        return super().predict(window, horizon)
+
+
+def _sweep_with_failures(tmp_path):
+    """A two-value sweep whose first forecaster fails on the first of two datasets."""
+    (tmp_path / "two.csv").write_text("".join(f"{i / 7:.6f},{(i % 9) / 3:.6f}\n" for i in range(100)))
+    raw = _base_config(tmp_path)
+    raw["datasets"].insert(0, {"name": "two", "csv": {"path": "two.csv"}})
+    raw["forecasters"].insert(0, {"name": "one-channel", "baseline": {"type": "last_value"}})
+    raw["noise"] = {"kind": "gaussian", "sigma": 0.0, "seed": 3}
+    raw["sweep"] = {"parameter": "noise.sigma", "values": [0.0, 0.05], "replicates": 2}
+    cfg = config_from_dict(raw, base_dir=tmp_path)
+    picky, naive = cfg.forecasters
+    return dataclasses.replace(cfg, forecasters=[dataclasses.replace(picky, baseline=OneChannelOnly),
+                                                 naive])
+
+
+@pytest.mark.parametrize("make_config", [_demo, _sweep_with_failures],
+                         ids=["offline-demo", "sweep-with-failures"])
+def test_write_views_rewrites_every_artifact_byte_for_byte(tmp_path, make_config):
+    result = run_experiment(make_config(tmp_path))
+    out = result.output_dir
+    views = {path: path.read_bytes() for path in sorted(out.rglob("*"))
+             if path.is_file() and path.name not in ("cells.jsonl", "transcripts.jsonl")}
+    assert out / "summary.csv" in views and out / "manifest.json" in views
+    for path in views:
+        path.unlink()
+    assert runner.write_views(out) == (result.status, result.cost_lines)
+    rewritten = {path: path.read_bytes() for path in sorted(out.rglob("*"))
+                 if path.is_file() and path.name not in ("cells.jsonl", "transcripts.jsonl")}
+    assert rewritten == views
+
+
+_RECORD_KEYS = {"dataset", "forecaster", "family", "protocol", "metric_space", "sweep_parameter",
+                "sweep_value", "replicate", "report_stem", "report", "error", "traceback"}
+
+
+def test_a_cell_record_holds_the_cells_identity_report_and_error(tmp_path):
+    result = run_experiment(_sweep_with_failures(tmp_path))
+    out = result.output_dir
+    records = [json.loads(line) for line in (out / "cells.jsonl").read_text().splitlines()]
+    assert len(records) == len(result.results) == 16
+    for rec, res in zip(records, result.results):
+        assert set(rec) == _RECORD_KEYS
+        assert (rec["dataset"], rec["forecaster"], rec["sweep_value"], rec["replicate"],
+                rec["report_stem"]) == (res.cell.dataset.name, res.cell.forecaster.name,
+                                        res.cell.sweep_value, res.cell.replicate,
+                                        res.cell.report_stem)
+        assert type(rec["sweep_value"]) is float and rec["sweep_parameter"] == "noise.sigma"
+        if res.report is None:
+            assert rec["report"] is None and rec["error"] == res.error
+        else:
+            assert rec["report"]["mae"] == res.report.mae and rec["error"] is None
+    failed = [(r["dataset"], r["forecaster"], r["sweep_value"], r["replicate"])
+              for r in records if r["report"] is None]
+    manifest = json.loads(result.manifest_path.read_text())
+    assert len(failed) == manifest["failed"] == 4
+    assert [(e["dataset"], e["forecaster"], e["sweep_value"], e["replicate"])
+            for e in manifest["errors"]] == failed
+    # forecaster-major, as the grid lists them, though "two" fails only one-channel's cells
+    means = _csv_rows(out / "plots" / "noise_sweep_mean.csv")
+    assert [(m["forecaster"], m["value"], m["runs"]) for m in means] == [
+        ("one-channel", "0.0", "2"), ("one-channel", "0.05", "2"),
+        ("naive", "0.0", "4"), ("naive", "0.05", "4")]
+
+
+def test_write_views_of_an_empty_record_file(tmp_path):
+    (tmp_path / "cells.jsonl").write_text("")
+    assert runner.write_views(tmp_path) == (0, [])
+    assert (tmp_path / "summary.csv").read_text().splitlines() == [",".join(runner.SUMMARY_COLUMNS)]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert (manifest["cells"], manifest["failed"], manifest["errors"]) == (0, 0, [])
 
 
 def test_run_experiment_with_mock_llm_and_transcript(tmp_path):
