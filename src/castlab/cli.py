@@ -4,6 +4,8 @@ Subcommands:
 
 * ``run <config.yaml>``: full config-driven experiment; ``--dry-run`` only
   validates the config.
+* ``report <output_dir>``: rewrite a run's summary, manifest, plots and
+  cost comparison from its ``cells.jsonl`` and exit with the run's status.
 * ``generate-functions <specs.yaml> <out_dir>``: write synthetic function
   series as plain CSVs.
 * ``inject-noise`` / ``filter``: corrupt or smooth a CSV series.
@@ -38,7 +40,7 @@ from .errors import CastlabError, ConfigError, SeriesTooShortError
 from .eval import METRIC_SPACES, PROTOCOLS, run_last_sample, run_sliding
 from .linear import LOSSES, VARIANTS, LinearModelConfig, fit_single_shot, save_model
 from .noise import FILTER_KINDS, NOISE_KINDS, FilterSpec, NoiseSpec, apply_filter, inject_noise
-from .runner import run_experiment
+from .runner import run_experiment, write_views
 from .series import ForecastTask, SplitSpec, TimeSeries
 
 
@@ -87,6 +89,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if failed:
         print(f"{failed} cell(s) failed; see manifest", file=sys.stderr)
     return result.status
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    status, cost_lines = write_views(Path(args.output_dir))
+    for line in cost_lines:
+        print(line)
+    return status
 
 
 def _cmd_generate_functions(args: argparse.Namespace) -> int:
@@ -178,6 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--protocol", choices=PROTOCOLS)
     p_run.add_argument("--metric-space", dest="metric_space", choices=METRIC_SPACES)
     p_run.add_argument("--output-dir", dest="output_dir")
+
+    command("report", _cmd_report, "rewrite a run's views from its cells.jsonl").add_argument("output_dir")
 
     p_gen = command("generate-functions", _cmd_generate_functions, "write synthetic function CSVs")
     p_gen.add_argument("specs", help="YAML list of function specs")

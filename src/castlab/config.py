@@ -48,13 +48,15 @@ parameter takes an integral float as an int. Malformed values raise
 ConfigError; ``build_forecaster``, the one forecaster builder, builds each
 entry once at load time, so a value a constructor rejects (a prompt style,
 an http endpoint) fails the config rather than its cells. Names are
-non-empty strings, and no two cells may share a report stem.
+non-empty strings, and sweep values are finite and distinct, so no two cells
+share an identity.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -144,6 +146,11 @@ class SweepConfig:
         if not (isinstance(self.values, (list, tuple)) and self.values):
             raise ValueError("values must be a non-empty list")
         object.__setattr__(self, "values", tuple(float(_number(v, "float", "sweep value")) for v in self.values))
+        for i, v in enumerate(self.values):
+            if not math.isfinite(v):
+                raise ValueError(f"values must be finite, got {v!r}")
+            if v in self.values[:i]:
+                raise ValueError(f"values must be distinct, {v!r} repeats")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.replicates > 1000:  # noise seeds are seed + replicate + 1000 * window
@@ -158,16 +165,6 @@ class Cell:
     forecaster: ForecasterConfig
     sweep_value: float | None = None
     replicate: int = 0
-
-    @property
-    def report_stem(self) -> str:
-        """File stem of the cell's report; a config whose cells share a stem is rejected."""
-        parts = [self.dataset.name, self.forecaster.name]
-        if self.sweep_value is not None:
-            parts.append(f"v{self.sweep_value}")
-        if self.replicate:
-            parts.append(f"r{self.replicate}")
-        return "_".join(p.replace("/", "-").replace(" ", "-") for p in parts)
 
 
 @dataclass(frozen=True)
@@ -394,25 +391,9 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> ExperimentConfig:
         # dataset/fixture paths resolve against the config file; outputs against the
         # working directory, so a config bundle stays relocatable
         root["output_dir"] = Path(_checked(raw["output_dir"], str, "output_dir"))
-    config = build_spec(ExperimentConfig, {
+    return build_spec(ExperimentConfig, {
         **root, "datasets": tuple(datasets), "forecasters": tuple(forecasters), "task": task,
         "split": split, "noise": noise, "noise_filter": noise_filter, "sweep": sweep}, "config")
-    _check_report_stems(config)
-    return config
-
-
-def _check_report_stems(config: ExperimentConfig) -> None:
-    """Reject a grid in which two cells would write the same report file."""
-    seen: dict[str, tuple] = {}
-    for cell in config.cells():
-        stem = cell.report_stem
-        ids = (cell.dataset.name, cell.forecaster.name, cell.sweep_value, cell.replicate)
-        if stem in seen:
-            raise ConfigError(
-                f"cells (dataset, forecaster, sweep value, replicate) {seen[stem]!r} and "
-                f"{ids!r} would both write reports/{stem}.json; make the names and "
-                "sweep values distinct")
-        seen[stem] = ids
 
 
 def read_yaml(path: Path) -> Any:

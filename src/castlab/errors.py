@@ -139,3 +139,7 @@ class SeriesTooShortError(CastlabError):
 
 class ConfigError(CastlabError):
     """An experiment configuration is invalid."""
+
+
+class RecordError(CastlabError):
+    """A run's record file (cells.jsonl) cannot be read."""

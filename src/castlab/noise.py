@@ -44,6 +44,9 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise InvalidSpecError(f"unknown noise kind {self.kind!r}")
+        for key in ("sigma", "epsilon", "amplitude", "frequency"):
+            if not math.isfinite(getattr(self, key) or 0.0):  # None: the kind's default
+                raise InvalidSpecError(f"{key} must be finite, got {getattr(self, key)!r}")
         if self.sigma < 0.0:
             raise InvalidSpecError("sigma must be >= 0")
         if not 0.0 <= self.contamination <= 1.0:
@@ -61,6 +64,8 @@ class FilterSpec:
     def __post_init__(self):
         if self.kind not in FILTER_KINDS:
             raise InvalidSpecError(f"unknown filter kind {self.kind!r}")
+        if not math.isfinite(self.kernel_sigma):
+            raise InvalidSpecError(f"kernel_sigma must be finite, got {self.kernel_sigma!r}")
         if self.kind == "gaussian_kernel" and self.kernel_sigma <= 0.0:
             raise InvalidSpecError("kernel_sigma must be > 0")
         if self.kind == "ema" and not 0.0 < self.alpha <= 1.0:

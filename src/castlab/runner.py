@@ -1,16 +1,15 @@
-"""Experiment orchestration: run every dataset x forecaster cell, write reports.
+"""Experiment orchestration: run every dataset x forecaster cell, record each one.
 
 Outputs under ``output_dir``:
 
 * ``cells.jsonl``: one JSON line per finished cell, appended as the cell
-  ends: its identity, its report dict (or null) and its error and
-  traceback (or null). Every file below but the transcript is a view of
-  these records, written by ``write_views``, which an interrupted run's
-  partial file also feeds.
+  ends: its identity, its full EvalReport dict (or null) and its error and
+  traceback (or null). It is the one file that holds a cell's report.
+  Every file below but the transcript is a view of these records, written
+  by ``write_views``, which an interrupted run's partial file also feeds.
 * ``summary.csv``: one row per cell (and per sweep value/replicate), with
   metric and timing columns. Timing columns are inherently nondeterministic
   and are excluded from golden-file comparisons.
-* ``reports/<...>.json``: full EvalReport per successful cell.
 * ``manifest.json``: run status plus every error, once, with identifiers
   and the traceback.
 * ``plots/time_vs_mae.csv``: scatter data of compute cost against MAE.
@@ -20,9 +19,9 @@ Outputs under ``output_dir``:
   inequalities with explicit pass/fail verdicts.
 * ``transcripts.jsonl``: raw LLM traffic when any LLM forecaster runs.
 
-Every run removes these files as left by an earlier run into the same
-directory before its first cell, so the directory holds one run's outputs,
-also when the run is interrupted.
+Before its first cell, every run removes these files as an earlier run into
+the same directory left them, and the per-cell ``reports/*.json`` of older
+versions, so the directory holds one run's outputs, also when interrupted.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ import numpy as np
 
 from .config import Cell, DatasetConfig, ExperimentConfig, build_forecaster
 from .data_io import generate_function_series, load_csv
+from .errors import RecordError
 from .eval import CostRecord, EvalReport, compare_cost_families, run_last_sample, run_sliding
 from .llm.adapters import TranscriptWriter
 from .noise import NoiseSpec
@@ -166,7 +166,7 @@ def _record(config: ExperimentConfig, res: CellResult) -> dict:
             "family": c.forecaster.family, "protocol": config.protocol,
             "metric_space": config.metric_space,
             "sweep_parameter": config.sweep.parameter if config.sweep else None,
-            "sweep_value": c.sweep_value, "replicate": c.replicate, "report_stem": c.report_stem,
+            "sweep_value": c.sweep_value, "replicate": c.replicate,
             "report": None if res.report is None else res.report.to_dict(),
             "error": res.error, "traceback": res.traceback}
 
@@ -199,19 +199,30 @@ def write_views(output_dir: Path) -> tuple[int, list[str]]:
     """Write every artifact but the transcript from ``output_dir/cells.jsonl``.
 
     Returns the status (0 when no record has an error, 1 otherwise) and the
-    lines of cost_comparison.txt, empty when no LLM cell succeeded.
+    lines of cost_comparison.txt, empty when no LLM cell succeeded. A
+    malformed record file raises RecordError before any view is written.
     """
     out = Path(output_dir)
-    with open(out / "cells.jsonl", encoding="utf-8") as fh:
-        records = [json.loads(line) for line in fh]
-    rows = [_row(rec) for rec in records]
-    ok = [row for row in rows if row["report"] is not None]
-    _write_rows(out / "summary.csv", SUMMARY_COLUMNS, rows)
-    (out / "reports").mkdir(exist_ok=True)
-    for row in ok:
-        (out / "reports" / f"{row['report_stem']}.json").write_text(
-            json.dumps(row["report"], indent=2), encoding="utf-8")
+    lines = (out / "cells.jsonl").read_text(encoding="utf-8").splitlines()
+    try:
+        records = [json.loads(line) for line in lines]
+        rows = [_row(rec) for rec in records]
+        ok = [row for row in rows if row["report"] is not None]
+        costs: dict[str, list[CostRecord]] = {}
+        for row in ok:
+            costs.setdefault(row["family"], []).append(row["cost"])
+        errors = [{key: rec[key] for key in ("dataset", "forecaster", "sweep_value", "replicate",
+                                             "error", "traceback")}
+                  for rec in records if rec["error"] is not None]
+        first = records[0] if records else {"protocol": None, "metric_space": None}
+        manifest = {"status": "errors" if errors else "ok", "cells": len(records),
+                    "failed": len(errors), "protocol": first["protocol"],
+                    "metric_space": first["metric_space"], "errors": errors}
+    except (ValueError, KeyError, TypeError) as exc:
+        raise RecordError(f"{out / 'cells.jsonl'} is not a record file: "
+                          f"{type(exc).__name__}: {exc}") from None
 
+    _write_rows(out / "summary.csv", SUMMARY_COLUMNS, rows)
     (out / "plots").mkdir(exist_ok=True)
     _write_rows(out / "plots" / "time_vs_mae.csv", PLOT_COLUMNS, ok)
     if rows and rows[0]["parameter"]:
@@ -228,29 +239,13 @@ def write_views(output_dir: Path) -> tuple[int, list[str]]:
                  for (fc, value), reports in groups.items() if reports]
         _write_rows(out / "plots" / "noise_sweep_mean.csv", SWEEP_MEAN_COLUMNS, means)
 
-    costs: dict[str, list[CostRecord]] = {}
-    for row in ok:
-        costs.setdefault(row["family"], []).append(row["cost"])
     cost_lines = []
     if "llm" in costs:
         cost_lines = compare_cost_families(costs["llm"], costs.get("domain"),
                                            costs.get("linear")).lines()
         (out / "cost_comparison.txt").write_text("\n".join(cost_lines) + "\n", encoding="utf-8")
-
-    errors = [{key: rec[key] for key in ("dataset", "forecaster", "sweep_value", "replicate",
-                                         "error", "traceback")}
-              for rec in records if rec["error"] is not None]
-    status = 0 if not errors else 1
-    manifest = {
-        "status": "ok" if status == 0 else "errors",
-        "cells": len(records),
-        "failed": len(errors),
-        "protocol": records[0]["protocol"] if records else None,
-        "metric_space": records[0]["metric_space"] if records else None,
-        "errors": errors,
-    }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
-    return status, cost_lines
+    return (0 if not errors else 1), cost_lines
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -270,8 +265,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                                      "transcripts.jsonl", "cost_comparison.txt")]
     stale += [out / "plots" / name for name in
               ("time_vs_mae.csv", "noise_sweep.csv", "noise_sweep_mean.csv")]
-    for path in [*stale, *(out / "reports").glob("*.json")]:
+    reports = out / "reports"  # one file per cell, written by earlier versions
+    for path in [*stale, *reports.glob("*.json")]:
         path.unlink(missing_ok=True)
+    if reports.is_dir() and not any(reports.iterdir()):  # keep files no run wrote
+        reports.rmdir()
 
     uses_llm = any(f.llm is not None for f in config.forecasters)
     transcript = TranscriptWriter(out / "transcripts.jsonl") if uses_llm else None

@@ -329,17 +329,10 @@ _BAD_CONFIGS = {
     "noise-sigma-quoted": ({"noise": {"kind": "gaussian", "sigma": "0.1"}}, ["noise spec sigma", "'0.1'"]),
     "input-length-quoted": ({"task": {"input_length": "40", "output_length": 5}},
                             ["task input_length", "'40'"]),
-    # two cells that would write one report file
+    # two cells with one identity
     "sweep-values-repeat": ({"noise": {"kind": "gaussian", "sigma": 0.0},
                              "sweep": {"parameter": "noise.sigma", "values": [0.1, 0.1]}},
-                            ["reports/sine_naive_v0.1.json"]),
-    "forecaster-stems-collide": ({"forecasters": [{"name": "a b", "baseline": {"type": "last_value"}},
-                                                  {"name": "a-b", "baseline": {"type": "last_value"}}]},
-                                 ["'a b'", "'a-b'", "reports/sine_a-b.json"]),
-    "dataset-forecaster-stems-collide": ({  # a_b x c and a x b_c both write a_b_c.json
-        "datasets": [{"name": n, "function": {"kind": "sine", "length": 80}} for n in ("a_b", "a")],
-        "forecasters": [{"name": n, "baseline": {"type": "last_value"}} for n in ("c", "b_c")],
-    }, ["('a_b', 'c', None, 0)", "('a', 'b_c', None, 0)", "reports/a_b_c.json"]),
+                            ["sweep", "values must be distinct, 0.1 repeats"]),
 }
 
 
@@ -358,6 +351,55 @@ def test_dry_run_rejects_each_bad_value_by_name(tmp_path, capsys, changes, named
     assert "config OK" not in captured.out
     for name in named:
         assert name in captured.err
+
+
+# names whose report files once collided: "a b" and "a-b"; a_b x c and a x b_c
+_ONCE_COLLIDING = {
+    "forecasters": (["sine"], ["a b", "a-b"]),
+    "dataset-and-forecaster": (["a_b", "a"], ["c", "b_c"]),
+}
+
+
+@pytest.mark.parametrize("datasets,forecasters", _ONCE_COLLIDING.values(), ids=_ONCE_COLLIDING.keys())
+def test_once_colliding_names_run_to_one_record_per_cell(tmp_path, datasets, forecasters):
+    config = {
+        "output_dir": str(tmp_path / "out"),
+        "split": {"test_fraction": 0.5},
+        "task": {"input_length": 20, "output_length": 5},
+        "datasets": [{"name": n, "function": {"kind": "sine", "length": 80}} for n in datasets],
+        "forecasters": [{"name": n, "baseline": {"type": "last_value"}} for n in forecasters],
+    }
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(yaml.safe_dump(config))
+    assert main(["run", str(cfg_path)]) == 0
+    lines = (tmp_path / "out" / "cells.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    assert [(r["dataset"], r["forecaster"]) for r in records] == [
+        (d, f) for d in datasets for f in forecasters]
+    assert all(r["report"] is not None for r in records)
+
+
+_BAD_RECORDS = {
+    "not-json": '{"dataset": "sine"\n',
+    "not-an-object": "[1, 2]\n",
+    "missing-keys": '{"dataset": "sine", "forecaster": "naive"}\n',
+    "report-without-cost": ('{"dataset": "sine", "forecaster": "naive", "family": "domain", '
+                            '"protocol": "last_sample", "metric_space": "raw", '
+                            '"sweep_parameter": null, "sweep_value": null, "replicate": 0, '
+                            '"report": {"mae": 1.0}, "error": null, "traceback": null}\n'),
+}
+
+
+@pytest.mark.parametrize("content", [None, *_BAD_RECORDS.values()],
+                         ids=["no-record-file", *_BAD_RECORDS.keys()])
+def test_report_of_a_missing_or_malformed_record_file_is_an_error(tmp_path, capsys, content):
+    if content is not None:
+        (tmp_path / "cells.jsonl").write_text(content)
+    assert main(["report", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "cells.jsonl" in captured.err, captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if content is None else ["cells.jsonl"])
 
 
 _EVAL = ["eval", "--input", "{csv}", "--output-length", "6"]

@@ -23,12 +23,17 @@ from castlab.config import (
 )
 from castlab.errors import ConfigError
 from castlab import runner
+from castlab.cli import main
 from castlab.runner import TIMING_COLUMNS, run_experiment
 
 
 def _csv_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def _records(out):
+    return [json.loads(line) for line in (out / "cells.jsonl").read_text().splitlines()]
 
 
 def _base_config(tmp_path, **overrides):
@@ -137,6 +142,24 @@ _REJECTED = {
         lambda raw: raw.update(noise=_NOISE, sweep={"parameter": "noise.sigma", "values": [0.1],
                                                     "replicates": 1001}),
         "bad sweep: replicates must be <= 1000"),
+    # no key takes a NaN or an infinity
+    "sweep-values-nan": (
+        lambda raw: raw.update(noise=_NOISE, sweep={"parameter": "noise.sigma",
+                                                    "values": [0.0, float("nan")]}),
+        "bad sweep: values must be finite, got nan"),
+    "noise-sigma-inf": (lambda raw: raw.update(noise={"kind": "gaussian", "sigma": float("inf")}),
+                        "bad noise spec: sigma must be finite, got inf"),
+    "noise-epsilon-nan": (lambda raw: raw.update(noise={"kind": "constant", "epsilon": float("nan")}),
+                          "bad noise spec: epsilon must be finite, got nan"),
+    "noise-amplitude-inf": (
+        lambda raw: raw.update(noise={"kind": "freq_add", "amplitude": float("-inf")}),
+        "bad noise spec: amplitude must be finite, got -inf"),
+    "noise-frequency-nan": (
+        lambda raw: raw.update(noise={"kind": "freq_replace", "frequency": float("nan")}),
+        "bad noise spec: frequency must be finite, got nan"),
+    "filter-kernel-sigma-nan": (
+        lambda raw: raw.update(filter={"kind": "gaussian_kernel", "kernel_sigma": float("nan")}),
+        "bad filter spec: kernel_sigma must be finite, got nan"),
 }
 
 
@@ -195,8 +218,9 @@ def test_run_experiment_writes_outputs(tmp_path):
     manifest = json.loads(result.manifest_path.read_text())
     assert manifest["status"] == "ok" and manifest["errors"] == []
     assert (cfg.output_dir / "plots" / "time_vs_mae.csv").exists()
-    reports = list((cfg.output_dir / "reports").glob("*.json"))
-    assert len(reports) == 1
+    [record] = _records(cfg.output_dir)
+    assert record["report"] == json.loads(json.dumps(result.results[0].report.to_dict()))
+    assert not (cfg.output_dir / "reports").exists()
 
 
 def test_run_experiment_collects_errors(tmp_path):
@@ -406,16 +430,63 @@ def test_rerun_into_same_dir_keeps_only_its_own_artifacts(tmp_path):
 
     def artifacts():
         lines = (out / "transcripts.jsonl").read_text().splitlines() if (out / "transcripts.jsonl").exists() else []
-        return len(lines), sorted(p.name for p in (out / "reports").glob("*.json"))
+        return len(lines), [(r["forecaster"], r["report"] is not None) for r in _records(out)]
 
     run_experiment(config_from_dict(raw, base_dir=tmp_path))
     first = artifacts()
     run_experiment(config_from_dict(raw, base_dir=tmp_path))
-    assert artifacts() == first == (2, ["sine_llm-mock.json", "sine_naive.json"])
+    assert artifacts() == first == (2, [("naive", True), ("llm-mock", True)])
     raw["forecasters"] = [{"name": "other", "baseline": {"type": "last_value"}}]
     run_experiment(config_from_dict(raw, base_dir=tmp_path))
-    assert artifacts() == (0, ["sine_other.json"])
+    assert artifacts() == (0, [("other", True)])
     assert not (out / "cost_comparison.txt").exists()
+
+
+def test_a_rerun_removes_the_per_cell_report_files_of_earlier_versions(tmp_path):
+    out = tmp_path / "out"
+    (out / "reports").mkdir(parents=True)
+    for stem in ("sine_naive", "sine_gone_v0.1_r2"):
+        (out / "reports" / f"{stem}.json").write_text("{}")
+    assert run_experiment(config_from_dict(_base_config(tmp_path), base_dir=tmp_path)).status == 0
+    assert not (out / "reports").exists()
+    # a directory that holds a file no run wrote keeps it
+    (out / "reports").mkdir()
+    (out / "reports" / "notes.txt").write_text("mine")
+    (out / "reports" / "sine_naive.json").write_text("{}")
+    run_experiment(config_from_dict(_base_config(tmp_path), base_dir=tmp_path))
+    assert [p.name for p in (out / "reports").iterdir()] == ["notes.txt"]
+
+
+def _sweep(tmp_path, values, replicates):
+    raw = _base_config(tmp_path, noise={"kind": "gaussian", "sigma": 0.0, "seed": 3},
+                       sweep={"parameter": "noise.sigma", "values": values, "replicates": replicates})
+    raw["forecasters"].append({"name": "lin", "linear": {"max_epochs": 3}})
+    return config_from_dict(raw, base_dir=tmp_path)
+
+
+def test_a_sweep_writes_the_same_files_whatever_its_cell_count(tmp_path):
+    files = []
+    for values, replicates in (([0.0], 1), ([0.0, 0.05, 0.1], 3)):
+        result = run_experiment(_sweep(tmp_path, values, replicates))
+        assert len(_records(result.output_dir)) == 2 * len(values) * replicates
+        files.append(sorted(p.relative_to(result.output_dir).as_posix()
+                            for p in result.output_dir.rglob("*")))
+    assert files[0] == files[1] == [
+        "cells.jsonl", "manifest.json", "plots", "plots/noise_sweep.csv",
+        "plots/noise_sweep_mean.csv", "plots/time_vs_mae.csv", "summary.csv"]
+
+
+def test_write_views_reads_a_record_file_that_still_carries_report_stem(tmp_path):
+    # cells.jsonl and its views as written by a version that also wrote reports/<report_stem>.json
+    golden = Path(__file__).resolve().parent / "golden" / "records-with-report-stem"
+    old = {p.relative_to(golden): p.read_bytes() for p in sorted(golden.rglob("*")) if p.is_file()}
+    assert all("report_stem" in rec for rec in _records(golden))
+    (tmp_path / "cells.jsonl").write_bytes(old[Path("cells.jsonl")])
+    status, cost_lines = runner.write_views(tmp_path)
+    assert status == 0
+    assert cost_lines == old[Path("cost_comparison.txt")].decode().splitlines()
+    assert {p.relative_to(tmp_path): p.read_bytes() for p in sorted(tmp_path.rglob("*"))
+            if p.is_file()} == old
 
 
 def test_an_interrupted_rerun_leaves_none_of_the_earlier_runs_files(tmp_path, monkeypatch):
@@ -500,7 +571,7 @@ def _sweep_with_failures(tmp_path):
 
 @pytest.mark.parametrize("make_config", [_demo, _sweep_with_failures],
                          ids=["offline-demo", "sweep-with-failures"])
-def test_write_views_rewrites_every_artifact_byte_for_byte(tmp_path, make_config):
+def test_write_views_rewrites_every_artifact_byte_for_byte(tmp_path, capsys, make_config):
     result = run_experiment(make_config(tmp_path))
     out = result.output_dir
     views = {path: path.read_bytes() for path in sorted(out.rglob("*"))
@@ -508,32 +579,34 @@ def test_write_views_rewrites_every_artifact_byte_for_byte(tmp_path, make_config
     assert out / "summary.csv" in views and out / "manifest.json" in views
     for path in views:
         path.unlink()
-    assert runner.write_views(out) == (result.status, result.cost_lines)
+    capsys.readouterr()
+    assert main(["report", str(out)]) == result.status  # castlab report: write_views alone
+    assert capsys.readouterr().out.splitlines() == result.cost_lines
     rewritten = {path: path.read_bytes() for path in sorted(out.rglob("*"))
                  if path.is_file() and path.name not in ("cells.jsonl", "transcripts.jsonl")}
     assert rewritten == views
 
 
 _RECORD_KEYS = {"dataset", "forecaster", "family", "protocol", "metric_space", "sweep_parameter",
-                "sweep_value", "replicate", "report_stem", "report", "error", "traceback"}
+                "sweep_value", "replicate", "report", "error", "traceback"}
 
 
 def test_a_cell_record_holds_the_cells_identity_report_and_error(tmp_path):
     result = run_experiment(_sweep_with_failures(tmp_path))
     out = result.output_dir
-    records = [json.loads(line) for line in (out / "cells.jsonl").read_text().splitlines()]
+    records = _records(out)
     assert len(records) == len(result.results) == 16
     for rec, res in zip(records, result.results):
         assert set(rec) == _RECORD_KEYS
-        assert (rec["dataset"], rec["forecaster"], rec["sweep_value"], rec["replicate"],
-                rec["report_stem"]) == (res.cell.dataset.name, res.cell.forecaster.name,
-                                        res.cell.sweep_value, res.cell.replicate,
-                                        res.cell.report_stem)
+        assert (rec["dataset"], rec["forecaster"], rec["sweep_value"], rec["replicate"]) == (
+            res.cell.dataset.name, res.cell.forecaster.name, res.cell.sweep_value,
+            res.cell.replicate)
         assert type(rec["sweep_value"]) is float and rec["sweep_parameter"] == "noise.sigma"
         if res.report is None:
             assert rec["report"] is None and rec["error"] == res.error
-        else:
-            assert rec["report"]["mae"] == res.report.mae and rec["error"] is None
+        else:  # the whole report, per-channel metrics and cost too, lives in the record
+            assert rec["report"] == json.loads(json.dumps(res.report.to_dict()))
+            assert rec["error"] is None
     failed = [(r["dataset"], r["forecaster"], r["sweep_value"], r["replicate"])
               for r in records if r["report"] is None]
     manifest = json.loads(result.manifest_path.read_text())
