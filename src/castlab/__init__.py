@@ -56,7 +56,6 @@ from .series import (
     SplitSpec,
     TimeSeries,
     chronological_split,
-    destandardize,
     standardize,
     validate_series,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "validate_series",
     "chronological_split",
     "standardize",
-    "destandardize",
     "FunctionSpec",
     "generate_function_series",
     "load_csv",

@@ -51,8 +51,8 @@ class FunctionSpec:
             raise UnknownKindError(f"unknown function kind {self.kind!r}")
         if self.length < 2:
             raise ValueError("length must be >= 2")
-        if self.noise_std < 0.0:
-            raise ValueError("noise_std must be >= 0")
+        if not 0.0 <= self.noise_std < np.inf:
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
 
 
 def _base_function(kind: str, t: np.ndarray) -> np.ndarray:

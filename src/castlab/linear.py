@@ -84,8 +84,8 @@ class LinearModelConfig:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if self.patience < 0:

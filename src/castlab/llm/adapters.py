@@ -10,6 +10,7 @@ variable, never from configuration files. ``requests`` is imported when an
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -80,25 +81,17 @@ class MockAdapter(LlmAdapter):
     script entry ``(a - 1) * num_samples + i``, cycling through the script, so
     every sample receives the same replies whatever the order or the threads
     of the calls; ``complete`` answers as the first attempt of sample 0. The
-    adapter holds no state but ``calls``, the number of calls served.
+    adapter holds no state.
     """
 
     def __init__(self, responses: Sequence[str]):
         self._responses = list(_check_responses(responses, "MockAdapter responses"))
-        self._calls = 0
-        self._calls_lock = threading.Lock()
-
-    @property
-    def calls(self) -> int:
-        return self._calls
 
     def complete(self, system_text: str, user_text: str, config: DecodingConfig) -> str:
         return self.draw(system_text, user_text, config, 0, 1)
 
     def draw(self, system_text: str, user_text: str, config: DecodingConfig,
              sample_index: int, attempt: int) -> str:
-        with self._calls_lock:
-            self._calls += 1
         entry = (attempt - 1) * config.num_samples + sample_index
         return self._responses[entry % len(self._responses)]
 
@@ -111,7 +104,7 @@ class HttpChatAdapter(LlmAdapter):
     any other non-200 status raises at once, as does a reply whose ``content``
     is not a string (a refusal or tool call sends ``null``). The endpoint
     must be an http(s) URL, ``model`` and ``api_key_env`` non-empty strings
-    and ``timeout_seconds`` above 0; anything else raises ValueError here,
+    and ``timeout_seconds`` finite and > 0; anything else raises ValueError here,
     before any call is made. Each calling thread posts through its own
     ``requests.Session`` (kept for the thread's lifetime, so its keep-alive
     connection is reused), unless a ``session`` is given, which every thread
@@ -131,8 +124,8 @@ class HttpChatAdapter(LlmAdapter):
         for key, value in (("model", model), ("api_key_env", api_key_env)):
             if not (isinstance(value, str) and value):
                 raise ValueError(f"{key} must be a non-empty string, got {value!r}")
-        if not timeout_seconds > 0:
-            raise ValueError(f"timeout_seconds must be > 0, got {timeout_seconds!r}")
+        if not 0 < timeout_seconds < math.inf:
+            raise ValueError(f"timeout_seconds must be finite and > 0, got {timeout_seconds!r}")
         import requests  # noqa: F401  (loaded with the adapter, not in its first timed call)
 
         self.endpoint = endpoint

@@ -35,8 +35,8 @@ class DecodingConfig:
     max_attempts_per_sample: int = 3
 
     def __post_init__(self):
-        if self.temperature < 0.0:
-            raise ValueError("temperature must be >= 0")
+        if not 0.0 <= self.temperature < np.inf:
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature!r}")
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError("top_p must lie in (0, 1]")
         if self.num_samples < 1:
@@ -77,7 +77,7 @@ def decode_response(text: str, expected_count: int, scaling: ScalingConfig) -> n
     uninterrupted run of at least ``expected_count`` numbers is used (so a
     reasoned answer followed by the numeric continuation decodes to the
     continuation); if no such run exists, all parsed numbers count, keeping
-    the last ``expected_count``. The inverse affine scaling is applied.
+    the last ``expected_count``. Each value is multiplied back by the scale.
     """
     normalized = text.replace("−", "-")
     runs = _numeric_runs(normalized)

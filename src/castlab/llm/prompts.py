@@ -14,9 +14,9 @@ Styles:
   input `<sep>` output demonstrations, followed by the final segment as the
   query.
 
-Values are affinely rescaled (``(v - offset) / scale``) and rendered at a
-fixed number of decimals; the scaling travels with the bundle so responses
-can be mapped back.
+Values are divided by a positive scale and rendered at a fixed number of
+decimals; the scaling travels with the bundle so responses can be mapped
+back.
 """
 
 from __future__ import annotations
@@ -67,15 +67,13 @@ PAIRS_INSTRUCTION = (
 
 @dataclass(frozen=True)
 class ScalingConfig:
-    """Affine rescaling and rendering precision for prompt serialization.
+    """Rescaling by a positive scale, with no shift, and rendering precision for
+    prompt serialization.
 
-    A derived scaling maps the 90th percentile of |values| to
-    ``SCALING_TARGET``: :meth:`from_values` for one sequence,
-    :meth:`per_channel` for every column of a window at once. Both apply
-    that rule in one place and give the same scaling bit for bit.
+    A derived scaling, :meth:`per_channel`, maps the 90th percentile of
+    |values| of each channel to ``SCALING_TARGET``.
     """
 
-    offset: float = 0.0
     scale: float = 1.0
     decimals: int = 0
 
@@ -86,26 +84,17 @@ class ScalingConfig:
             raise ValueError("decimals must be >= 0")
 
     @classmethod
-    def from_values(cls, values: Sequence[float] | np.ndarray, decimals: int = 0) -> "ScalingConfig":
-        """Scale so the 90th percentile of |values| maps to ``SCALING_TARGET``; offset 0."""
-        arr = np.asarray(values, dtype=np.float64).ravel()
-        if arr.size == 0:
-            raise EmptyInputError("cannot derive scaling from an empty sequence")
-        return cls.per_channel(arr[:, None], decimals)[0]
-
-    @classmethod
     def per_channel(cls, window: np.ndarray, decimals: int = 0) -> list["ScalingConfig"]:
-        """:meth:`from_values` of each column of a non-empty (I, d) window, bit for bit,
-        from one percentile call over the window."""
+        """One scaling per column of a non-empty (I, d) window: the column's 90th
+        percentile of |values| divided by ``SCALING_TARGET``, or 1.0 where that is 0."""
         quantiles = np.percentile(np.abs(window), 90.0, axis=0).tolist()
-        return [cls(offset=0.0, scale=q / SCALING_TARGET if q > 0.0 else 1.0, decimals=decimals)
-                for q in quantiles]
+        return [cls(scale=q / SCALING_TARGET if q > 0.0 else 1.0, decimals=decimals) for q in quantiles]
 
     def transform(self, values: np.ndarray) -> np.ndarray:
-        return (np.asarray(values, dtype=np.float64) - self.offset) / self.scale
+        return np.asarray(values, dtype=np.float64) / self.scale
 
     def invert(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values, dtype=np.float64) * self.scale + self.offset
+        return np.asarray(values, dtype=np.float64) * self.scale
 
 
 @dataclass(frozen=True)
@@ -134,14 +123,10 @@ def _join(tokens: Sequence[str], trailing_comma: bool = True) -> str:
     return joined + "," if trailing_comma else joined
 
 
-def render_sequence(
-    values: Sequence[float] | np.ndarray,
-    scaling: ScalingConfig,
-    trailing_comma: bool = True,
-) -> str:
-    """Comma-space joined rendering, by default with the trailing comma the
-    sequence styles use (``"-9, -13,"``)."""
-    return _join(_render_values(np.asarray(values, dtype=np.float64).ravel(), scaling), trailing_comma)
+def render_sequence(values: Sequence[float] | np.ndarray, scaling: ScalingConfig) -> str:
+    """Comma-space joined rendering with the trailing comma the sequence styles
+    use (``"-9, -13,"``)."""
+    return _join(_render_values(np.asarray(values, dtype=np.float64).ravel(), scaling))
 
 
 def build_prompt(

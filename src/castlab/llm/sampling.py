@@ -58,11 +58,7 @@ def submit_samples(
             "style": bundle.style,
             "system_text": bundle.system_text,
             "user_text": bundle.user_text,
-            "scaling": {
-                "offset": bundle.scaling.offset,
-                "scale": bundle.scaling.scale,
-                "decimals": bundle.scaling.decimals,
-            },
+            "scaling": {"scale": bundle.scaling.scale, "decimals": bundle.scaling.decimals},
             "expected_count": bundle.expected_count,
             "channel": channel,
         }) for channel, bundle in enumerate(bundles)]

@@ -64,17 +64,13 @@ class FilterSpec:
     def __post_init__(self):
         if self.kind not in FILTER_KINDS:
             raise InvalidSpecError(f"unknown filter kind {self.kind!r}")
-        if not math.isfinite(self.kernel_sigma):
-            raise InvalidSpecError(f"kernel_sigma must be finite, got {self.kernel_sigma!r}")
+        for key in ("kernel_sigma", "alpha"):
+            if not math.isfinite(getattr(self, key)):
+                raise InvalidSpecError(f"{key} must be finite, got {getattr(self, key)!r}")
         if self.kind == "gaussian_kernel" and self.kernel_sigma <= 0.0:
             raise InvalidSpecError("kernel_sigma must be > 0")
         if self.kind == "ema" and not 0.0 < self.alpha <= 1.0:
             raise InvalidSpecError("alpha must lie in (0, 1]")
-
-
-def _contamination_positions(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """Seeded uniform draw of ``count`` distinct positions out of ``n``."""
-    return rng.choice(n, size=count, replace=False)
 
 
 def inject_noise(series: TimeSeries, spec: NoiseSpec) -> TimeSeries:
@@ -99,7 +95,7 @@ def inject_noise(series: TimeSeries, spec: NoiseSpec) -> TimeSeries:
         count = _round_fraction(n, spec.contamination, math.floor)
         channel_std = series.values.std(axis=0)
         for c in range(d):
-            positions = _contamination_positions(rng, n, count)
+            positions = rng.choice(n, size=count, replace=False)
             if spec.kind == "constant":
                 offset = spec.epsilon if spec.epsilon is not None else 3.0 * channel_std[c]
                 values[positions, c] += offset

@@ -121,10 +121,6 @@ class ChannelStats:
         """Population statistics (ddof=0) of each channel."""
         return cls(series.values.mean(axis=0), series.values.std(axis=0))
 
-    def degenerate_channels(self) -> list[int]:
-        """Indices of channels whose std is not strictly positive."""
-        return [int(i) for i in np.flatnonzero(~(self.std > 0.0))]
-
 
 def validate_series(
     raw: Sequence | np.ndarray,
@@ -175,23 +171,13 @@ def chronological_split(
     return train, val, test
 
 
-def _check_stats(series: TimeSeries, stats: ChannelStats) -> None:
+def standardize(series: TimeSeries, stats: ChannelStats) -> TimeSeries:
+    """Per channel ``(x - mean) / std``; every channel's std must be above 0."""
     if stats.mean.shape[0] != series.channels or stats.std.shape[0] != series.channels:
         raise LabelCountMismatchError(
             f"stats cover {stats.mean.shape[0]} channels, series has {series.channels}"
         )
-    degenerate = stats.degenerate_channels()
-    if degenerate:
-        raise ZeroStdError(degenerate[0])
-
-
-def standardize(series: TimeSeries, stats: ChannelStats) -> TimeSeries:
-    """Per channel ``(x - mean) / std``."""
-    _check_stats(series, stats)
+    degenerate = np.flatnonzero(~(stats.std > 0.0))
+    if degenerate.size:
+        raise ZeroStdError(int(degenerate[0]))
     return series.with_values((series.values - stats.mean) / stats.std)
-
-
-def destandardize(series: TimeSeries, stats: ChannelStats) -> TimeSeries:
-    """Inverse of :func:`standardize`: per channel ``x * std + mean``."""
-    _check_stats(series, stats)
-    return series.with_values(series.values * stats.std + stats.mean)

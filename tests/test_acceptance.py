@@ -128,7 +128,7 @@ def test_criterion_3_codec_round_trip():
         rng = np.random.default_rng(3)
         for case in range(1000):
             decimals = int(rng.integers(0, 5))
-            scaling = ScalingConfig(offset=0.0, scale=1.0, decimals=decimals)
+            scaling = ScalingConfig(scale=1.0, decimals=decimals)
             tol = 0.5 * 10.0 ** (-decimals) * (1 + 1e-9)
             length = int(rng.integers(1, 12))
             values = rng.uniform(-1000.0, 1000.0, size=length)

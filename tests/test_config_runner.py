@@ -14,10 +14,20 @@ import numpy as np
 import pytest
 import yaml
 
-from castlab import LastValueForecaster, LlmPromptForecaster
-from castlab.llm.adapters import LlmAdapter
+from castlab import (
+    DecodingConfig,
+    FilterSpec,
+    FunctionSpec,
+    LastValueForecaster,
+    LinearModelConfig,
+    LlmPromptForecaster,
+    NoiseSpec,
+    SplitSpec,
+)
+from castlab.llm.adapters import HttpChatAdapter, LlmAdapter
 from castlab.config import (
     LlmForecasterConfig,
+    build_spec,
     config_from_dict,
     load_config,
 )
@@ -160,6 +170,13 @@ _REJECTED = {
     "filter-kernel-sigma-nan": (
         lambda raw: raw.update(filter={"kind": "gaussian_kernel", "kernel_sigma": float("nan")}),
         "bad filter spec: kernel_sigma must be finite, got nan"),
+    "linear-learning-rate-inf": (
+        lambda raw: raw.update(forecasters=[{"name": "lin", "linear": {"learning_rate": float("inf")}}]),
+        "bad forecaster 'lin' linear config: learning_rate must be finite and > 0, got inf"),
+    "decoding-temperature-nan": (
+        lambda raw: raw.update(forecasters=[{"name": "llm", "llm": {
+            "decoding": {"temperature": float("nan")}, "adapter": {"type": "mock", "responses": ["1"]}}}]),
+        "bad forecaster 'llm' decoding: temperature must be finite and >= 0, got nan"),
 }
 
 
@@ -170,6 +187,28 @@ def test_config_errors_name_what_is_wrong(tmp_path, change, message):
     change(raw)
     with pytest.raises(ConfigError, match=f"^{re.escape(message.format(tmp=tmp_path))}$"):
         config_from_dict(raw, base_dir=tmp_path)
+
+
+# every spec a config or the CLI builds with float parameters, each with a valid payload
+_FLOAT_SPECS = [(NoiseSpec, {"kind": "gaussian"}), (FilterSpec, {"kind": "gaussian_kernel"}),
+                (FilterSpec, {"kind": "ema"}), (FunctionSpec, {"kind": "sine"}), (SplitSpec, {}),
+                (LinearModelConfig, {}), (DecodingConfig, {}),
+                (HttpChatAdapter, {"endpoint": "http://x.invalid", "model": "m"})]
+
+
+def _float_parameters(make):
+    """``make``'s parameters annotated ``float`` (or ``float | None``), read as ``config._keywords`` reads them."""
+    return [k for k, p in inspect.signature(make).parameters.items()
+            if str(p.annotation).split(" |")[0] == "float"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("make,payload,key", [
+    pytest.param(make, payload, key, id="-".join(filter(None, (make.__name__, payload.get("kind"), key))))
+    for make, payload in _FLOAT_SPECS for key in _float_parameters(make)])
+def test_no_float_parameter_takes_a_nan_or_an_infinity(make, payload, key, value):
+    with pytest.raises(ConfigError, match=rf"^bad spec: (.* )?{key}\b"):
+        build_spec(make, {**payload, key: value}, "spec")
 
 
 def test_integral_floats_load_as_ints(tmp_path):

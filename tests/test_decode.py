@@ -14,7 +14,7 @@ from castlab.errors import (
 from castlab.llm.decode import _numeric_runs
 from castlab.llm.prompts import PROMPT_STYLES, render_sequence
 
-IDENTITY = ScalingConfig(offset=0.0, scale=1.0, decimals=0)
+IDENTITY = ScalingConfig(scale=1.0, decimals=0)
 
 
 def test_decode_plain_response():
@@ -116,9 +116,9 @@ def test_decode_unicode_minus():
 
 
 def test_decode_applies_inverse_scaling():
-    scaling = ScalingConfig(offset=5.0, scale=2.0, decimals=1)
-    out = decode_response("1.5, 2.5", 2, scaling)
-    assert np.allclose(out, [8.0, 10.0])
+    scaling = ScalingConfig(scale=2.0, decimals=1)
+    out = decode_response("1.5, -2.5", 2, scaling)
+    assert out.tolist() == [3.0, -5.0]
 
 
 def test_decode_decimals_and_scientific():
@@ -136,7 +136,7 @@ def _response_for_style(style: str, payload: str) -> str:
 @pytest.mark.parametrize("decimals", [0, 2, 4])
 def test_codec_round_trip_per_style(style, decimals):
     rng = np.random.default_rng(hash((style, decimals)) % 2**32)
-    scaling = ScalingConfig(offset=0.0, scale=1.0, decimals=decimals)
+    scaling = ScalingConfig(scale=1.0, decimals=decimals)
     tol = 0.5 * 10.0 ** (-decimals) * (1 + 1e-9)
     for _ in range(50):
         values = rng.uniform(-500.0, 500.0, size=8)
@@ -147,7 +147,7 @@ def test_codec_round_trip_per_style(style, decimals):
 
 def test_round_trip_with_scaling_tolerance_scales():
     rng = np.random.default_rng(77)
-    scaling = ScalingConfig(offset=3.0, scale=7.0, decimals=2)
+    scaling = ScalingConfig(scale=7.0, decimals=2)
     tol = 0.5 * 10.0 ** (-2) * scaling.scale * (1 + 1e-9)
     for _ in range(100):
         values = rng.uniform(-100.0, 100.0, size=6)

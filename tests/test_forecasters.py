@@ -24,6 +24,7 @@ from castlab.errors import ShapeMismatchError
 from castlab.eval import Forecaster, run_sliding
 from castlab.series import ForecastTask, SplitSpec, validate_series
 from castlab.llm.adapters import LlmAdapter
+from test_sampling import CountingMock
 
 
 def test_last_value_shapes():
@@ -133,7 +134,7 @@ def test_linear_single_shot_predict_refits_on_a_new_window():
 
 def test_llm_forecaster_channel_independent():
     # constant scripted response; two channels -> both columns decoded, each at its own scale
-    adapter = MockAdapter(["7, 8, 9"])
+    adapter = CountingMock(["7, 8, 9"])
     f = LlmPromptForecaster(
         adapter,
         style="llmtime_chat",
@@ -141,7 +142,7 @@ def test_llm_forecaster_channel_independent():
     )
     window = np.arange(20.0).reshape(10, 2)
     out = f.predict(window, 3)
-    scales = [ScalingConfig.from_values(values).scale for values in window.T]
+    scales = [scaling.scale for scaling in ScalingConfig.per_channel(window)]
     assert out.shape == (3, 2)
     assert np.allclose(out, np.outer([7, 8, 9], scales))
     assert adapter.calls == 6  # num_samples per channel
@@ -160,7 +161,8 @@ def test_llm_forecaster_median_aggregation():
     )
     window = np.arange(8.0).reshape(-1, 1)
     out = f.predict(window, 3)
-    assert out[:, 0].tolist() == [3.0 * ScalingConfig.from_values(window).scale] * 3
+    [scaling] = ScalingConfig.per_channel(window)
+    assert out[:, 0].tolist() == [3.0 * scaling.scale] * 3
 
 
 def test_llm_forecaster_derives_scaling_per_channel():

@@ -14,7 +14,7 @@ FIXTURE = np.array(
      -11, -9, -11, -12, -9, -10, -12, -8, -9, -13],
     dtype=float,
 )
-IDENTITY = ScalingConfig(offset=0.0, scale=1.0, decimals=0)
+IDENTITY = ScalingConfig(scale=1.0, decimals=0)
 
 
 def _golden(name: str) -> str:
@@ -48,28 +48,27 @@ def test_ts_cot_and_incontext_share_standard_system():
 
 
 def test_bundle_carries_expected_count_and_scaling():
-    scaling = ScalingConfig(offset=1.0, scale=2.0, decimals=3)
+    scaling = ScalingConfig(scale=2.0, decimals=3)
     bundle = build_prompt(FIXTURE, 7, "llmtime_chat", scaling)
     assert bundle.expected_count == 7
     assert bundle.scaling == scaling
 
 
-def test_render_applies_affine_scaling():
-    scaling = ScalingConfig(offset=10.0, scale=2.0, decimals=1)
-    assert render_sequence([12.0, 14.0], scaling) == "1.0, 2.0,"
-    assert render_sequence([12.0, 14.0], scaling, trailing_comma=False) == "1.0, 2.0"
+def test_render_divides_by_the_scale():
+    scaling = ScalingConfig(scale=2.0, decimals=1)
+    assert render_sequence([2.0, -4.0], scaling) == "1.0, -2.0,"
+    assert scaling.invert(scaling.transform(np.array([2.0, -4.0]))).tolist() == [2.0, -4.0]
 
 
-def test_scaling_from_values_percentile_rule():
+def test_scaling_percentile_rule():
     values = np.arange(1.0, 101.0)  # |v| 90th percentile = 90.1
-    scaling = ScalingConfig.from_values(values, decimals=2)
-    assert scaling.offset == 0.0
+    [scaling] = ScalingConfig.per_channel(values[:, None], decimals=2)
     assert abs(scaling.scale - np.percentile(values, 90) / 10.0) < 1e-12
     assert scaling.decimals == 2
 
 
 def test_scaling_from_constant_zero_falls_back():
-    scaling = ScalingConfig.from_values(np.zeros(5))
+    [scaling] = ScalingConfig.per_channel(np.zeros((5, 1)))
     assert scaling.scale == 1.0
 
 
@@ -94,7 +93,7 @@ def test_all_styles_build(style):
 def _reference_from_values(values, decimals):
     """The per-channel rule before ScalingConfig.per_channel: one percentile call per channel."""
     q = float(np.percentile(np.abs(np.asarray(values, dtype=np.float64).ravel()), 90.0))
-    return ScalingConfig(offset=0.0, scale=q / 10.0 if q > 0.0 else 1.0, decimals=decimals)
+    return ScalingConfig(scale=q / 10.0 if q > 0.0 else 1.0, decimals=decimals)
 
 
 def test_per_channel_scaling_equals_each_channels_own_bit_for_bit():
@@ -108,7 +107,6 @@ def test_per_channel_scaling_equals_each_channels_own_bit_for_bit():
             got = ScalingConfig.per_channel(window, decimals)
             want = [_reference_from_values(values, decimals) for values in window.T]
             assert got == want
-            assert [ScalingConfig.from_values(values, decimals) for values in window.T] == want
     assert [s.scale for s in ScalingConfig.per_channel(constant)][:2] == [1.0, 0.25]
 
 
@@ -143,11 +141,10 @@ def test_prompts_match_the_per_value_renderer_on_a_seeded_corpus(decimals):
     corpus += [np.array([0.5, 1.5, 2.5, -0.5, -0.0, 0.0, 1e-9, -2.675]),
                np.array([1e12, -1e12, 12345.6789, -0.004999])]
     for values in corpus:
-        for scaling in (ScalingConfig.from_values(values, decimals),
-                        ScalingConfig(offset=0.3, scale=0.7, decimals=decimals)):
+        for scaling in (ScalingConfig.per_channel(values[:, None], decimals)[0],
+                        ScalingConfig(scale=0.7, decimals=decimals)):
             reference = _reference_render(values, scaling)
             assert render_sequence(values, scaling) == reference
-            assert render_sequence(values, scaling, trailing_comma=False) == reference[:-1]
             for style in ("llmtime_base", "llmtime_chat", "ts_cot"):
                 assert reference in build_prompt(values, 2, style, scaling).user_text
             incontext = build_prompt(values, 2, "ts_incontext", scaling, shots=3).user_text

@@ -28,6 +28,20 @@ IDENTITY = ScalingConfig(decimals=0)
 BUNDLE = build_prompt(np.array([1.0, 2.0, 3.0, 4.0]), 3, "llmtime_chat", IDENTITY)
 
 
+class CountingMock(MockAdapter):
+    """A MockAdapter that counts the calls it serves."""
+
+    def __init__(self, responses):
+        super().__init__(responses)
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def draw(self, *args):
+        with self._lock:
+            self.calls += 1
+        return super().draw(*args)
+
+
 def _sample(adapter, bundles, cfg, executor=None, **transcript):
     """Submit then collect, on ``executor`` or on one worker that runs the tasks in order."""
     with ThreadPoolExecutor(1) as own:
@@ -53,7 +67,7 @@ def test_mock_retry_after_garbage():
 
 
 def test_all_samples_failed():
-    adapter = MockAdapter(["garbage"])
+    adapter = CountingMock(["garbage"])
     cfg = DecodingConfig(num_samples=3, max_attempts_per_sample=2)
     with pytest.raises(AllSamplesFailedError):
         _sample(adapter, [BUNDLE], cfg)
@@ -72,7 +86,7 @@ def test_reproducible_with_deterministic_adapter():
 
 def test_bundles_share_one_queue_and_come_back_grouped_in_sample_order(tmp_path):
     other = build_prompt(np.array([10.0, 20.0, 30.0, 40.0]), 3, "llmtime_chat", IDENTITY)
-    adapter = MockAdapter(["1, 2, 3", "4, 5, 6", "7, 8, 9"])
+    adapter = CountingMock(["1, 2, 3", "4, 5, 6", "7, 8, 9"])
     transcript = TranscriptWriter(tmp_path / "t.jsonl")
     cfg = DecodingConfig(num_samples=4, max_attempts_per_sample=1)
     with ThreadPoolExecutor(3) as pool:
@@ -111,7 +125,7 @@ def test_a_bundle_without_successes_fails_the_call_after_every_task_ends():
 
 
 def test_all_samples_failed_on_an_executor():
-    adapter = MockAdapter(["garbage"])
+    adapter = CountingMock(["garbage"])
     cfg = DecodingConfig(num_samples=3, max_attempts_per_sample=2)
     with ThreadPoolExecutor(2) as pool, pytest.raises(AllSamplesFailedError):
         _sample(adapter, [BUNDLE], cfg, pool)
@@ -140,7 +154,7 @@ def test_transcript_records_exchanges(tmp_path):
     assert lines[0]["payload"]["error"] is not None
     assert lines[1]["payload"]["error"] is None
     assert lines[1]["payload"]["response"] == "1, 2, 3"
-    assert lines[1]["payload"]["scaling"] == {"offset": 0.0, "scale": 1.0, "decimals": 0}
+    assert lines[1]["payload"]["scaling"] == {"scale": 1.0, "decimals": 0}
     assert lines[1]["payload"]["channel"] == 0
     assert lines[1]["payload"]["forecaster"] == "f"
     transcript.close()
@@ -200,7 +214,7 @@ def test_transcript_lines_equal_one_json_dumps_of_each_record(tmp_path, monkeypa
                 raise AdapterError(503, 'busy "now"\n')
             return ["no numbers − “here”", "1, 2, 3"][attempt - 2]
 
-    bundles = [PromptBundle("ts_cot", 'say "hi"\nthen −', 'x −1, "2"\n\tüber\\ 3,', ScalingConfig(0.5, 2.0, 1), 3),
+    bundles = [PromptBundle("ts_cot", 'say "hi"\nthen −', 'x −1, "2"\n\tüber\\ 3,', ScalingConfig(2.0, 1), 3),
                BUNDLE]
     path = tmp_path / "t.jsonl"
     transcript = TranscriptWriter(path)
@@ -218,8 +232,7 @@ def test_transcript_lines_equal_one_json_dumps_of_each_record(tmp_path, monkeypa
                     "style": bundle.style,
                     "system_text": bundle.system_text,
                     "user_text": bundle.user_text,
-                    "scaling": {"offset": bundle.scaling.offset, "scale": bundle.scaling.scale,
-                                "decimals": bundle.scaling.decimals},
+                    "scaling": {"scale": bundle.scaling.scale, "decimals": bundle.scaling.decimals},
                     "expected_count": bundle.expected_count,
                     "channel": channel,
                     "sample_index": index,
@@ -289,12 +302,12 @@ def test_mock_serves_each_prompt_its_script_whatever_the_call_order():
     draws = {(p, i, a): script[((a - 1) * 2 + i) % 5] for p in prompts for i in (0, 1) for a in (1, 2, 3)}
     order = list(draws) * 7
     random.Random(4).shuffle(order)
-    adapter = MockAdapter(script)
+    adapter = CountingMock(script)
     assert [adapter.draw(*p, cfg, i, a) for p, i, a in order] == [draws[d] for d in order]
     assert adapter.complete("sys", "a", cfg) == "1"  # sample 0's first attempt
     assert adapter.calls == len(order) + 1
 
-    adapter = MockAdapter(script)
+    adapter = CountingMock(script)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -333,8 +346,8 @@ def test_a_mock_forecast_does_not_depend_on_thread_scheduling(yield_in_call):
         f.close()
     [forecast] = forecasts
     # samples 0 and 1 decode on their second attempt: entries 2 and 3
-    scale = ScalingConfig.from_values(window).scale
-    assert np.allclose(np.frombuffer(forecast), np.array([5.0, 5.5, 6.0, 6.5]) * scale, rtol=1e-15)
+    [scaling] = ScalingConfig.per_channel(window)
+    assert np.allclose(np.frombuffer(forecast), np.array([5.0, 5.5, 6.0, 6.5]) * scaling.scale, rtol=1e-15)
 
 
 def test_http_adapter_wire_format(monkeypatch):

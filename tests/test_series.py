@@ -5,7 +5,6 @@ from castlab import (
     ChannelStats,
     SplitSpec,
     chronological_split,
-    destandardize,
     standardize,
     validate_series,
 )
@@ -116,18 +115,20 @@ def test_standardize_round_trip():
     for _ in range(20):
         ts = validate_series(rng.normal(scale=50.0, size=(30, 4)))
         stats = ChannelStats.from_series(ts)
-        back = destandardize(standardize(ts, stats), stats)
-        assert np.allclose(back.values, ts.values, rtol=1e-9, atol=1e-9)
-        fwd = standardize(destandardize(ts, stats), stats)
-        assert np.allclose(fwd.values, ts.values, rtol=1e-9, atol=1e-9)
+        out = standardize(ts, stats).values
+        assert np.allclose(out.mean(axis=0), 0.0, atol=1e-12)
+        assert np.allclose(out.std(axis=0), 1.0, rtol=1e-12)
+        assert np.allclose(out * stats.std + stats.mean, ts.values, rtol=1e-9, atol=1e-9)
 
 
 def test_standardize_zero_std():
     ts = validate_series(np.ones((5, 2)))
-    stats = ChannelStats.from_series(ts)
-    assert stats.degenerate_channels() == [0, 1]
-    with pytest.raises(ZeroStdError):
-        standardize(ts, stats)
+    for std, channel in (([0.0, 0.0], 0), ([1.0, 0.0], 1), ([1.0, np.nan], 1)):
+        with pytest.raises(ZeroStdError) as err:
+            standardize(ts, ChannelStats(mean=[1.0, 1.0], std=std))
+        assert err.value.channel == channel
+    with pytest.raises(LabelCountMismatchError, match="stats cover 1 channels"):
+        standardize(ts, ChannelStats(mean=[1.0], std=[1.0]))
 
 
 def test_split_spec_validation():
