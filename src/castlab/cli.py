@@ -78,7 +78,8 @@ def _add_task_args(parser: argparse.ArgumentParser) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config, keys_for(ExperimentConfig, vars(args)))
     if "dry_run" in args:
-        print(f"config OK: {len(config.datasets)} dataset(s), {len(config.forecasters)} forecaster(s)")
+        print(f"config OK: {len(config.datasets)} dataset(s), {len(config.forecasters)} forecaster(s), "
+              f"{len(config.cells())} cell(s)")
         return 0
     result = run_experiment(config)
     print(f"summary: {result.summary_path}")

@@ -31,8 +31,9 @@ Schema (see README for a complete annotated example)::
         baseline: {type: last_value}
 
 API keys are never read from the config file; HTTP adapters name an
-environment variable (``api_key_env``) instead. Grid cells run one after
-another, in the order of ``ExperimentConfig.cells()``. One key rule holds
+environment variable (``api_key_env``) instead. ``ExperimentConfig.cells()``
+lists the grid in run order; each cell carries its noise spec, built once per
+sweep value at load, with the replicate added to the seed. One key rule holds
 below the root: each section and entry takes the parameters of what it
 builds, and any other key is a ConfigError naming the entry, the section and
 the key, as are ``name`` in a baseline and ``session`` in an adapter. A
@@ -47,9 +48,10 @@ a bool or a quoted number (``"30"``) is rejected by key, and an int
 parameter takes an integral float as an int. Malformed values raise
 ConfigError; ``build_forecaster``, the one forecaster builder, builds each
 entry once at load time, so a value a constructor rejects (a prompt style,
-an http endpoint) fails the config rather than its cells. Names are
-non-empty strings, and sweep values are finite and distinct, so no two cells
-share an identity.
+an http endpoint) fails the config rather than its cells. So does a sweep
+value the noise spec rejects, or a sweep parameter its kind does not read.
+Names are non-empty strings, and sweep values are finite and distinct, so no
+two cells share an identity.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -81,7 +83,7 @@ from .llm.adapters import (
     read_responses,
 )
 from .llm.decode import DecodingConfig
-from .noise import FilterSpec, NoiseSpec
+from .noise import NOISE_PARAMETERS, FilterSpec, NoiseSpec
 from .series import ForecastTask, SplitSpec
 
 BASELINES = {"last_value": LastValueForecaster, "seasonal_repeat": SeasonalRepeatForecaster,
@@ -89,13 +91,8 @@ BASELINES = {"last_value": LastValueForecaster, "seasonal_repeat": SeasonalRepea
 ADAPTERS = {"mock": MockAdapter, "http": HttpChatAdapter}
 BASELINE_TYPES = tuple(BASELINES)
 
-SWEEPABLE_PARAMETERS = (
-    "noise.sigma",
-    "noise.contamination",
-    "noise.epsilon",
-    "noise.amplitude",
-    "noise.frequency",
-)
+SWEEPABLE_PARAMETERS = tuple(dict.fromkeys(f"noise.{key}" for keys in NOISE_PARAMETERS.values()
+                                           for key in keys))
 
 
 @dataclass(frozen=True)
@@ -159,12 +156,14 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class Cell:
-    """One run of the grid: a forecaster on a dataset at one sweep value and replicate."""
+    """One run of the grid: a forecaster on a dataset at one sweep value and replicate,
+    with the noise spec its input windows are corrupted with (None: they are not)."""
 
     dataset: DatasetConfig
     forecaster: ForecasterConfig
     sweep_value: float | None = None
     replicate: int = 0
+    noise: NoiseSpec | None = None
 
 
 @dataclass(frozen=True)
@@ -179,19 +178,37 @@ class ExperimentConfig:
     noise: NoiseSpec | None = None
     noise_filter: FilterSpec | None = None
     sweep: SweepConfig | None = None
+    _noise_at: dict = field(init=False, repr=False, compare=False)  # sweep value -> noise spec
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}")
         if self.metric_space not in METRIC_SPACES:
             raise ValueError(f"metric_space must be one of {METRIC_SPACES}")
+        noise_at = {None: self.noise}  # the key None: no sweep
+        if self.sweep is not None:
+            parameter = self.sweep.parameter
+            key = parameter.split(".", 1)[1]
+            if self.noise is not None and key not in NOISE_PARAMETERS[self.noise.kind]:
+                raise ValueError(f"noise kind {self.noise.kind!r} does not read {parameter}; sweep one of "
+                                 f"{tuple(f'noise.{k}' for k in NOISE_PARAMETERS[self.noise.kind])}")
+            noise_at = {}
+            for v in self.sweep.values:  # one spec per value, so NoiseSpec checks each here
+                try:
+                    noise_at[v] = None if self.noise is None else replace(self.noise, **{key: v})
+                except CastlabError as exc:
+                    raise ValueError(f"sweep value {v!r} of {parameter}: {exc}") from None
+        object.__setattr__(self, "_noise_at", noise_at)
 
     def cells(self) -> list[Cell]:
-        """The grid, in run order: dataset x forecaster x sweep value x replicate."""
-        points = ([(v, rep) for v in self.sweep.values for rep in range(self.sweep.replicates)]
-                  if self.sweep is not None else [(None, 0)])
-        return [Cell(ds, fc, value, rep) for ds in self.datasets for fc in self.forecasters
-                for value, rep in points]
+        """The grid, in run order: dataset x forecaster x sweep value x replicate. A
+        cell's noise is its sweep value's spec with the replicate added to the seed."""
+        points = [(value, rep, noise if noise is None or not rep
+                   else replace(noise, seed=noise.seed + rep))
+                  for value, noise in self._noise_at.items()
+                  for rep in range(self.sweep.replicates if self.sweep is not None else 1)]
+        return [Cell(ds, fc, value, rep, noise) for ds in self.datasets for fc in self.forecasters
+                for value, rep, noise in points]
 
 
 def _require(mapping: dict, key: str, context: str) -> Any:
@@ -373,18 +390,12 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     task = build_spec(ForecastTask, _require(raw, "task", "config"), "task")
     split = build_spec(SplitSpec, raw.get("split", {}), "split")
 
-    noise = None
-    if raw.get("noise") is not None:
-        noise = build_spec(NoiseSpec, raw["noise"], "noise spec")
-    noise_filter = None
-    if raw.get("filter") is not None:
-        noise_filter = build_spec(FilterSpec, raw["filter"], "filter spec")
-
-    sweep = None
-    if raw.get("sweep") is not None:
-        sweep = build_spec(SweepConfig, raw["sweep"], "sweep")
-        if noise is None:
-            raise ConfigError("a sweep over noise parameters requires a 'noise' section")
+    noise, noise_filter, sweep = (
+        None if raw.get(key) is None else build_spec(make, raw[key], context)
+        for key, make, context in (("noise", NoiseSpec, "noise spec"),
+                                   ("filter", FilterSpec, "filter spec"), ("sweep", SweepConfig, "sweep")))
+    if sweep is not None and noise is None:
+        raise ConfigError("a sweep over noise parameters requires a 'noise' section")
 
     root = {k: raw[k] for k in ("protocol", "metric_space") if k in raw}
     if "output_dir" in raw:

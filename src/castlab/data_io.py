@@ -53,6 +53,8 @@ class FunctionSpec:
             raise ValueError("length must be >= 2")
         if not 0.0 <= self.noise_std < np.inf:
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 def _base_function(kind: str, t: np.ndarray) -> np.ndarray:

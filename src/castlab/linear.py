@@ -92,6 +92,8 @@ class LinearModelConfig:
             raise ValueError("patience must be >= 0")
         if self.decomposition_kernel < 1 or self.decomposition_kernel % 2 == 0:
             raise ValueError("decomposition_kernel must be an odd positive integer")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

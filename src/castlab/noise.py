@@ -18,7 +18,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import InvalidSpecError
 from .series import TimeSeries, _round_fraction
 
-NOISE_KINDS = ("gaussian", "constant", "missing", "freq_add", "freq_replace")
+# each corruption kind and the parameters it reads besides its seed
+NOISE_PARAMETERS = {"gaussian": ("sigma",), "constant": ("contamination", "epsilon"),
+                    "missing": ("contamination", "epsilon"), "freq_add": ("amplitude", "frequency"),
+                    "freq_replace": ("amplitude", "frequency")}
+NOISE_KINDS = tuple(NOISE_PARAMETERS)
 FILTER_KINDS = ("gaussian_kernel", "ema")
 
 
@@ -51,6 +55,8 @@ class NoiseSpec:
             raise InvalidSpecError("sigma must be >= 0")
         if not 0.0 <= self.contamination <= 1.0:
             raise InvalidSpecError("contamination must lie in [0, 1]")
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

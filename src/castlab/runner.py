@@ -1,4 +1,7 @@
-"""Experiment orchestration: run every dataset x forecaster cell, record each one.
+"""Experiment orchestration: run each cell of the config's grid, record each one.
+
+A cell comes from ``ExperimentConfig.cells()`` with its noise spec already
+built, so the runner only loads datasets, runs cells and writes records.
 
 Outputs under ``output_dir``:
 
@@ -29,18 +32,16 @@ from __future__ import annotations
 import csv
 import json
 import traceback
-from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import Cell, DatasetConfig, ExperimentConfig, build_forecaster
+from .config import Cell, ExperimentConfig, build_forecaster
 from .data_io import generate_function_series, load_csv
 from .errors import RecordError
 from .eval import CostRecord, EvalReport, compare_cost_families, run_last_sample, run_sliding
 from .llm.adapters import TranscriptWriter
-from .noise import NoiseSpec
 from .series import TimeSeries
 
 SUMMARY_COLUMNS = (
@@ -83,25 +84,6 @@ class ExperimentResult:
     cost_lines: list[str]
 
 
-def _load_dataset(cfg: DatasetConfig) -> TimeSeries:
-    if cfg.csv is not None:
-        return load_csv(**cfg.csv)
-    assert cfg.function is not None
-    return generate_function_series(cfg.function)
-
-
-def _cell_noise(config: ExperimentConfig, cell: Cell) -> NoiseSpec | None:
-    noise = config.noise
-    if noise is None:
-        return None
-    if cell.sweep_value is not None and config.sweep is not None:
-        field = config.sweep.parameter.split(".", 1)[1]
-        noise = replace(noise, **{field: cell.sweep_value})
-    if cell.replicate:
-        noise = replace(noise, seed=noise.seed + cell.replicate)
-    return noise
-
-
 def _failure(exc: Exception) -> tuple[str, str]:
     """The manifest's ``error`` and ``traceback`` of the exception being handled."""
     return f"{type(exc).__name__}: {exc}", traceback.format_exc()
@@ -130,7 +112,7 @@ def _run_cell(
             split=config.split,
             metric_space=config.metric_space,
             dataset_name=cell.dataset.name,
-            noise=_cell_noise(config, cell),
+            noise=cell.noise,
             noise_filter=config.noise_filter,
         )
     except Exception as exc:  # one cell's failure is itemized, never fatal to the batch
@@ -139,24 +121,6 @@ def _run_cell(
         if forecaster is not None:
             forecaster.close()
     return result
-
-
-def _run_dataset(
-    config: ExperimentConfig,
-    dataset: DatasetConfig,
-    cells: list[Cell],
-    transcript: TranscriptWriter | None,
-) -> Iterator[CellResult]:
-    """Load ``dataset`` once and run each of its ``cells`` on it, yielding each as it ends.
-
-    The series is dropped once the last cell has run, so a run holds one dataset at a time.
-    """
-    try:
-        series = _load_dataset(dataset)
-    except Exception as exc:  # each of the dataset's cells fails with it
-        series = _failure(exc)
-    for c in cells:
-        yield _run_cell(config, c, series, transcript)
 
 
 def _record(config: ExperimentConfig, res: CellResult) -> dict:
@@ -253,10 +217,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Three steps: remove an earlier run's files, run the cells while
     appending each one's record to cells.jsonl as it ends, then
-    ``write_views``. Cells run dataset by dataset; each dataset is loaded
-    once and shared by its cells, and a dataset that fails to load fails
-    each of its cells. Returns status 0 when every cell succeeded, 1
-    otherwise; the manifest itemizes each failed cell exactly once.
+    ``write_views``. Cells run in ``config.cells()`` order, which lists each
+    dataset's cells together: a dataset is loaded when its first cell comes
+    up and shared by its cells, so one series is held at a time, and a
+    dataset that fails to load fails each of its cells. Returns status 0
+    when every cell succeeded, 1 otherwise; the manifest itemizes each
+    failed cell exactly once.
     """
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -274,16 +240,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     uses_llm = any(f.llm is not None for f in config.forecasters)
     transcript = TranscriptWriter(out / "transcripts.jsonl") if uses_llm else None
 
-    cells = config.cells()
     results: list[CellResult] = []
+    dataset = series = None
     try:
         with open(out / "cells.jsonl", "w", encoding="utf-8") as records:
-            for ds in config.datasets:
-                for res in _run_dataset(config, ds, [c for c in cells if c.dataset is ds],
-                                        transcript):
-                    results.append(res)
-                    records.write(json.dumps(_record(config, res), separators=(",", ":")) + "\n")
-                    records.flush()
+            for cell in config.cells():
+                if cell.dataset is not dataset:  # the grid lists each dataset's cells together
+                    dataset, series = cell.dataset, None  # drop the last series before loading
+                    try:
+                        series = (load_csv(**dataset.csv) if dataset.csv is not None
+                                  else generate_function_series(dataset.function))
+                    except Exception as exc:  # each of the dataset's cells fails with it
+                        series = _failure(exc)
+                res = _run_cell(config, cell, series, transcript)
+                results.append(res)
+                records.write(json.dumps(_record(config, res), separators=(",", ":")) + "\n")
+                records.flush()
     finally:
         if transcript is not None:
             transcript.close()

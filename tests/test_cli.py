@@ -131,7 +131,7 @@ def test_cli_restates_no_choice_list_and_no_default():
 
 def test_shipped_configs_load(tmp_path, capsys):
     assert main(["run", str(CONFIGS / "offline-demo.yaml"), "--dry-run"]) == 0
-    assert "config OK" in capsys.readouterr().out
+    assert capsys.readouterr().out == "config OK: 3 dataset(s), 4 forecaster(s), 12 cell(s)\n"
     assert main(["generate-functions", str(CONFIGS / "function-specs.yaml"), str(tmp_path)]) == 0
     names = {"sine", "sine-noisy", "linear", "quadratic", "exponential", "sigmoid", "beat"}
     assert {p.name for p in tmp_path.glob("*.csv")} == {f"{n}.csv" for n in names}
@@ -235,6 +235,13 @@ _BAD_CONFIGS = {
     "fixture-5": ({"forecasters": [_llm_entry(adapter={"type": "mock", "fixture": 5})]}, ["mock fixture"]),
     "sweep-value-x": ({"noise": {"kind": "gaussian", "sigma": 0.0},
                        "sweep": {"parameter": "noise.sigma", "values": [0.1, "x"]}}, ["sweep value"]),
+    # sweep values the noise spec rejects
+    "sweep-sigma-negative": ({"noise": {"kind": "gaussian", "sigma": 0.0},
+                              "sweep": {"parameter": "noise.sigma", "values": [0.0, -1.0]}},
+                             ["noise.sigma", "-1.0"]),
+    "sweep-contamination-2": ({"noise": {"kind": "constant"},
+                               "sweep": {"parameter": "noise.contamination", "values": [0.1, 2.0]}},
+                              ["noise.contamination", "2.0"]),
     # values only a forecaster's constructor rejects
     "period-0": ({"forecasters": [{"name": "season", "baseline": {"type": "seasonal_repeat",
                                                                    "period": 0}}]}, ["'season'", "period"]),
@@ -418,6 +425,8 @@ _BAD_ARGS = {
                              "--test-fraction", "0.5", "--forecaster", "dlinear", "--period", "12"], None),
     "eval-test-fraction-1.5": (_EVAL + ["--input-length", "24", "--test-fraction", "1.5"], None),
     "eval-input-length-0": (_EVAL + ["--input-length", "0"], None),
+    "inject-noise-seed-negative": (["inject-noise", "--input", "{csv}", "--output", "{tmp}/noisy.csv",
+                                    "--kind", "gaussian", "--sigma", "0.1", "--seed", "-1"], None),
     "fit-linear-kernel-4": (["fit-linear", "--input", "{csv}", "--input-length", "64",
                              "--output-length", "16", "--kernel", "4", "--save", "{tmp}/m.json"], None),
     "function-without-kind": (_GENERATE, [{"name": "nameless", "length": 64}]),

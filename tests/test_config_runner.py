@@ -26,12 +26,14 @@ from castlab import (
 )
 from castlab.llm.adapters import HttpChatAdapter, LlmAdapter
 from castlab.config import (
+    SWEEPABLE_PARAMETERS,
     LlmForecasterConfig,
     build_spec,
     config_from_dict,
     load_config,
 )
 from castlab.errors import ConfigError
+from castlab.noise import NOISE_PARAMETERS
 from castlab import runner
 from castlab.cli import main
 from castlab.runner import TIMING_COLUMNS, run_experiment
@@ -148,6 +150,22 @@ _REJECTED = {
         lambda raw: raw.update(noise=_NOISE, sweep={"parameter": "noise.sigma", "values": [0.1],
                                                     "replicates": 0}),
         "bad sweep: replicates must be >= 1"),
+    # each sweep value builds its noise spec at load, which checks it
+    "sweep-sigma-negative": (
+        lambda raw: raw.update(noise=_NOISE, sweep={"parameter": "noise.sigma", "values": [0.0, -1.0]}),
+        "bad config: sweep value -1.0 of noise.sigma: sigma must be >= 0"),
+    "sweep-contamination-2": (
+        lambda raw: raw.update(noise={"kind": "constant"},
+                               sweep={"parameter": "noise.contamination", "values": [0.1, 2.0]}),
+        "bad config: sweep value 2.0 of noise.contamination: contamination must lie in [0, 1]"),
+    "sweep-parameter-unread": (
+        lambda raw: raw.update(noise=_NOISE, sweep={"parameter": "noise.contamination",
+                                                    "values": [0.1, 0.5]}),
+        "bad config: noise kind 'gaussian' does not read noise.contamination; "
+        "sweep one of ('noise.sigma',)"),
+    "sweep-without-noise": (
+        lambda raw: raw.update(sweep={"parameter": "noise.sigma", "values": [0.1]}),
+        "a sweep over noise parameters requires a 'noise' section"),
     "sweep-replicates-1001": (
         lambda raw: raw.update(noise=_NOISE, sweep={"parameter": "noise.sigma", "values": [0.1],
                                                     "replicates": 1001}),
@@ -209,6 +227,64 @@ def _float_parameters(make):
 def test_no_float_parameter_takes_a_nan_or_an_infinity(make, payload, key, value):
     with pytest.raises(ConfigError, match=rf"^bad spec: (.* )?{key}\b"):
         build_spec(make, {**payload, key: value}, "spec")
+
+
+_SEEDED_SPECS = [(make, payload) for make, payload in _FLOAT_SPECS
+                 if "seed" in inspect.signature(make).parameters]
+
+
+@pytest.mark.parametrize("make,payload", [pytest.param(make, payload, id=make.__name__)
+                                          for make, payload in _SEEDED_SPECS])
+def test_no_seed_takes_a_negative_value(make, payload):
+    build_spec(make, {**payload, "seed": 0}, "spec")
+    with pytest.raises(ConfigError, match=r"^bad spec: seed must be >= 0, got -1$"):
+        build_spec(make, {**payload, "seed": -1}, "spec")
+
+
+@pytest.mark.parametrize("kind,key", [pytest.param(kind, key, id=f"{kind}-{key}")
+                                      for kind, keys in NOISE_PARAMETERS.items() for key in keys])
+def test_each_parameter_a_noise_kind_reads_can_be_swept(tmp_path, kind, key):
+    raw = _base_config(tmp_path, noise={"kind": kind},
+                       sweep={"parameter": f"noise.{key}", "values": [0.0, 0.5]})
+    cfg = config_from_dict(raw, base_dir=tmp_path)
+    assert [(c.sweep_value, getattr(c.noise, key)) for c in cfg.cells()] == [(0.0, 0.0), (0.5, 0.5)]
+
+
+def _reference_cell_noise(config, cell):
+    """A cell's noise spec by the rule the runner once applied to each cell as it ran."""
+    noise = config.noise
+    if noise is None:
+        return None
+    if cell.sweep_value is not None and config.sweep is not None:
+        field = config.sweep.parameter.split(".", 1)[1]
+        noise = dataclasses.replace(noise, **{field: cell.sweep_value})
+    if cell.replicate:
+        noise = dataclasses.replace(noise, seed=noise.seed + cell.replicate)
+    return noise
+
+
+def _grid_configs():
+    """(id, config changes): no noise, noise without a sweep, and a sweep over each
+    sweepable parameter (under the first kind that reads it) at 2 values x 3 replicates."""
+    yield "no-noise", {}
+    yield "noise-without-sweep", {"noise": {"kind": "constant", "epsilon": 0.5, "seed": 3}}
+    for parameter in SWEEPABLE_PARAMETERS:
+        key = parameter.split(".", 1)[1]
+        kind = next(k for k, keys in NOISE_PARAMETERS.items() if key in keys)
+        yield f"sweep-{key}", {"noise": {"kind": kind, "seed": 7},
+                               "sweep": {"parameter": parameter, "values": [0.0, 0.25], "replicates": 3}}
+
+
+@pytest.mark.parametrize("changes", [pytest.param(c, id=i) for i, c in _grid_configs()])
+def test_each_cell_carries_the_noise_spec_the_runner_once_built_for_it(tmp_path, changes):
+    raw = _base_config(tmp_path, **changes)
+    raw["datasets"].append({"name": "line", "function": {"kind": "linear", "length": 100}})
+    raw["forecasters"].append({"name": "lin", "linear": {"max_epochs": 2}})
+    cfg = config_from_dict(raw, base_dir=tmp_path)
+    cells = cfg.cells()
+    assert len(cells) == 4 * (6 if "sweep" in changes else 1)
+    assert [c.noise for c in cells] == [_reference_cell_noise(cfg, c) for c in cells]
+    assert all((c.noise is None) == ("noise" not in changes) for c in cells)
 
 
 def test_integral_floats_load_as_ints(tmp_path):
@@ -429,18 +505,24 @@ def test_each_dataset_is_loaded_once_and_a_bad_one_fails_only_its_cells(tmp_path
     raw["forecasters"].append({"name": "poly", "baseline": {"type": "polynomial", "degree": 1}})
     cfg = config_from_dict(raw, base_dir=tmp_path)
 
-    loads = []
-    real_load_csv = runner.load_csv
+    events = []  # each load and each cell, in the order they happen
+    real_load_csv, real_run_cell = runner.load_csv, runner._run_cell
 
     def counting_load_csv(path, layout="plain"):
-        loads.append(path.name)
+        events.append(path.name)
         return real_load_csv(path, layout=layout)
 
+    def logged_run_cell(config, cell, *args):
+        events.append(cell.dataset.name)
+        return real_run_cell(config, cell, *args)
+
     monkeypatch.setattr(runner, "load_csv", counting_load_csv)
+    monkeypatch.setattr(runner, "_run_cell", logged_run_cell)
     for _ in range(2):
-        loads.clear()
+        events.clear()
         result = run_experiment(cfg)
-        assert sorted(loads) == ["bad.csv", "good.csv"]
+        # a dataset is loaded just before its first cell, so one series is held at a time
+        assert events == ["bad.csv", "bad", "bad", "good.csv", "good", "good"]
         assert result.status == 1
         manifest = json.loads(result.manifest_path.read_text())
         assert [(e["dataset"], e["forecaster"]) for e in manifest["errors"]] == [
