@@ -51,7 +51,10 @@ entry once at load time, so a value a constructor rejects (a prompt style,
 an http endpoint) fails the config rather than its cells. So does a sweep
 value the noise spec rejects, or a sweep parameter its kind does not read.
 Names are non-empty strings, and sweep values are finite and distinct, so no
-two cells share an identity.
+two cells share an identity. ``ExperimentConfig`` checks its own grid (at
+least one dataset and one forecaster, unique names, a sweep only with a noise
+section), so a config built directly or by ``dataclasses.replace`` is checked
+as a loaded one is.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -104,14 +107,15 @@ class DatasetConfig:
 
 @dataclass(frozen=True)
 class LlmForecasterConfig:
-    """An LLM forecaster's arguments; the defaults are LlmPromptForecaster's."""
+    """An LLM forecaster's arguments; ``forecaster_from_dict`` fills a key an entry
+    leaves out with LlmPromptForecaster's default."""
 
     adapter: Callable[[], LlmAdapter]  # an ADAPTERS constructor, the entry's keys bound
-    decoding: DecodingConfig = DecodingConfig()
-    style: str = "llmtime_chat"
-    decimals: int = 0
-    shots: int = 3
-    channel_concurrency: int = 1
+    decoding: DecodingConfig
+    style: str
+    decimals: int
+    shots: int
+    channel_concurrency: int
 
 
 @dataclass(frozen=True)
@@ -181,6 +185,14 @@ class ExperimentConfig:
     _noise_at: dict = field(init=False, repr=False, compare=False)  # sweep value -> noise spec
 
     def __post_init__(self):
+        for kind, entries in (("dataset", self.datasets), ("forecaster", self.forecasters)):
+            if not entries:
+                raise ConfigError(f"at least one {kind} is required")
+            names = [e.name for e in entries]
+            if len(set(names)) != len(names):
+                raise ConfigError(f"duplicate {kind} names: {names}")
+        if self.sweep is not None and self.noise is None:
+            raise ConfigError("a sweep over noise parameters requires a 'noise' section")
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}")
         if self.metric_space not in METRIC_SPACES:
@@ -189,13 +201,13 @@ class ExperimentConfig:
         if self.sweep is not None:
             parameter = self.sweep.parameter
             key = parameter.split(".", 1)[1]
-            if self.noise is not None and key not in NOISE_PARAMETERS[self.noise.kind]:
+            if key not in NOISE_PARAMETERS[self.noise.kind]:
                 raise ValueError(f"noise kind {self.noise.kind!r} does not read {parameter}; sweep one of "
                                  f"{tuple(f'noise.{k}' for k in NOISE_PARAMETERS[self.noise.kind])}")
             noise_at = {}
             for v in self.sweep.values:  # one spec per value, so NoiseSpec checks each here
                 try:
-                    noise_at[v] = None if self.noise is None else replace(self.noise, **{key: v})
+                    noise_at[v] = replace(self.noise, **{key: v})
                 except CastlabError as exc:
                     raise ValueError(f"sweep value {v!r} of {parameter}: {exc}") from None
         object.__setattr__(self, "_noise_at", noise_at)
@@ -262,10 +274,12 @@ def _keywords(make, payload: Any, context: str, barred: str | None = None) -> di
 
 def build_spec(make, payload: Any, context: str):
     """``make(**payload)``, the payload checked by ``_keywords``; a payload ``make``
-    rejects raises ConfigError naming ``context``."""
+    rejects raises ConfigError naming ``context``, unless ``make`` raised one itself."""
     payload = _keywords(make, payload, context)
     try:
         return make(**payload)
+    except ConfigError:
+        raise
     except (TypeError, ValueError, CastlabError) as exc:
         raise ConfigError(f"bad {context}: {exc}") from None
 
@@ -288,16 +302,8 @@ def build_forecaster(
     if cfg.baseline is not None:
         return cfg.baseline(name=cfg.name)
     assert cfg.llm is not None
-    return LlmPromptForecaster(
-        adapter=cfg.llm.adapter(),
-        style=cfg.llm.style,
-        decoding=cfg.llm.decoding,
-        decimals=cfg.llm.decimals,
-        shots=cfg.llm.shots,
-        transcript=transcript,
-        channel_concurrency=cfg.llm.channel_concurrency,
-        name=cfg.name,
-    )
+    return LlmPromptForecaster(**{**vars(cfg.llm), "adapter": cfg.llm.adapter()},
+                               transcript=transcript, name=cfg.name)
 
 
 def _entry(make, entry: Any, kind: str) -> tuple[str, str, Any]:
@@ -357,7 +363,9 @@ def forecaster_from_dict(d: Any, base_dir: Path) -> ForecasterConfig:
         if adapter.get("type") == "mock":  # the script replaces its fixture
             adapter = {**{k: v for k, v in adapter.items() if k != "fixture"},
                        "responses": _mock_script(adapter, base_dir, f"{where} adapter")}
-        given = {**llm, "adapter": _constructor(ADAPTERS, adapter, f"{where} adapter", barred="session")}
+        defaults = inspect.signature(LlmPromptForecaster).parameters  # for the keys left out
+        given = {**{f.name: defaults[f.name].default for f in fields(LlmForecasterConfig)}, **llm,
+                 "adapter": _constructor(ADAPTERS, adapter, f"{where} adapter", barred="session")}
         if "decoding" in llm:
             given["decoding"] = build_spec(DecodingConfig, llm["decoding"], f"{where} decoding")
         spec = build_spec(LlmForecasterConfig, given, where)
@@ -373,20 +381,8 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> ExperimentConfig:
 
     datasets = [_dataset_from_dict(d, base_dir)
                 for d in _checked(_require(raw, "datasets", "config"), list, "datasets")]
-    if not datasets:
-        raise ConfigError("at least one dataset is required")
-    names = [d.name for d in datasets]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"duplicate dataset names: {names}")
-
     forecasters = [forecaster_from_dict(f, base_dir)
                    for f in _checked(_require(raw, "forecasters", "config"), list, "forecasters")]
-    if not forecasters:
-        raise ConfigError("at least one forecaster is required")
-    fnames = [f.name for f in forecasters]
-    if len(set(fnames)) != len(fnames):
-        raise ConfigError(f"duplicate forecaster names: {fnames}")
-
     task = build_spec(ForecastTask, _require(raw, "task", "config"), "task")
     split = build_spec(SplitSpec, raw.get("split", {}), "split")
 
@@ -394,8 +390,6 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> ExperimentConfig:
         None if raw.get(key) is None else build_spec(make, raw[key], context)
         for key, make, context in (("noise", NoiseSpec, "noise spec"),
                                    ("filter", FilterSpec, "filter spec"), ("sweep", SweepConfig, "sweep")))
-    if sweep is not None and noise is None:
-        raise ConfigError("a sweep over noise parameters requires a 'noise' section")
 
     root = {k: raw[k] for k in ("protocol", "metric_space") if k in raw}
     if "output_dir" in raw:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -112,7 +112,8 @@ class EvalReport:
     output_length: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # field by field: asdict deep-copies every tuple and float
+        return {**vars(self), "cost": dict(vars(self.cost))}
 
 
 def compute_metrics(pred: np.ndarray, truth: np.ndarray) -> Metrics:
@@ -130,11 +131,12 @@ def compute_metrics(pred: np.ndarray, truth: np.ndarray) -> Metrics:
     if p.shape != t.shape:
         raise ShapeMismatchError(f"pred shape {p.shape} != truth shape {t.shape}")
     diff = p - t
+    absolute, squared = np.abs(diff), diff**2
     return Metrics(
-        mae=float(np.mean(np.abs(diff))),
-        mse=float(np.mean(diff**2)),
-        per_channel_mae=tuple(float(v) for v in np.mean(np.abs(diff), axis=0)),
-        per_channel_mse=tuple(float(v) for v in np.mean(diff**2, axis=0)),
+        mae=float(np.mean(absolute)),
+        mse=float(np.mean(squared)),
+        per_channel_mae=tuple(np.mean(absolute, axis=0).tolist()),
+        per_channel_mse=tuple(np.mean(squared, axis=0).tolist()),
     )
 
 

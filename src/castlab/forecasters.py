@@ -182,7 +182,7 @@ class LlmPromptForecaster(Forecaster):
         self,
         adapter: LlmAdapter,
         style: str = "llmtime_chat",
-        decoding: DecodingConfig | None = None,
+        decoding: DecodingConfig = DecodingConfig(),
         decimals: int = 0,
         shots: int = 3,
         transcript: TranscriptWriter | None = None,
@@ -199,7 +199,7 @@ class LlmPromptForecaster(Forecaster):
             raise ValueError("shots must be >= 1")
         self.adapter = adapter
         self.style = style
-        self.decoding = decoding or DecodingConfig()
+        self.decoding = decoding
         self.decimals = decimals
         self.shots = shots
         self.transcript = transcript

@@ -87,14 +87,14 @@ def inject_noise(series: TimeSeries, spec: NoiseSpec) -> TimeSeries:
     constant/missing position subsets are drawn channel by channel, in
     channel order, via ``rng.choice(n, floor(contamination*n), replace=False)``.
     """
-    values = series.values.copy()
-    n, d = values.shape
-
     if spec.kind == "gaussian":
         if spec.sigma == 0.0:
-            return series.with_values(values)
+            return series  # its values are read-only
         rng = np.random.default_rng(spec.seed)
-        return series.with_values(values + rng.normal(0.0, spec.sigma, size=values.shape))
+        return series.with_values(series.values + rng.normal(0.0, spec.sigma, size=series.values.shape))
+
+    values = series.values.copy()
+    n, d = values.shape
 
     if spec.kind in ("constant", "missing"):
         rng = np.random.default_rng(spec.seed)

@@ -28,8 +28,11 @@ from castlab.llm.adapters import HttpChatAdapter, LlmAdapter
 from castlab.config import (
     SWEEPABLE_PARAMETERS,
     LlmForecasterConfig,
+    SweepConfig,
+    build_forecaster,
     build_spec,
     config_from_dict,
+    forecaster_from_dict,
     load_config,
 )
 from castlab.errors import ConfigError
@@ -298,18 +301,31 @@ def test_integral_floats_load_as_ints(tmp_path):
     assert ints == (40, 3, 2, 3, 1) and all(type(v) is int for v in ints)
 
 
-# config dataclass -> the constructor it feeds, with {config field: constructor parameter}
-_MIRRORED_DEFAULTS = {
-    "llm": (LlmForecasterConfig, LlmPromptForecaster,
-            {k: k for k in ("style", "decimals", "shots", "channel_concurrency")}),
+# the grid rules of _REJECTED, each as the same change made to a loaded config
+_GRID_CHANGES = {
+    "datasets-empty": lambda cfg: {"datasets": ()},
+    "datasets-repeat": lambda cfg: {"datasets": cfg.datasets * 2},
+    "forecasters-empty": lambda cfg: {"forecasters": ()},
+    "forecasters-repeat": lambda cfg: {"forecasters": cfg.forecasters * 2},
+    "sweep-without-noise": lambda cfg: {"sweep": SweepConfig("noise.sigma", (0.0, 0.5))},
 }
 
 
-@pytest.mark.parametrize("config,make,pairs", _MIRRORED_DEFAULTS.values(), ids=_MIRRORED_DEFAULTS.keys())
-def test_config_defaults_are_the_constructor_defaults(config, make, pairs):
-    defaults = {f.name: f.default for f in dataclasses.fields(config)}
-    parameters = inspect.signature(make).parameters
-    assert {k: defaults[k] for k in pairs} == {k: parameters[p].default for k, p in pairs.items()}
+@pytest.mark.parametrize("rule", _GRID_CHANGES)
+def test_a_replaced_config_is_checked_as_a_loaded_one(tmp_path, rule):
+    cfg = config_from_dict(_base_config(tmp_path), base_dir=tmp_path)
+    with pytest.raises(ConfigError, match=f"^{re.escape(_REJECTED[rule][1])}$"):
+        dataclasses.replace(cfg, **_GRID_CHANGES[rule](cfg))
+
+
+def test_an_llm_entry_takes_the_forecasters_defaults_for_the_keys_it_leaves_out(tmp_path):
+    assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(LlmForecasterConfig))
+    entry = {"name": "llm", "llm": {"adapter": {"type": "mock", "responses": ["1"]}}}
+    forecaster = build_forecaster(forecaster_from_dict(entry, tmp_path))
+    forecaster.close()
+    keys = ("style", "decimals", "shots", "channel_concurrency", "decoding")
+    parameters = inspect.signature(LlmPromptForecaster).parameters
+    assert {k: getattr(forecaster, k) for k in keys} == {k: parameters[k].default for k in keys}
 
 
 def test_load_config_yaml_and_overrides(tmp_path):

@@ -16,7 +16,7 @@ def _series(values):
 def test_gaussian_zero_sigma_is_identity():
     ts = _series(np.random.default_rng(0).normal(size=(20, 3)))
     out = inject_noise(ts, NoiseSpec(kind="gaussian", sigma=0.0, seed=1))
-    assert np.array_equal(out.values, ts.values)
+    assert out is ts
 
 
 def test_gaussian_deterministic_and_matches_stream():
