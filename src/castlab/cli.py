@@ -6,6 +6,8 @@ Subcommands:
   validates the config.
 * ``report <output_dir>``: rewrite a run's summary, manifest, plots and
   cost comparison from its ``cells.jsonl`` and exit with the run's status.
+* ``diff <run_a> <run_b>``: print the first 20 differences between two runs'
+  outputs, then their count; exit 0 if none, 1 if some, 2 if a run is unreadable.
 * ``generate-functions <specs.yaml> <out_dir>``: write synthetic function
   series as plain CSVs.
 * ``inject-noise`` / ``filter``: corrupt or smooth a CSV series.
@@ -40,7 +42,7 @@ from .errors import CastlabError, ConfigError, SeriesTooShortError
 from .eval import METRIC_SPACES, PROTOCOLS, run_last_sample, run_sliding
 from .linear import LOSSES, VARIANTS, LinearModelConfig, fit_single_shot, save_model
 from .noise import FILTER_KINDS, NOISE_KINDS, FilterSpec, NoiseSpec, apply_filter, inject_noise
-from .runner import run_experiment, write_views
+from .runner import diff_runs, run_experiment, write_views
 from .series import ForecastTask, SplitSpec, TimeSeries
 
 
@@ -97,6 +99,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for line in cost_lines:
         print(line)
     return status
+
+
+def _cmd_diff(args: argparse.Namespace) -> int:
+    diffs = diff_runs(Path(args.run_a), Path(args.run_b))
+    print("\n".join([*diffs[:20], f"{len(diffs)} difference(s)"]))
+    return 1 if diffs else 0
 
 
 def _cmd_generate_functions(args: argparse.Namespace) -> int:
@@ -190,6 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--output-dir", dest="output_dir")
 
     command("report", _cmd_report, "rewrite a run's views from its cells.jsonl").add_argument("output_dir")
+    p_diff = command("diff", _cmd_diff, "compare two runs' outputs outside wall-clock fields")
+    p_diff.add_argument("run_a")
+    p_diff.add_argument("run_b")
 
     p_gen = command("generate-functions", _cmd_generate_functions, "write synthetic function CSVs")
     p_gen.add_argument("specs", help="YAML list of function specs")

@@ -23,7 +23,7 @@ from .errors import (
     RaggedRowsError,
     UnknownKindError,
 )
-from .series import TimeSeries, validate_series
+from .series import TimeSeries, _frozen, validate_series
 
 FUNCTION_KINDS = (
     "sine",
@@ -189,7 +189,7 @@ def load_csv(path: str | Path, layout: str = "plain") -> TimeSeries:
     if not p.exists():
         raise FileNotFoundError(str(p))
     values, names = _read_numeric(p, layout) or _read_rows(p, layout)
-    return validate_series(values, names=names)
+    return validate_series(_frozen(values), names=names)
 
 
 def write_csv(series: TimeSeries, path: str | Path) -> Path:

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidSpecError
-from .series import TimeSeries, _round_fraction
+from .series import TimeSeries, _frozen, _round_fraction
 
 # each corruption kind and the parameters it reads besides its seed
 NOISE_PARAMETERS = {"gaussian": ("sigma",), "constant": ("contamination", "epsilon"),
@@ -91,7 +91,7 @@ def inject_noise(series: TimeSeries, spec: NoiseSpec) -> TimeSeries:
         if spec.sigma == 0.0:
             return series  # its values are read-only
         rng = np.random.default_rng(spec.seed)
-        return series.with_values(series.values + rng.normal(0.0, spec.sigma, size=series.values.shape))
+        return series.with_values(_frozen(series.values + rng.normal(0.0, spec.sigma, size=series.values.shape)))
 
     values = series.values.copy()
     n, d = values.shape
@@ -108,7 +108,7 @@ def inject_noise(series: TimeSeries, spec: NoiseSpec) -> TimeSeries:
             else:
                 fill = spec.epsilon if spec.epsilon is not None else 0.0
                 values[positions, c] = fill
-        return series.with_values(values)
+        return series.with_values(_frozen(values))
 
     # freq_add / freq_replace
     t = np.arange(n, dtype=np.float64)
@@ -120,7 +120,7 @@ def inject_noise(series: TimeSeries, spec: NoiseSpec) -> TimeSeries:
             values[:, c] += amp * wave
         else:
             values[:, c] = amp * wave
-    return series.with_values(values)
+    return series.with_values(_frozen(values))
 
 
 def gaussian_kernel_weights(kernel_sigma: float) -> np.ndarray:
@@ -147,10 +147,10 @@ def apply_filter(series: TimeSeries, spec: FilterSpec) -> TimeSeries:
         padded = np.pad(values, ((radius, radius), (0, 0)), mode="edge")
         windows = sliding_window_view(padded, len(weights), axis=0)  # (n, d, k)
         smoothed = windows @ weights
-        return series.with_values(smoothed)
+        return series.with_values(_frozen(smoothed))
 
     out = np.empty_like(values)
     out[0] = values[0]
     for t in range(1, n):
         out[t] = spec.alpha * values[t] + (1.0 - spec.alpha) * out[t - 1]
-    return series.with_values(out)
+    return series.with_values(_frozen(out))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     EmptyInputError,
@@ -23,6 +24,29 @@ from .errors import (
 )
 
 _FRACTION_TOL = 1e-9
+
+# the non-array object ``as_strided`` (and so ``sliding_window_view``) leaves
+# between a view and the array whose memory it reads, as ``.base``
+_STRIDED_BASE = type(as_strided(np.empty(1)).base)
+
+
+def _read_only(arr, contiguous: bool = False) -> np.ndarray:
+    """``arr`` if no writeable array can change it (and ``contiguous`` holds), else a read-only copy."""
+    arr = np.asarray(arr)
+    owner = arr
+    while isinstance(owner, _STRIDED_BASE) or (
+            isinstance(owner, np.ndarray) and not owner.flags.writeable):
+        owner = owner.base
+    if owner is not None or (contiguous and not arr.flags.c_contiguous):
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, just built by the caller, marked read-only so a TimeSeries need not copy it."""
+    arr.setflags(write=False)
+    return arr
 
 
 def _round_fraction(n: int, fraction: float, rounding) -> int:
@@ -43,7 +67,9 @@ class TimeSeries:
     """A uniformly sampled multivariate sequence.
 
     Attributes:
-        values: float64 array of shape (length, channels); read-only.
+        values: float64 array of shape (length, channels); read-only and
+            C-contiguous. An array that is both, with no writeable array
+            sharing its memory, is kept; any other is copied.
         channel_names: optional tuple with one label per channel.
     """
 
@@ -52,11 +78,8 @@ class TimeSeries:
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr.reshape(-1, 1)
-        arr = np.array(arr, dtype=np.float64, copy=True)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        arr = arr.reshape(-1, 1) if arr.ndim == 1 else arr
+        object.__setattr__(self, "values", _read_only(arr, contiguous=True))
         if self.channel_names is not None:
             object.__setattr__(self, "channel_names", tuple(str(c) for c in self.channel_names))
 
@@ -69,7 +92,7 @@ class TimeSeries:
         return self.values.shape[1]
 
     def segment(self, start: int, stop: int) -> "TimeSeries":
-        """Contiguous sub-series over rows [start, stop)."""
+        """Contiguous sub-series over rows [start, stop), sharing this series' memory."""
         return TimeSeries(self.values[start:stop], self.channel_names)
 
     def with_values(self, values: np.ndarray) -> "TimeSeries":
@@ -130,7 +153,7 @@ def validate_series(
 
     Rejects empty input, non-finite entries (reporting the first offending
     row/channel), and label lists whose length does not match the channel
-    count. Values are copied, never mutated.
+    count. Values are never mutated, and copied as :class:`TimeSeries` does.
     """
     arr = np.asarray(raw, dtype=np.float64)
     if arr.ndim == 1:
@@ -180,4 +203,4 @@ def standardize(series: TimeSeries, stats: ChannelStats) -> TimeSeries:
     degenerate = np.flatnonzero(~(stats.std > 0.0))
     if degenerate.size:
         raise ZeroStdError(int(degenerate[0]))
-    return series.with_values((series.values - stats.mean) / stats.std)
+    return series.with_values(_frozen((series.values - stats.mean) / stats.std))

@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeMismatchError, TooFewWindowsError
-from .series import ForecastTask, TimeSeries, _round_fraction
+from .series import ForecastTask, TimeSeries, _read_only, _round_fraction
 
 
 def window_count(channels: int, outer_input: int, inner_input: int, inner_output: int) -> int:
@@ -51,24 +51,6 @@ class WindowPlan:
     @property
     def window_count(self) -> int:
         return window_count(self.channels, self.outer_input, self.inner_input, self.inner_output)
-
-
-# the non-array object ``as_strided`` (and so ``sliding_window_view``) leaves
-# between a view and the array whose memory it reads, as ``.base``
-_STRIDED_BASE = type(as_strided(np.empty(1)).base)
-
-
-def _read_only(arr) -> np.ndarray:
-    """``arr`` when no writeable array can change its values, else a read-only copy."""
-    arr = np.asarray(arr)
-    owner = arr
-    while isinstance(owner, _STRIDED_BASE) or (
-            isinstance(owner, np.ndarray) and not owner.flags.writeable):
-        owner = owner.base
-    if owner is not None:
-        arr = arr.copy()
-        arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from castlab.config import config_from_dict
 from castlab.data_io import FUNCTION_KINDS
 from castlab.linear import _forward, _init_params, decompose_moving_average, loss_and_gradients
 from castlab.llm.prompts import PROMPT_STYLES, render_sequence
-from castlab.runner import TIMING_COLUMNS, run_experiment
+from castlab.runner import diff_runs, run_experiment
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -444,21 +444,11 @@ def test_criterion_10_offline_end_to_end(tmp_path):
                 ],
             }
 
-        def summary_without_timings(path: Path) -> str:
-            with open(path, newline="") as fh:
-                rows = list(csv.DictReader(fh))
-            kept = [
-                {k: v for k, v in row.items() if k not in TIMING_COLUMNS}
-                for row in rows
-            ]
-            return json.dumps(kept, sort_keys=True)
-
         first = run_experiment(config_from_dict(build_raw("run-a"), base_dir=tmp_path))
         second = run_experiment(config_from_dict(build_raw("run-b"), base_dir=tmp_path))
         assert first.status == 0 and second.status == 0
-        assert summary_without_timings(first.summary_path) == summary_without_timings(
-            second.summary_path
-        )
+        # every record field but cost and traceback, and the transcripts as multisets
+        assert diff_runs(first.output_dir, second.output_dir) == []
 
         transcript = Path(first.output_dir) / "transcripts.jsonl"
         assert transcript.exists()

@@ -1,5 +1,6 @@
 import argparse
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +408,119 @@ def test_report_of_a_missing_or_malformed_record_file_is_an_error(tmp_path, caps
     assert captured.err.startswith("error:") and "cells.jsonl" in captured.err, captured.err
     assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ([] if content is None else ["cells.jsonl"])
+
+
+@pytest.fixture(scope="module")
+def demo_runs(tmp_path_factory):
+    """Two runs of the offline demo, to be copied, never edited in place."""
+    base = tmp_path_factory.mktemp("demo-runs")
+    for name in ("a", "b"):
+        assert main(["run", str(CONFIGS / "offline-demo.yaml"), "--output-dir", str(base / name)]) == 0
+    return base / "a", base / "b"
+
+
+def _edited_copy(run, tmp_path, name, edit):
+    """A copy of ``run`` whose ``name`` file has its lines passed through ``edit``."""
+    copy = Path(shutil.copytree(run, tmp_path / "edited"))
+    lines = (copy / name).read_text().splitlines()
+    (copy / name).write_text("".join(line + "\n" for line in edit(lines)))
+    return copy
+
+
+def _diff(capsys, run_a, run_b):
+    capsys.readouterr()
+    status = main(["diff", str(run_a), str(run_b)])
+    return status, capsys.readouterr()
+
+
+def test_diff_of_two_demo_runs_is_empty(demo_runs, capsys):
+    status, printed = _diff(capsys, *demo_runs)
+    assert (status, printed.out, printed.err) == (0, "0 difference(s)\n", "")
+
+
+def test_diff_masks_wall_time_and_transcript_order(demo_runs, tmp_path, capsys):
+    def shuffle(lines):  # other timestamps and latencies, in reverse order
+        records = [json.loads(line) for line in reversed(lines)]
+        for rec in records:
+            rec["timestamp"] += 1.0
+            rec["payload"]["latency_seconds"] = 0.5
+        return [json.dumps(rec) for rec in records]
+
+    def slower(lines):
+        records = [json.loads(line) for line in lines]
+        records[0]["report"]["cost"]["train_seconds"] += 1.0
+        return [json.dumps(rec, separators=(",", ":")) for rec in records]
+
+    a, b = demo_runs
+    edited = _edited_copy(b, tmp_path, "transcripts.jsonl", shuffle)
+    (edited / "cells.jsonl").write_text("".join(
+        line + "\n" for line in slower((edited / "cells.jsonl").read_text().splitlines())))
+    assert _diff(capsys, a, edited)[0] == 0
+
+
+def test_diff_names_the_cell_whose_mae_moved_by_one_ulp(demo_runs, tmp_path, capsys):
+    a, b = demo_runs
+    moved = {}
+
+    def one_ulp(lines):
+        rec = json.loads(lines[5])
+        moved.update(cell=(rec["dataset"], rec["forecaster"], rec["sweep_value"], rec["replicate"]),
+                     mae=rec["report"]["mae"])
+        rec["report"]["mae"] = float(np.nextafter(rec["report"]["mae"], np.inf))
+        return lines[:5] + [json.dumps(rec, separators=(",", ":"))] + lines[6:]
+
+    status, printed = _diff(capsys, a, _edited_copy(b, tmp_path, "cells.jsonl", one_ulp))
+    after = float(np.nextafter(moved["mae"], np.inf))
+    assert status == 1
+    assert printed.out.splitlines() == [
+        f"cell {moved['cell']!r}: report.mae: {moved['mae']!r} != {after!r}", "1 difference(s)"]
+
+
+def test_diff_finds_an_edited_transcript_response(demo_runs, tmp_path, capsys):
+    def edit(lines):
+        rec = json.loads(lines[2])
+        rec["payload"]["response"] += " 1.0"
+        return lines[:2] + [json.dumps(rec)] + lines[3:]
+
+    a, b = demo_runs
+    status, printed = _diff(capsys, a, _edited_copy(b, tmp_path, "transcripts.jsonl", edit))
+    out = printed.out.splitlines()
+    assert status == 1 and out[-1] == "2 difference(s)"
+    assert [line.split(": ")[:2] for line in out[:2]] == [
+        ["transcripts.jsonl", f"only in {a}"], ["transcripts.jsonl", f"only in {tmp_path / 'edited'}"]]
+
+
+def test_diff_names_a_cell_missing_from_one_run(demo_runs, tmp_path, capsys):
+    a, b = demo_runs
+    rec = json.loads((b / "cells.jsonl").read_text().splitlines()[7])
+    cell = (rec["dataset"], rec["forecaster"], rec["sweep_value"], rec["replicate"])
+    status, printed = _diff(capsys, a, _edited_copy(b, tmp_path, "cells.jsonl",
+                                                    lambda lines: lines[:7] + lines[8:]))
+    assert status == 1
+    assert printed.out.splitlines() == [f"cell {cell!r}: only in {a}", "1 difference(s)"]
+
+
+@pytest.mark.parametrize("edit", [lambda lines: lines[::-1], lambda lines: lines + lines[-1:]],
+                         ids=["reversed", "last-repeated"])
+def test_diff_finds_cells_in_another_order_or_repeated(demo_runs, tmp_path, capsys, edit):
+    a, b = demo_runs
+    status, printed = _diff(capsys, a, _edited_copy(b, tmp_path, "cells.jsonl", edit))
+    assert status == 1 and printed.out.splitlines() == [
+        "cells.jsonl: the cells come in another order, or one repeats", "1 difference(s)"]
+
+
+_UNREADABLE = {
+    "truncated-record": lambda lines: lines[:-1] + [lines[-1][: len(lines[-1]) // 2]],
+    "unknown-key": lambda lines: [lines[0][:-1] + ', "seed": 0}'] + lines[1:],
+}
+
+
+@pytest.mark.parametrize("edit", _UNREADABLE.values(), ids=_UNREADABLE.keys())
+def test_diff_of_an_unreadable_run_is_an_error(demo_runs, tmp_path, capsys, edit):
+    a, b = demo_runs
+    status, printed = _diff(capsys, a, _edited_copy(b, tmp_path, "cells.jsonl", edit))
+    assert status == 2 and printed.out == ""
+    assert printed.err.startswith("error:") and "cells.jsonl" in printed.err, printed.err
 
 
 _EVAL = ["eval", "--input", "{csv}", "--output-length", "6"]

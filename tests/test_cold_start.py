@@ -1,9 +1,10 @@
 """Offline runs start without the HTTP client or the YAML parser.
 
 A fresh interpreter (in a subprocess, so modules other tests imported do not
-count) imports castlab and validates a dict config with a linear, a baseline
-and a mock-LLM forecaster; ``requests`` and ``yaml`` must stay unloaded until
-a YAML file is read, and ``hashlib`` (which loads OpenSSL) unloaded throughout.
+count) imports castlab, validates a dict config with a linear, a baseline
+and a mock-LLM forecaster, and diffs a run's records against themselves;
+``requests`` and ``yaml`` must stay unloaded until a YAML file is read, and
+``hashlib`` (which loads OpenSSL) unloaded throughout.
 """
 
 import json
@@ -30,6 +31,9 @@ config.config_from_dict({
 })
 watched = {"requests", "yaml", "hashlib"}
 loaded = {"after_config": sorted(watched & set(sys.modules))}
+golden = Path(sys.argv[2])
+assert runner.diff_runs(golden, golden) == []
+loaded["after_diff"] = sorted(watched & set(sys.modules))
 path = Path("specs.yaml")
 path.write_text("- {kind: sine, length: 8}\n")
 assert config.read_yaml(path) == [{"kind": "sine", "length": 8}]
@@ -40,9 +44,10 @@ print(json.dumps(loaded))
 
 def test_offline_config_loads_neither_requests_nor_yaml(tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(REPO / "src")],
+        [sys.executable, "-c", SCRIPT, str(REPO / "src"),
+         str(REPO / "tests" / "golden" / "records-with-report-stem")],
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert loaded == {"after_config": [], "after_read_yaml": ["yaml"]}
+    assert loaded == {"after_config": [], "after_diff": [], "after_read_yaml": ["yaml"]}

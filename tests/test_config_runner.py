@@ -35,11 +35,11 @@ from castlab.config import (
     forecaster_from_dict,
     load_config,
 )
-from castlab.errors import ConfigError
+from castlab.errors import ConfigError, RecordError
 from castlab.noise import NOISE_PARAMETERS
 from castlab import runner
 from castlab.cli import main
-from castlab.runner import TIMING_COLUMNS, run_experiment
+from castlab.runner import CellRecord, diff_runs, run_experiment
 
 
 def _csv_rows(path):
@@ -105,12 +105,6 @@ def test_config_rejects_the_removed_multi_turn_key(tmp_path):
                 "adapter": {"type": "mock", "responses": ["1"]}},
     }]
     with pytest.raises(ConfigError, match="multi_turn"):
-        config_from_dict(raw, base_dir=tmp_path)
-
-
-def test_config_sweep_requires_noise(tmp_path):
-    raw = _base_config(tmp_path, sweep={"parameter": "noise.sigma", "values": [0, 0.1]})
-    with pytest.raises(ConfigError):
         config_from_dict(raw, base_dir=tmp_path)
 
 
@@ -547,8 +541,8 @@ def test_each_dataset_is_loaded_once_and_a_bad_one_fails_only_its_cells(tmp_path
         assert errors == {"ParseError: cannot parse '0.4x8571' at line 5, column 1"}
         for error in manifest["errors"]:
             assert "Traceback" in error["traceback"] and "ParseError" in error["traceback"]
-        good = [r for r in result.results if r.cell.dataset.name == "good"]
-        assert [r.cell.forecaster.name for r in good] == ["naive", "poly"]
+        good = [r for r in result.results if r.dataset == "good"]
+        assert [r.forecaster for r in good] == ["naive", "poly"]
         assert all(r.report is not None and r.error is None for r in good)
 
 
@@ -624,6 +618,17 @@ def test_write_views_reads_a_record_file_that_still_carries_report_stem(tmp_path
     assert cost_lines == old[Path("cost_comparison.txt")].decode().splitlines()
     assert {p.relative_to(tmp_path): p.read_bytes() for p in sorted(tmp_path.rglob("*"))
             if p.is_file()} == old
+
+
+def test_a_record_reads_back_to_its_own_line_and_names_every_key_it_takes():
+    golden = Path(__file__).resolve().parent / "golden" / "records-with-report-stem"
+    for line in (golden / "cells.jsonl").read_text().splitlines():
+        # report_stem, which earlier versions wrote, is the one key ignored
+        assert CellRecord.from_json(line).to_json() == re.sub(r'"report_stem":"[^"]*",', "", line)
+    with pytest.raises(RecordError, match="unexpected keyword argument 'seed'"):
+        CellRecord.from_json(line[:-1] + ',"seed":0}')
+    with pytest.raises(RecordError, match="unexpected keyword argument 'windows'"):
+        CellRecord.from_json(line.replace('"window_count":', '"windows":1,"window_count":'))
 
 
 def test_an_interrupted_rerun_leaves_none_of_the_earlier_runs_files(tmp_path, monkeypatch):
@@ -732,12 +737,14 @@ def test_a_cell_record_holds_the_cells_identity_report_and_error(tmp_path):
     result = run_experiment(_sweep_with_failures(tmp_path))
     out = result.output_dir
     records = _records(out)
+    lines = (out / "cells.jsonl").read_text().splitlines()
     assert len(records) == len(result.results) == 16
-    for rec, res in zip(records, result.results):
+    for rec, line, res in zip(records, lines, result.results):
         assert set(rec) == _RECORD_KEYS
+        assert isinstance(res, CellRecord)
+        assert line == res.to_json() and CellRecord.from_json(line) == res
         assert (rec["dataset"], rec["forecaster"], rec["sweep_value"], rec["replicate"]) == (
-            res.cell.dataset.name, res.cell.forecaster.name, res.cell.sweep_value,
-            res.cell.replicate)
+            res.dataset, res.forecaster, res.sweep_value, res.replicate)
         assert type(rec["sweep_value"]) is float and rec["sweep_parameter"] == "noise.sigma"
         if res.report is None:
             assert rec["report"] is None and rec["error"] == res.error
@@ -817,12 +824,9 @@ def test_rerun_is_deterministic_excluding_timings(tmp_path):
         result = run_experiment(cfg)
         rows = _csv_rows(result.summary_path)
         assert all(r["mae"] for r in rows)  # every cell actually produced metrics
-        for r in rows:
-            for col in TIMING_COLUMNS:
-                r.pop(col)
-        return rows
+        return result.output_dir
 
-    assert run_once("a") == run_once("b")
+    assert diff_runs(run_once("a"), run_once("b")) == []
 
 
 def test_a_sliding_mock_run_gives_one_summary_at_any_channel_concurrency(tmp_path):
@@ -838,8 +842,8 @@ def test_a_sliding_mock_run_gives_one_summary_at_any_channel_concurrency(tmp_pat
     raw["datasets"] = [{"name": "three", "csv": {"path": "three.csv"}}]
     raw["noise"] = {"kind": "gaussian", "sigma": 0.05, "seed": 2}
 
-    def summary(channel_concurrency):
-        raw["output_dir"] = str(tmp_path / f"out-{channel_concurrency}")
+    def run(channel_concurrency, out):
+        raw["output_dir"] = str(tmp_path / out)
         raw["forecasters"] = [{"name": "llm-mock", "llm": {
             "decimals": 1, "channel_concurrency": channel_concurrency,
             "decoding": {"num_samples": 3, "max_attempts_per_sample": 2},
@@ -847,15 +851,13 @@ def test_a_sliding_mock_run_gives_one_summary_at_any_channel_concurrency(tmp_pat
         result = run_experiment(config_from_dict(raw, base_dir=tmp_path))
         rows = _csv_rows(result.summary_path)
         assert result.status == 0 and rows[0]["mae"] and int(rows[0]["window_count"]) > 10
-        for row in rows:
-            for col in TIMING_COLUMNS:
-                row.pop(col)
-        return rows
+        return result.output_dir
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        assert summary(1) == summary(3) == summary(1)
+        one, three, one_again = run(1, "one"), run(3, "three"), run(1, "one-again")
+        assert diff_runs(one, three) == diff_runs(three, one_again) == []
     finally:
         sys.setswitchinterval(interval)
 

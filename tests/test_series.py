@@ -3,11 +3,18 @@ import pytest
 
 from castlab import (
     ChannelStats,
+    FilterSpec,
+    NoiseSpec,
     SplitSpec,
+    TimeSeries,
+    apply_filter,
     chronological_split,
+    inject_noise,
+    load_csv,
     standardize,
     validate_series,
 )
+from castlab import series as series_module
 from castlab.errors import (
     EmptyInputError,
     LabelCountMismatchError,
@@ -136,3 +143,66 @@ def test_split_spec_validation():
         SplitSpec(test_fraction=0.0)
     with pytest.raises(ValueError):
         SplitSpec(test_fraction=0.6, val_fraction=0.5)
+
+
+def _read_only_array(rows, channels):
+    """An array that owns its memory and is read-only, so no writeable array can change it."""
+    arr = np.arange(float(rows * channels)).reshape(rows, channels).copy()
+    arr.setflags(write=False)
+    return arr
+
+
+def test_a_segment_shares_its_parents_memory_and_is_read_only():
+    arr = _read_only_array(10, 2)
+    series = TimeSeries(arr)
+    assert series.values is arr
+    parts = [series.segment(2, 5), *chronological_split(series, SplitSpec(0.3, 0.2))]
+    for part in parts:
+        assert np.shares_memory(part.values, arr) and not part.values.flags.writeable
+        with pytest.raises(ValueError):
+            part.values[0, 0] = -1.0
+    np.testing.assert_array_equal(parts[0].values, arr[2:5])
+
+
+def test_a_series_copies_what_a_writeable_array_can_change():
+    source = np.arange(12.0).reshape(6, 2)
+    view = source[1:]
+    view.setflags(write=False)  # read-only, but source can still change it
+    for given in (source, view, source[:, 0]):
+        expected = np.array(given).reshape(len(given), -1)
+        series = TimeSeries(given)
+        source += 1.0
+        assert not np.shares_memory(series.values, source)
+        np.testing.assert_array_equal(series.values, expected)
+        assert not series.values.flags.writeable
+
+
+def test_a_series_copies_a_read_only_array_that_is_not_c_contiguous():
+    owned = _read_only_array(6, 2)
+    series = TimeSeries(owned[:, ::-1])
+    assert series.values.flags.c_contiguous and not np.shares_memory(series.values, owned)
+    np.testing.assert_array_equal(series.values, owned[:, ::-1])
+
+
+def test_the_series_wrappers_copy_nothing_they_have_just_built(tmp_path, monkeypatch):
+    copies = []
+    real = series_module._read_only
+
+    def recording(arr, contiguous=False):
+        kept = real(arr, contiguous)
+        copies.append(kept is not arr)
+        return kept
+
+    monkeypatch.setattr(series_module, "_read_only", recording)
+    path = tmp_path / "plain.csv"
+    path.write_text("a,b\n" + "".join(f"{i / 7:.6f},{(i % 9) / 3:.6f}\n" for i in range(40)))
+    loaded = load_csv(path)
+    standardized = standardize(loaded, ChannelStats.from_series(loaded))
+    windows = [loaded, standardized, *chronological_split(standardized, SplitSpec(0.25, 0.25))]
+    for kind, extra in (("gaussian", {"sigma": 0.1}), ("constant", {"contamination": 0.2}),
+                        ("missing", {"contamination": 0.2}), ("freq_add", {"frequency": 3.0}),
+                        ("freq_replace", {"frequency": 3.0})):
+        windows.append(inject_noise(windows[-1], NoiseSpec(kind=kind, seed=1, **extra)))
+    for spec in (FilterSpec(kind="gaussian_kernel", kernel_sigma=1.0), FilterSpec(kind="ema", alpha=0.5)):
+        windows.append(apply_filter(windows[-1], spec))
+    assert len(copies) == len(windows) == 12 and not any(copies)
