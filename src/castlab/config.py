@@ -39,9 +39,11 @@ builds, and any other key is a ConfigError naming the entry, the section and
 the key, as are ``name`` in a baseline and ``session`` in an adapter. A
 dataset or forecaster entry gives its ``name`` and exactly one source. The
 root alone ignores keys it does not name, because the benchmark's configs
-(``perfbench/workloads.py``) carry a root ``seed``. A baseline or adapter
-entry becomes the constructor its ``type`` names in ``BASELINES`` or
-``ADAPTERS``, with the entry's other keys bound. Every section is built from
+(``perfbench/workloads.py``) carry a root ``seed``. A baseline entry becomes
+the constructor its ``type`` names in ``BASELINES``, with the entry's other
+keys bound. An adapter entry becomes the adapter its ``type``'s ``ADAPTERS``
+constructor builds from its other keys, once, at load: every cell of the
+entry shares it, because adapters are stateless. Every section is built from
 the keys it gives, so each default and each value rule lives with the class
 or constructor that uses it, not here. Numeric parameters take numbers only:
 a bool or a quoted number (``"30"``) is rejected by key, and an int
@@ -68,7 +70,7 @@ from typing import Any, Callable
 
 from .data_io import CSV_LAYOUTS, FunctionSpec, load_csv
 from .errors import CastlabError, ConfigError
-from .eval import METRIC_SPACES, PROTOCOLS, Forecaster
+from .eval import METRIC_SPACES, PROTOCOLS, WINDOW_SEED_STRIDE, Forecaster
 from .forecasters import (
     LastValueForecaster,
     LinearSingleShotForecaster,
@@ -110,7 +112,7 @@ class LlmForecasterConfig:
     """An LLM forecaster's arguments; ``forecaster_from_dict`` fills a key an entry
     leaves out with LlmPromptForecaster's default."""
 
-    adapter: Callable[[], LlmAdapter]  # an ADAPTERS constructor, the entry's keys bound
+    adapter: LlmAdapter  # built once, at load, and shared by the entry's cells
     decoding: DecodingConfig
     style: str
     decimals: int
@@ -154,8 +156,8 @@ class SweepConfig:
                 raise ValueError(f"values must be distinct, {v!r} repeats")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if self.replicates > 1000:  # noise seeds are seed + replicate + 1000 * window
-            raise ValueError("replicates must be <= 1000")
+        if self.replicates > WINDOW_SEED_STRIDE:  # else two (replicate, window) seeds collide
+            raise ValueError(f"replicates must be <= {WINDOW_SEED_STRIDE}")
 
 
 @dataclass(frozen=True)
@@ -296,14 +298,14 @@ def _constructor(table: dict, entry: Any, context: str, barred: str) -> functool
 def build_forecaster(
     cfg: ForecasterConfig, transcript: TranscriptWriter | None = None
 ) -> Forecaster:
-    """Fresh forecaster instance for one cell (linear forecasters are stateful)."""
+    """Fresh forecaster instance for one cell (linear forecasters are stateful); an LLM
+    forecaster gets its entry's one adapter."""
     if cfg.linear is not None:
         return LinearSingleShotForecaster(cfg.linear, name=cfg.name)
     if cfg.baseline is not None:
         return cfg.baseline(name=cfg.name)
     assert cfg.llm is not None
-    return LlmPromptForecaster(**{**vars(cfg.llm), "adapter": cfg.llm.adapter()},
-                               transcript=transcript, name=cfg.name)
+    return LlmPromptForecaster(**vars(cfg.llm), transcript=transcript, name=cfg.name)
 
 
 def _entry(make, entry: Any, kind: str) -> tuple[str, str, Any]:
@@ -363,9 +365,10 @@ def forecaster_from_dict(d: Any, base_dir: Path) -> ForecasterConfig:
         if adapter.get("type") == "mock":  # the script replaces its fixture
             adapter = {**{k: v for k, v in adapter.items() if k != "fixture"},
                        "responses": _mock_script(adapter, base_dir, f"{where} adapter")}
+        make = _constructor(ADAPTERS, adapter, f"{where} adapter", barred="session")
         defaults = inspect.signature(LlmPromptForecaster).parameters  # for the keys left out
         given = {**{f.name: defaults[f.name].default for f in fields(LlmForecasterConfig)}, **llm,
-                 "adapter": _constructor(ADAPTERS, adapter, f"{where} adapter", barred="session")}
+                 "adapter": build_spec(make, {}, where)}
         if "decoding" in llm:
             given["decoding"] = build_spec(DecodingConfig, llm["decoding"], f"{where} decoding")
         spec = build_spec(LlmForecasterConfig, given, where)

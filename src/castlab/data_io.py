@@ -86,15 +86,22 @@ def generate_function_series(spec: FunctionSpec) -> TimeSeries:
     if spec.noise_std > 0.0:
         rng = np.random.default_rng(spec.seed)
         scaled = scaled + rng.normal(0.0, spec.noise_std, size=spec.length)
-    return validate_series(scaled.reshape(-1, 1), names=(spec.kind,))
+    return validate_series(scaled, names=(spec.kind,))
 
 
-def _looks_numeric(token: str) -> bool:
+def _channel_names(first: list[str], layout: str) -> list[str] | None:
+    """The channel names a CSV's first row gives: an informer header without its
+    timestamp; for plain, the row itself, or None when every token parses as a float."""
+    if layout == "informer":
+        if len(first) < 2:
+            raise RaggedRowsError("informer layout needs a timestamp column plus channels")
+        return [c.strip() for c in first[1:]]
     try:
-        float(token)
-        return True
+        for token in first:
+            float(token)
     except ValueError:
-        return False
+        return [c.strip() for c in first]
+    return None
 
 
 def _parse_rows(rows: list[tuple[int, list[str]]]) -> np.ndarray:
@@ -122,43 +129,33 @@ def _read_rows(p: Path, layout: str) -> tuple[np.ndarray, list[str] | None]:
     if not raw:
         raise EmptyInputError(f"{p} has no rows")
 
+    names = _channel_names(raw[0][1], layout)
     if layout == "informer":
-        header = raw[0][1]
-        if len(header) < 2:
-            raise RaggedRowsError("informer layout needs a timestamp column plus channels")
-        names = [c.strip() for c in header[1:]]
         return _parse_rows([(line_no, row[1:]) for line_no, row in raw[1:]]), names
-
-    first = raw[0][1]
-    if all(_looks_numeric(tok) for tok in first):
-        return _parse_rows(raw), None
-    return _parse_rows(raw[1:]), [c.strip() for c in first]
+    return _parse_rows(raw if names is None else raw[1:]), names
 
 
 def _read_numeric(p: Path, layout: str) -> tuple[np.ndarray, list[str] | None] | None:
     """Values and channel names by numpy's C reader, or None if it rejects the file.
 
-    The header row is read by ``csv`` as in :func:`_read_rows`; the data lines
-    go to ``np.loadtxt`` without being split in Python. An informer row is read
-    as a record of its timestamp (kept to one character) and its channels, so
-    numpy refuses a row of any other width. Lines are split on ``\\n``,
-    ``\\r\\n`` and ``\\r`` only, like ``csv``.
+    The first row is read by ``csv`` and named by :func:`_channel_names` (so an
+    informer header of one column raises); the data lines go to ``np.loadtxt``
+    without being split in Python. An informer row is read as a record of its
+    timestamp (kept to one character) and its channels, so numpy refuses a row
+    of any other width. Lines are split on ``\\n``, ``\\r\\n`` and ``\\r``
+    only, like ``csv``.
     """
     with open(p, newline="", encoding="utf-8-sig") as fh:
         head: list[str] = []  # the lines csv reads up to the first row
         reader = csv.reader(head.append(line) or line for line in fh)
         try:
             first = next((row for row in reader if row), None)
-            if first is None or (layout == "informer" and len(first) < 2):
+            if first is None:
                 return None
-            dtype, ndmin = float, 2
+            names = _channel_names(first, layout)
+            lines, dtype, ndmin = (fh if names is not None else itertools.chain(head, fh)), float, 2
             if layout == "informer":
-                lines, names = fh, [c.strip() for c in first[1:]]
                 dtype, ndmin = [("", "U1"), ("", "f8", (len(names),))], 1
-            elif all(_looks_numeric(tok) for tok in first):
-                lines, names = itertools.chain(head, fh), None
-            else:
-                lines, names = fh, [c.strip() for c in first]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # such as "input contained no data"
                 values = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,

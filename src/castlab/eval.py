@@ -25,6 +25,7 @@ from .series import (
     ForecastTask,
     SplitSpec,
     TimeSeries,
+    _float_columns,
     chronological_split,
     standardize,
 )
@@ -32,6 +33,7 @@ from .series import (
 PROTOCOLS = ("last_sample", "sliding")
 METRIC_SPACES = ("standardized", "raw")
 COST_FAMILIES = ("domain", "llm", "linear")
+WINDOW_SEED_STRIDE = 1000  # a window's noise seed is its cell's plus this times its index
 
 
 class Forecaster(ABC):
@@ -122,12 +124,7 @@ def compute_metrics(pred: np.ndarray, truth: np.ndarray) -> Metrics:
     The per-channel values average back to the headline numbers exactly
     (every channel contributes the same number of entries).
     """
-    p = np.asarray(pred, dtype=np.float64)
-    t = np.asarray(truth, dtype=np.float64)
-    if p.ndim == 1:
-        p = p.reshape(-1, 1)
-    if t.ndim == 1:
-        t = t.reshape(-1, 1)
+    p, t = _float_columns(pred), _float_columns(truth)
     if p.shape != t.shape:
         raise ShapeMismatchError(f"pred shape {p.shape} != truth shape {t.shape}")
     diff = p - t
@@ -151,7 +148,7 @@ def _corrupt_input(
     series = TimeSeries(window)
     if noise is not None:
         # Distinct windows get distinct, reproducible corruption streams.
-        series = inject_noise(series, replace(noise, seed=noise.seed + 1000 * window_index))
+        series = inject_noise(series, replace(noise, seed=noise.seed + WINDOW_SEED_STRIDE * window_index))
     if noise_filter is not None:
         series = apply_filter(series, noise_filter)
     return series.values
@@ -199,9 +196,7 @@ def _run_protocol(
         t2 = time.perf_counter()
         train_seconds += t1 - t0
         infer_seconds += t2 - t1
-        pred = np.asarray(pred, dtype=np.float64)
-        if pred.ndim == 1:
-            pred = pred.reshape(-1, 1)
+        pred = _float_columns(pred)
         if pred.shape != truth.shape:
             raise ShapeMismatchError(
                 f"forecaster returned {pred.shape}, expected {truth.shape}"

@@ -26,13 +26,11 @@ from .llm.adapters import LlmAdapter, TranscriptWriter
 from .llm.decode import DecodingConfig, aggregate_median
 from .llm.prompts import PROMPT_STYLES, ScalingConfig, build_prompt
 from .llm.sampling import sample_forecasts, submit_samples
-from .series import ForecastTask, validate_series
+from .series import ForecastTask, _float_columns, validate_series
 
 
 def _as_window(window: np.ndarray) -> np.ndarray:
-    arr = np.asarray(window, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
+    arr = _float_columns(window)
     if arr.ndim != 2 or arr.size == 0:
         raise ShapeMismatchError("input window must be a non-empty (I, d) array")
     return arr
@@ -203,7 +201,6 @@ class LlmPromptForecaster(Forecaster):
         self.decimals = decimals
         self.shots = shots
         self.transcript = transcript
-        self.channel_concurrency = channel_concurrency
         self.name = name or style
         self._pool = ThreadPoolExecutor(channel_concurrency * self.decoding.num_samples)
         self._queue: deque[tuple[np.ndarray, int, list[Future]]] = deque()

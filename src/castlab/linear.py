@@ -42,7 +42,7 @@ from .errors import (
     KernelTooLargeError,
     ShapeMismatchError,
 )
-from .series import ForecastTask, TimeSeries
+from .series import ForecastTask, TimeSeries, _float_columns
 from .windowing import make_windows, plan_windows, train_val_partition
 
 VARIANTS = ("dlinear", "rlinear")
@@ -661,9 +661,7 @@ def predict(model: FittedLinearModel, recent: np.ndarray | TimeSeries, horizon: 
     each block to the context; a final partial block is truncated. Channels
     are predicted independently. Returns shape (horizon, channels).
     """
-    values = recent.values if isinstance(recent, TimeSeries) else np.asarray(recent, dtype=np.float64)
-    if values.ndim == 1:
-        values = values.reshape(-1, 1)
+    values = _float_columns(recent.values if isinstance(recent, TimeSeries) else recent)
     if values.shape[0] != model.inner_input:
         raise ShapeMismatchError(
             f"context has {values.shape[0]} rows, model needs {model.inner_input}"

@@ -98,13 +98,10 @@ def decode_response(text: str, expected_count: int, scaling: ScalingConfig) -> n
 
 
 def aggregate_median(forecasts: Sequence[Sequence[float] | np.ndarray]) -> np.ndarray:
-    """Elementwise median across equal-length forecast samples.
+    """Elementwise median across equal-length forecast samples: ``np.median`` over them.
 
     The middle order statistic for an odd sample count; the mean of the two
-    middle values for an even count; NaN where a sample is NaN. Equal to
-    ``np.median(samples, axis=0)`` bit for bit: the same partition and the
-    same arithmetic (its mean sums from 0.0, which turns -0.0 into 0.0),
-    without its general-purpose set-up.
+    middle values for an even count; NaN where a sample is NaN.
     """
     if len(forecasts) == 0:
         raise EmptyListError("no forecasts to aggregate")
@@ -112,9 +109,4 @@ def aggregate_median(forecasts: Sequence[Sequence[float] | np.ndarray]) -> np.nd
     lengths = {row.size for row in rows}
     if len(lengths) != 1:
         raise LengthMismatchError(f"forecast lengths differ: {sorted(lengths)}")
-    half, odd = divmod(len(rows), 2)
-    part = np.partition(np.vstack(rows), [half, -1] if odd else [half - 1, half, -1], axis=0)
-    median = 0.0 + part[half] if odd else (0.0 + part[half - 1] + part[half]) / 2
-    top = part[-1]  # NaN sorts last
-    nan = np.isnan(top)
-    return np.where(nan, top, median) if nan.any() else median
+    return np.median(np.vstack(rows), axis=0)

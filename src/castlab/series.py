@@ -43,6 +43,12 @@ def _read_only(arr, contiguous: bool = False) -> np.ndarray:
     return arr
 
 
+def _float_columns(raw) -> np.ndarray:
+    """``raw`` as a float64 array; a 1-D array is one channel, so it becomes one column."""
+    arr = np.asarray(raw, dtype=np.float64)
+    return arr.reshape(-1, 1) if arr.ndim == 1 else arr
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """``arr``, just built by the caller, marked read-only so a TimeSeries need not copy it."""
     arr.setflags(write=False)
@@ -77,9 +83,7 @@ class TimeSeries:
     channel_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        arr = arr.reshape(-1, 1) if arr.ndim == 1 else arr
-        object.__setattr__(self, "values", _read_only(arr, contiguous=True))
+        object.__setattr__(self, "values", _read_only(_float_columns(self.values), contiguous=True))
         if self.channel_names is not None:
             object.__setattr__(self, "channel_names", tuple(str(c) for c in self.channel_names))
 
@@ -155,9 +159,7 @@ def validate_series(
     row/channel), and label lists whose length does not match the channel
     count. Values are never mutated, and copied as :class:`TimeSeries` does.
     """
-    arr = np.asarray(raw, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
+    arr = _float_columns(raw)
     if arr.ndim != 2 or arr.size == 0:
         raise EmptyInputError("expected a non-empty 2-D array")
     bad = ~np.isfinite(arr)

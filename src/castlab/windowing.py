@@ -45,10 +45,6 @@ class WindowPlan:
             raise ValueError("inner_input + inner_output must not exceed outer_input")
 
     @property
-    def offsets_per_channel(self) -> int:
-        return self.outer_input - (self.inner_input + self.inner_output) + 1
-
-    @property
     def window_count(self) -> int:
         return window_count(self.channels, self.outer_input, self.inner_input, self.inner_output)
 

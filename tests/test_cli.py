@@ -217,6 +217,23 @@ def test_run_full_cycle(tmp_path):
     assert (tmp_path / "out" / "summary.csv").exists()
 
 
+def test_run_with_a_failed_cell_says_so_and_exits_1(tmp_path, capsys):
+    (tmp_path / "bad.csv").write_text("a,b\n1,2\n3,oops\n")
+    config = {
+        "output_dir": str(tmp_path / "out"),
+        "task": {"input_length": 20, "output_length": 5},
+        "datasets": [{"name": "bad", "csv": {"path": "bad.csv"}}],
+        "forecasters": [{"name": "naive", "baseline": {"type": "last_value"}}],
+    }
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(yaml.safe_dump(config))
+    assert main(["run", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "1 cell(s) failed; see manifest\n"
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["errors"][0]["error"].startswith(
+        "ParseError")
+
+
 def _llm_entry(**fields):
     return {"name": "llm", "llm": {"adapter": {"type": "mock", "responses": ["1"]}, **fields}}
 
@@ -509,18 +526,22 @@ def test_diff_finds_cells_in_another_order_or_repeated(demo_runs, tmp_path, caps
         "cells.jsonl: the cells come in another order, or one repeats", "1 difference(s)"]
 
 
-_UNREADABLE = {
-    "truncated-record": lambda lines: lines[:-1] + [lines[-1][: len(lines[-1]) // 2]],
-    "unknown-key": lambda lines: [lines[0][:-1] + ', "seed": 0}'] + lines[1:],
+_UNREADABLE = {  # the file edited, its edit, and what the error names
+    "truncated-record": ("cells.jsonl", lambda lines: lines[:-1] + [lines[-1][: len(lines[-1]) // 2]],
+                         "cells.jsonl"),
+    "unknown-key": ("cells.jsonl", lambda lines: [lines[0][:-1] + ', "seed": 0}'] + lines[1:],
+                    "cells.jsonl"),
+    "transcript-not-json-lines": ("transcripts.jsonl", lambda lines: lines[:1] + ["not json"] + lines[1:],
+                                  "not JSON lines"),
 }
 
 
-@pytest.mark.parametrize("edit", _UNREADABLE.values(), ids=_UNREADABLE.keys())
-def test_diff_of_an_unreadable_run_is_an_error(demo_runs, tmp_path, capsys, edit):
+@pytest.mark.parametrize("name,edit,named", _UNREADABLE.values(), ids=_UNREADABLE.keys())
+def test_diff_of_an_unreadable_run_is_an_error(demo_runs, tmp_path, capsys, name, edit, named):
     a, b = demo_runs
-    status, printed = _diff(capsys, a, _edited_copy(b, tmp_path, "cells.jsonl", edit))
+    status, printed = _diff(capsys, a, _edited_copy(b, tmp_path, name, edit))
     assert status == 2 and printed.out == ""
-    assert printed.err.startswith("error:") and "cells.jsonl" in printed.err, printed.err
+    assert printed.err.startswith("error:") and named in printed.err, printed.err
 
 
 _EVAL = ["eval", "--input", "{csv}", "--output-length", "6"]
@@ -543,6 +564,9 @@ _BAD_ARGS = {
                                     "--kind", "gaussian", "--sigma", "0.1", "--seed", "-1"], None),
     "fit-linear-kernel-4": (["fit-linear", "--input", "{csv}", "--input-length", "64",
                              "--output-length", "16", "--kernel", "4", "--save", "{tmp}/m.json"], None),
+    # _write_series writes 120 rows
+    "fit-linear-input-longer-than-series": (["fit-linear", "--input", "{csv}", "--input-length", "121",
+                                             "--output-length", "16", "--save", "{tmp}/m.json"], None),
     "function-without-kind": (_GENERATE, [{"name": "nameless", "length": 64}]),
     "function-unknown-key": (_GENERATE, [{"kind": "sine", "wavelength": 3}]),
     "function-bare-string": (_GENERATE, ["sine"]),

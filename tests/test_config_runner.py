@@ -24,8 +24,9 @@ from castlab import (
     NoiseSpec,
     SplitSpec,
 )
-from castlab.llm.adapters import HttpChatAdapter, LlmAdapter
+from castlab.llm.adapters import HttpChatAdapter, LlmAdapter, MockAdapter
 from castlab.config import (
+    ADAPTERS,
     SWEEPABLE_PARAMETERS,
     LlmForecasterConfig,
     SweepConfig,
@@ -315,11 +316,14 @@ def test_a_replaced_config_is_checked_as_a_loaded_one(tmp_path, rule):
 def test_an_llm_entry_takes_the_forecasters_defaults_for_the_keys_it_leaves_out(tmp_path):
     assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(LlmForecasterConfig))
     entry = {"name": "llm", "llm": {"adapter": {"type": "mock", "responses": ["1"]}}}
-    forecaster = build_forecaster(forecaster_from_dict(entry, tmp_path))
+    cfg = forecaster_from_dict(entry, tmp_path)
+    forecaster = build_forecaster(cfg)
     forecaster.close()
-    keys = ("style", "decimals", "shots", "channel_concurrency", "decoding")
+    keys = ("style", "decimals", "shots", "decoding")
     parameters = inspect.signature(LlmPromptForecaster).parameters
     assert {k: getattr(forecaster, k) for k in keys} == {k: parameters[k].default for k in keys}
+    # the forecaster sizes its pool from channel_concurrency and keeps no copy of it
+    assert cfg.llm.channel_concurrency == parameters["channel_concurrency"].default
 
 
 def test_load_config_yaml_and_overrides(tmp_path):
@@ -470,7 +474,7 @@ def test_a_failed_window_cancels_the_cells_queued_completions(tmp_path):
             return "no numbers here"
 
     (fc,) = cfg.forecasters
-    llm = dataclasses.replace(fc.llm, adapter=SlowGarbageAdapter)
+    llm = dataclasses.replace(fc.llm, adapter=SlowGarbageAdapter())
     cfg = dataclasses.replace(cfg, forecasters=[dataclasses.replace(fc, llm=llm)])
     result = run_experiment(cfg)
     (cell,) = result.results
@@ -480,6 +484,25 @@ def test_a_failed_window_cancels_the_cells_queued_completions(tmp_path):
     assert 2 * 3 <= len(calls) <= 2 * 3 + 3
     manifest = json.loads(result.manifest_path.read_text())
     assert manifest["failed"] == 1 and len(manifest["errors"]) == 1
+
+
+def test_an_llm_entrys_adapter_is_built_once_per_config_load(tmp_path, monkeypatch):
+    built = []
+
+    class CountingBuilds(MockAdapter):
+        def __init__(self, responses):
+            built.append(self)
+            super().__init__(responses)
+
+    monkeypatch.setitem(ADAPTERS, "counting", CountingBuilds)
+    raw = _base_config(tmp_path, noise={"kind": "gaussian", "sigma": 0.0, "seed": 3},
+                       sweep={"parameter": "noise.sigma", "values": [0.1], "replicates": 2})
+    raw["datasets"].append({"name": "ramp", "function": {"kind": "linear", "length": 100}})
+    raw["forecasters"] = [{"name": "llm", "llm": {"decoding": {"num_samples": 2}, "adapter": {
+        "type": "counting", "responses": [", ".join(["0.5"] * 10)]}}}]
+    result = run_experiment(config_from_dict(raw, base_dir=tmp_path))
+    assert (result.status, len(result.results)) == (0, 4)  # 2 datasets x 2 replicates
+    assert len(built) == 1
 
 
 def test_a_forecast_of_the_wrong_shape_fails_only_its_cell(tmp_path):

@@ -69,6 +69,15 @@ def test_metrics_symmetry_and_difference_dependence():
     assert abs(a.mae - c.mae) < 1e-9 and abs(a.mse - c.mse) < 1e-9
 
 
+@pytest.mark.parametrize("pred_1d,truth_1d", [(True, False), (False, True), (True, True)])
+def test_metrics_of_a_1d_array_are_those_of_its_column(pred_1d, truth_1d):
+    rng = np.random.default_rng(2)
+    pred, truth = rng.normal(size=(6, 1)), rng.normal(size=(6, 1))
+    flat = compute_metrics(pred.ravel() if pred_1d else pred, truth.ravel() if truth_1d else truth)
+    assert flat == compute_metrics(pred, truth)
+    assert len(flat.per_channel_mae) == 1
+
+
 def test_metrics_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
         compute_metrics(np.zeros((2, 2)), np.zeros((3, 2)))

@@ -34,6 +34,15 @@ def test_last_value_shapes():
     assert np.all(out == window[-1])
 
 
+@pytest.mark.parametrize("forecaster", [LastValueForecaster(), SeasonalRepeatForecaster(period=4),
+                                        PolynomialExtrapolator(degree=3)], ids=lambda f: f.name)
+def test_a_baseline_predicts_from_a_1d_window_as_from_its_column(forecaster):
+    window = np.sin(np.arange(12.0) / 2.0)
+    flat = forecaster.predict(window, 5)
+    assert flat.shape == (5, 1)
+    assert np.array_equal(flat, forecaster.predict(window.reshape(-1, 1), 5))
+
+
 def test_seasonal_repeat_tiles():
     window = np.array([[1.0], [2.0], [3.0], [4.0]])
     out = SeasonalRepeatForecaster(period=2).predict(window, 5)

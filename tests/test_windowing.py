@@ -105,10 +105,10 @@ def test_make_windows_matches_plan_count_random():
         assert plan.window_count == window_count(d, i, ii, oo) == _enumerate_count(d, i, ii, oo)
         ws = make_windows(series, plan)
         assert ws.size == plan.window_count
-        assert ws.inputs.shape[:2] == (d, plan.offsets_per_channel)
+        assert ws.inputs.shape[:2] == (d, i - (ii + oo) + 1)
         # every pair reconstructs a contiguous slice of its source channel
         for c in range(d):
-            for s in range(plan.offsets_per_channel):
+            for s in range(i - (ii + oo) + 1):
                 joined = np.concatenate([ws.inputs[c, s], ws.targets[c, s]])
                 assert np.array_equal(joined, series.values[s : s + ii + oo, c])
 
@@ -172,7 +172,7 @@ def test_window_sets_are_read_only_and_partitions_match_the_mask_split():
         assert np.shares_memory(part.inputs, ws.inputs)
         assert np.shares_memory(part.targets, ws.targets)
     # the boolean-mask gather over flattened rows that slicing the blocks replaced
-    offsets = plan.offsets_per_channel
+    offsets = plan.window_count // plan.channels
     is_val = np.tile(np.arange(offsets), plan.channels) >= offsets - int(np.ceil(offsets * 0.3))
     for name in ("inputs", "targets"):
         rows = getattr(ws, name).reshape(ws.size, -1)
